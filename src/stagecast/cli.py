@@ -8,9 +8,9 @@ Five subcommands cover the full workflow:
     stagecast benchmark  -- time solver vs. surrogate on one scenario
     stagecast ablate     -- run the three-configuration comparison
 
-Exit codes: 0 success, 1 file/parse errors (including bad command lines),
-2 solver failures, 3 cross-input consistency errors, 4 training divergence
-(partial history is still written).
+Exit codes: 0 success, 1 file/parse errors and invalid values (including
+bad command lines), 2 solver failures, 3 cross-input consistency errors,
+4 training divergence (partial history is still written).
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ def _check_hash(expected: str, actual: str, what: str) -> None:
 
 def _cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
+    config = SolverConfig(n_cells=args.n_cells, cfl=args.cfl)  # reject bad knobs before writing
     if args.synthetic_stations is not None:
         scenario = make_flood_wave_scenario(
             args.synthetic_stations, args.peak_factor, seed=args.seed
@@ -87,7 +88,6 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = read_scenario(scenario_path)
 
-    config = SolverConfig(n_cells=args.n_cells, cfl=args.cfl)
     field = solve(scenario, config)
     digest = scenario_hash(scenario)
     write_field(field, digest, Path(args.field_out))
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         return EXIT_CONSISTENCY
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ __all__ = [
     "AdamState",
     "HistoryRow",
     "TrainingDiverged",
+    "NonFiniteGradient",
     "build_training_set",
     "data_loss",
     "physics_loss",
@@ -56,6 +57,15 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.history = history
         self.iteration = iteration
+
+
+class NonFiniteGradient(ValueError):
+    """A gradient component is NaN or infinite; ``index`` is the first such
+    component of the flat gradient vector."""
+
+    def __init__(self, index: int):
+        super().__init__(f"non-finite gradient at component {index}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -233,8 +243,7 @@ def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: floa
         raise ValueError(f"gradient shape {grads.shape} != weight shape {weights.shape}")
     finite = np.isfinite(grads)
     if not finite.all():
-        idx = int(np.argmax(~finite))
-        raise ValueError(f"non-finite gradient at component {idx}")
+        raise NonFiniteGradient(int(np.argmax(~finite)))
     t = state.step + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grads
     v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
@@ -357,10 +366,9 @@ def train(
         grads = grad_weights(loss_node, [params[name] for name, _ in current.manifest])
         try:
             weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
-        except ValueError as err:
-            bad = int(str(err).rsplit(" ", 1)[-1]) if "component" in str(err) else -1
+        except NonFiniteGradient as err:
             raise ValueError(
-                f"non-finite gradient in parameter {_param_name_at(current.manifest, bad)!r} "
+                f"non-finite gradient in parameter {_param_name_at(current.manifest, err.index)!r} "
                 f"at iteration {i}"
             ) from err
 

@@ -5,6 +5,12 @@ below uses the conservative (A, Q) variables and a Lax-Friedrichs flux,
 whereas the package solves the non-conservative (h, u) form with a
 MacCormack scheme.  Agreement between the two is therefore meaningful
 evidence rather than a tautology.
+
+The one exception is the last section: a frozen copy of the package's
+original MacCormack step loop (two separate sweeps, boundary values
+interpolated on every call, friction through the autodiff dispatch).  It
+is a bitwise regression reference for the fused solver loop, so it keeps
+the package's own boundary and friction functions on purpose.
 """
 
 import numpy as np
@@ -240,3 +246,142 @@ def uniform_flow_scenario(depth_ft=8.0, length_miles=4.0, width_ft=200.0,
         t_total_hours=t_total_hours,
         output_dt_hours=t_total_hours / 16,
     )
+
+
+# ---------------------------------------------------------------------------
+# frozen two-sweep MacCormack loop (bitwise regression reference)
+
+
+def _reference_diff(f, dx, forward):
+    out = np.empty_like(f)
+    if forward:
+        out[:-1] = (f[1:] - f[:-1]) / dx
+        out[-1] = (f[-1] - f[-2]) / dx
+    else:
+        out[1:] = (f[1:] - f[:-1]) / dx
+        out[0] = (f[1] - f[0]) / dx
+    return out
+
+
+def _reference_check_state(h, u, step, t_s):
+    from stagecast import SolverError
+
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
+        bad = int(np.argmax(~(np.isfinite(h) & np.isfinite(u))))
+        raise SolverError(f"non-finite state at step {step}, cell {bad}, t={t_s:.3f} s")
+    if np.any(h <= 0.0):
+        bad = int(np.argmax(h <= 0.0))
+        raise SolverError(f"non-positive depth at step {step}, cell {bad}, t={t_s:.3f} s")
+
+
+def _reference_sweep(h, u, dt, dx, g, source_fn, bc_fn, t_new, predictor_forward):
+    dh = _reference_diff(h, dx, predictor_forward)
+    du = _reference_diff(u, dx, predictor_forward)
+    hp = h - dt * (u * dh + h * du)
+    up = u - dt * (u * du + g * dh) - dt * source_fn(h, u)
+    bc_fn(hp, up, t_new)
+
+    dhp = _reference_diff(hp, dx, not predictor_forward)
+    dup = _reference_diff(up, dx, not predictor_forward)
+    hn = 0.5 * (h + hp - dt * (up * dhp + hp * dup))
+    un = 0.5 * (u + up - dt * (up * dup + g * dhp) - dt * source_fn(hp, up))
+    bc_fn(hn, un, t_new)
+    return hn, un
+
+
+def reference_run(h, u, dx_ft, t_end_s, bc_fn, on_interval, *, source_fn, cfl,
+                  g=G, dt_floor_s=1e-9, max_steps=2_000_000):
+    """The original step loop: the same contract as ``stagecast.solver._run``."""
+    from stagecast import SolverError
+
+    t = 0.0
+    step = 0
+    while t < t_end_s:
+        _reference_check_state(h, u, step, t)
+        celerity = np.abs(u) + np.sqrt(g * h)
+        dt = cfl * dx_ft / float(np.max(celerity))
+        if not np.isfinite(dt) or dt < dt_floor_s:
+            raise SolverError(f"CFL collapse: dt={dt!r} s at step {step}, t={t:.3f} s")
+        if step >= max_steps:
+            raise SolverError(f"exceeded {max_steps} steps at t={t:.3f} s of {t_end_s:.3f} s")
+        t_new = t + dt
+
+        ha, ua = _reference_sweep(h, u, dt, dx_ft, g, source_fn, bc_fn, t_new, True)
+        hb, ub = _reference_sweep(h, u, dt, dx_ft, g, source_fn, bc_fn, t_new, False)
+        h_new = 0.5 * (ha + hb)
+        u_new = 0.5 * (ua + ub)
+        bc_fn(h_new, u_new, t_new)
+
+        on_interval(t, t_new, h, u, h_new, u_new)
+        h, u = h_new, u_new
+        t = t_new
+        step += 1
+    _reference_check_state(h, u, step, t)
+    return h, u
+
+
+def reference_solve(scenario, n_cells=400, include_friction=True, include_bed_slope=True,
+                    cfl=0.9):
+    """The original ``solve()`` around :func:`reference_run`.
+
+    Returns (t_hours, h, u) sampled like ``FlowField``.
+    """
+    from stagecast import SolverError
+    from stagecast.geometry import friction_slope, interpolate_boundary
+
+    geom = scenario.geometry
+    bounds = scenario.boundaries
+    g = G
+    length_ft = geom.length_miles * MILE_FT
+    x_ft = np.linspace(0.0, length_ft, n_cells)
+    dx = length_ft / (n_cells - 1)
+    stations_ft = np.asarray(scenario.station_positions_miles) * MILE_FT
+
+    n_t = int(round(scenario.t_total_hours / scenario.output_dt_hours)) + 1
+    t_out_h = scenario.output_dt_hours * np.arange(n_t)
+    t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
+    t_out_s = t_out_h * HOUR_S
+
+    s0 = geom.bed_slope if include_bed_slope else 0.0
+    if include_friction:
+        def source_fn(h, u):
+            return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - s0)
+    else:
+        def source_fn(h, u):
+            return g * (np.zeros_like(h) - s0)
+
+    def bc_fn(h, u, t_s):
+        t_h = t_s / HOUR_S
+        h[0] = 2.0 * h[1] - h[2]
+        if h[0] <= 0.0:
+            raise SolverError(f"upstream depth extrapolated non-positive at t={t_s:.3f} s")
+        q = interpolate_boundary(bounds.upstream_discharge_cfs, min(t_h, scenario.t_total_hours))
+        u[0] = q / (geom.width_ft * h[0])
+        h[-1] = interpolate_boundary(bounds.downstream_stage_ft, min(t_h, scenario.t_total_hours))
+        u[-1] = 2.0 * u[-2] - u[-3]
+
+    h = np.full(n_cells, bounds.initial_depth_ft, dtype=np.float64)
+    u = np.full(n_cells, bounds.initial_velocity_fps, dtype=np.float64)
+    bc_fn(h, u, 0.0)
+
+    h_out = np.empty((n_t, stations_ft.size))
+    u_out = np.empty((n_t, stations_ft.size))
+    h_out[0] = np.interp(stations_ft, x_ft, h)
+    u_out[0] = np.interp(stations_ft, x_ft, u)
+    cursor = 1
+
+    def on_interval(t0, t1, h0, u0, h1, u1):
+        nonlocal cursor
+        while cursor < n_t and t_out_s[cursor] <= t1 + 1e-9:
+            theta = (t_out_s[cursor] - t0) / (t1 - t0)
+            h_mid = h0 + theta * (h1 - h0)
+            u_mid = u0 + theta * (u1 - u0)
+            h_out[cursor] = np.interp(stations_ft, x_ft, h_mid)
+            u_out[cursor] = np.interp(stations_ft, x_ft, u_mid)
+            cursor += 1
+
+    reference_run(h, u, dx, float(t_out_s[-1]), bc_fn, on_interval, source_fn=source_fn,
+                  cfl=cfl, g=g)
+    if cursor != n_t:
+        raise SolverError(f"run ended with {n_t - cursor} output times unsampled")
+    return t_out_h, h_out, u_out

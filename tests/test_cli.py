@@ -200,6 +200,22 @@ def test_simulate_solver_failure_exits_two(capsys, tmp_path):
     assert not (tmp_path / "f.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "bad_flag", [["--cfl", "1.5"], ["--n-cells", "2"], ["--peak-factor", "0.5"]]
+)
+def test_simulate_bad_config_exits_one_before_writing(bad_flag, capsys, tmp_path):
+    rc = main([
+        "simulate",
+        "--scenario", str(tmp_path / "scenario.txt"),
+        "--field-out", str(tmp_path / "field.txt"),
+        "--synthetic-stations", "4",
+        *bad_flag,
+    ])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -381,7 +397,7 @@ def test_benchmark_rejects_bad_repetitions(workspace, capsys, tmp_path):
         "--scenario", str(workspace / "scenario.txt"),
         "--repetitions", "2",
     ])
-    assert rc == 3  # invalid request, not a solver failure
+    assert rc == 1  # bad usage, not a solver failure or an artifact mismatch
 
 
 # ---------------------------------------------------------------------------

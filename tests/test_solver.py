@@ -1,13 +1,23 @@
 """Shallow-water solver: equilibria, conservation, convergence, and an
 independent-scheme cross check."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
-from stagecast.solver import _run
+from stagecast.geometry import friction_slope
+from stagecast.solver import _manning_slope, _run
 
-from oracles import lake_at_rest_scenario, lax_friedrichs_solve, uniform_flow_scenario
+from oracles import (
+    lake_at_rest_scenario,
+    lax_friedrichs_solve,
+    reference_run,
+    reference_solve,
+    uniform_flow_scenario,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +126,38 @@ def test_flood_peak_travels_downstream(flood_scenario, flood_field):
 
 
 # ---------------------------------------------------------------------------
+# bitwise agreement with the original two-sweep loop
+
+
+@pytest.mark.parametrize("n_cells", [100, 400])
+@pytest.mark.parametrize("include_bed_slope", [True, False])
+@pytest.mark.parametrize("include_friction", [True, False])
+def test_fused_loop_matches_two_sweep_reference_bitwise(include_friction, include_bed_slope,
+                                                        n_cells):
+    """Half an hour of a fast pulse: every boundary and source path is live."""
+    scenario = make_flood_wave_scenario(
+        4, 3.0, seed=11, t_total_hours=0.5, output_dt_hours=0.05,
+        pulse_center_hours=0.25, pulse_sigma_hours=0.1,
+    )
+    config = SolverConfig(n_cells=n_cells, include_friction=include_friction,
+                          include_bed_slope=include_bed_slope)
+    field = solve(scenario, config)
+    t_ref, h_ref, u_ref = reference_solve(scenario, n_cells, include_friction, include_bed_slope)
+    assert np.array_equal(field.t_hours, t_ref)
+    assert np.array_equal(field.h, h_ref)
+    assert np.array_equal(field.u, u_ref)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 400)])
+def test_solver_manning_term_equals_friction_slope_bitwise(rng, shape):
+    for _ in range(5):
+        width, n = rng.uniform(50.0, 500.0), rng.uniform(0.01, 0.1)
+        h = rng.uniform(1e-3, 60.0, size=shape)
+        u = rng.normal(0.0, 8.0, size=shape)
+        assert np.array_equal(_manning_slope(width, n, h, u), friction_slope(width, n, h, u))
+
+
+# ---------------------------------------------------------------------------
 # symmetry of the homogeneous scheme
 
 
@@ -180,6 +222,54 @@ def test_negative_depth_names_the_cell():
     with pytest.raises(SolverError, match="cell"):
         _run(h, u, 100.0, 3600.0, draining_bc, lambda *args: None,
              source_fn=no_source, cfl=0.9)
+
+
+def _wall_bc(h, u):
+    u[0] = 0.0
+    u[-1] = 0.0
+    h[0] = 2 * h[1] - h[2]
+
+
+def _no_source(h, u):
+    return np.zeros_like(h)
+
+
+def _diagnosis(run, bc_fn):
+    """Run a 50-cell still channel under ``bc_fn``; return the SolverError
+    message, with every RuntimeWarning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError) as info:
+            run(np.full(50, 2.0), np.zeros(50), 100.0, 3600.0, bc_fn, lambda *args: None,
+                source_fn=_no_source, cfl=0.9)
+    return str(info.value)
+
+
+def test_negative_depth_diagnosis_is_silent_and_unchanged():
+    """The draining channel above: no RuntimeWarning on the way to the
+    error, and the message the two-sweep reference gives."""
+    def draining_bc(h, u, t):
+        _wall_bc(h, u)
+        h[-1] = 2.0 - 0.05 * t
+
+    message = _diagnosis(_run, draining_bc)
+    assert message == _diagnosis(reference_run, draining_bc)
+    assert message.startswith("non-positive depth at step ")
+
+
+@pytest.mark.parametrize("variable", ["h", "u"])
+def test_non_finite_state_names_the_cell(variable):
+    """A NaN that enters through the boundary condition is named at its
+    cell, with the same step and time as the two-sweep reference."""
+    def poisoned_bc(h, u, t):
+        _wall_bc(h, u)
+        h[-1] = 2 * h[-2] - h[-3]
+        if t > 30.0:
+            (h if variable == "h" else u)[0] = np.nan
+
+    message = _diagnosis(_run, poisoned_bc)
+    assert message == _diagnosis(reference_run, poisoned_bc)
+    assert re.match(r"non-finite state at step \d+, cell 0, t=", message)
 
 
 def test_config_validation():

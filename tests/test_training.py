@@ -11,6 +11,7 @@ from stagecast.geometry import G_FT_S2
 from stagecast.surrogate import NormalizationBox, init_model, predict, predict_batch, weight_views
 from stagecast.training import (
     AdamState,
+    NonFiniteGradient,
     TrainConfig,
     TrainingDiverged,
     TrainingSet,
@@ -177,6 +178,32 @@ def test_adam_descends_quadratic():
 def test_adam_rejects_nonfinite_gradient():
     with pytest.raises(ValueError, match="component 3"):
         adam_step(np.zeros(5), np.array([0.0, 1.0, 2.0, np.inf, 4.0]), init_adam(5), lr=1e-3)
+
+
+def test_adam_nonfinite_gradient_carries_its_index():
+    with pytest.raises(NonFiniteGradient) as info:
+        adam_step(np.zeros(5), np.array([0.0, 1.0, np.nan, np.inf, 4.0]), init_adam(5), lr=1e-3)
+    assert info.value.index == 2
+
+
+def test_train_names_the_parameter_with_a_nonfinite_gradient(monkeypatch):
+    """The flat index of the bad component maps back to its manifest entry."""
+    import stagecast.training as training
+
+    model = _model()
+    first, second = model.manifest[0], model.manifest[1]
+    bad = int(np.prod(first[1])) + 1  # second component of the second parameter
+
+    def poisoned_grad_weights(loss, params):
+        grads = grad_weights(loss, params)
+        grads[bad] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "grad_weights", poisoned_grad_weights)
+    with pytest.raises(ValueError, match=rf"parameter {second[0]!r} at iteration 0") as info:
+        train(model, _constant_training_set(), TrainConfig(max_iterations=3, batch_size=32))
+    assert isinstance(info.value.__cause__, NonFiniteGradient)
+    assert info.value.__cause__.index == bad
 
 
 def test_adam_rejects_shape_mismatch():

@@ -27,13 +27,12 @@ from .geometry import (  # noqa: E402
     normal_depth,
 )
 from .solver import FlowField, SolverConfig, SolverError, check_mass_balance, solve  # noqa: E402
-from .autodiff import Dual, Tape, forward_dual, grad_weights  # noqa: E402
 from .surrogate import (  # noqa: E402
+    Dual,
     FourierEncoder,
     NormalizationBox,
     SurrogateModel,
     encode,
-    init_encoder,
     init_model,
     predict,
     predict_batch,
@@ -76,14 +75,10 @@ __all__ = [
     "check_mass_balance",
     "solve",
     "Dual",
-    "Tape",
-    "forward_dual",
-    "grad_weights",
     "FourierEncoder",
     "NormalizationBox",
     "SurrogateModel",
     "encode",
-    "init_encoder",
     "init_model",
     "predict",
     "predict_batch",

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-
 __all__ = [
     "G_FT_S2",
     "MILE_FT",
@@ -32,6 +30,7 @@ __all__ = [
     "bed_elevation_at",
     "hydraulic_radius",
     "friction_slope",
+    "friction_slope_partials",
     "manning_discharge",
     "normal_depth",
 ]
@@ -197,21 +196,28 @@ def bed_elevation_at(geometry: ChannelGeometry, x_miles):
 
 
 def hydraulic_radius(width_ft: float, depth):
-    """R = w*h / (w + 2h) for a rectangular section.
-
-    ``depth`` may be a float, a numpy array, or an autodiff payload; the
-    formula is built from generic primitives so all of them work.
-    """
-    area = ad.mul(depth, width_ft)
-    wetted = ad.add(ad.mul(depth, 2.0), width_ft)
-    return ad.div(area, wetted)
+    """R = w*h / (w + 2h) for a rectangular section."""
+    return (depth * width_ft) / (depth * 2.0 + width_ft)
 
 
 def friction_slope(width_ft: float, manning_n: float, depth, velocity):
     """Manning friction slope S_f = n^2 u|u| / (2.208 R^(4/3)), US units."""
     r = hydraulic_radius(width_ft, depth)
-    numerator = ad.mul(manning_n**2, ad.mul(velocity, ad.absolute(velocity)))
-    return ad.div(numerator, ad.mul(MANNING_K**2, ad.power(r, 4.0 / 3.0)))
+    return (manning_n**2 * (velocity * np.abs(velocity))) / (MANNING_K**2 * r ** (4.0 / 3.0))
+
+
+def friction_slope_partials(width_ft: float, manning_n: float, depth, velocity):
+    """(dS_f/dh, dS_f/du) of :func:`friction_slope`.
+
+    With dR/dh = R w / (h (w + 2h)), dS_f/dh = -(4/3) S_f w / (h (w + 2h));
+    dS_f/du = 2 n^2 |u| / (2.208 R^(4/3)).
+    """
+    s_f = friction_slope(width_ft, manning_n, depth, velocity)
+    ds_dh = (-4.0 / 3.0) * s_f * width_ft / (depth * (depth * 2.0 + width_ft))
+    ds_du = (2.0 * manning_n**2 * np.abs(velocity)) / (
+        MANNING_K**2 * hydraulic_radius(width_ft, depth) ** (4.0 / 3.0)
+    )
+    return ds_dh, ds_du
 
 
 def manning_discharge(geometry: ChannelGeometry, depth: float) -> float:

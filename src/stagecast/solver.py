@@ -29,9 +29,9 @@ import numpy as np
 from .geometry import (
     G_FT_S2,
     HOUR_S,
-    MANNING_K,
     MILE_FT,
     RiverScenario,
+    friction_slope,
 )
 
 __all__ = ["SolverConfig", "FlowField", "SolverError", "solve", "check_mass_balance"]
@@ -109,16 +109,6 @@ def _one_sided(f, dx, out, forward_row):
     out[backward_row, 1:] = bwd
     out[backward_row, 0] = bwd[0]
     return out
-
-
-def _manning_slope(width_ft, manning_n, h, u):
-    """Manning friction slope on plain arrays.
-
-    The operation order is that of :func:`geometry.friction_slope`, so the
-    two agree bit for bit; this twin skips its autodiff dispatch.
-    """
-    r = (h * width_ft) / (h * 2.0 + width_ft)
-    return (manning_n**2 * (u * np.abs(u))) / (MANNING_K**2 * r ** (4.0 / 3.0))
 
 
 def _check_state(h, u, step, t_s):
@@ -225,7 +215,7 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     s0 = geom.bed_slope if config.include_bed_slope else 0.0
     if config.include_friction:
         def source_fn(h, u):
-            return g * (_manning_slope(geom.width_ft, geom.manning_n, h, u) - s0)
+            return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - s0)
     else:
         source = g * (0.0 - s0)
 

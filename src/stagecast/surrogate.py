@@ -7,30 +7,35 @@ initialization, pushed through residual blocks, and decoded by a linear
 head.  Depth passes through a softplus plus a small floor so predictions
 are always physically positive.
 
-All forward passes run through the same generic code path: plain numpy
-arrays for inference, dual numbers for space-time derivatives, and tape
-nodes for weight gradients.  What changes is the payload type, never the
-arithmetic.
+One forward pass serves inference, input derivatives and training.  It
+takes value rows and, optionally, tangent rows -- the derivatives of the
+input rows along x and t (forward mode).  All rows are stacked, so each
+linear layer is one gemm; biases, activations and the softplus act on the
+value rows, and the tangent rows are scaled by the activation slope at
+their value rows.  The backward pass is written out by hand for this one
+chain: two gemms per layer plus the slope terms, and, for the tangent
+rows, the second derivatives of the activations (forward-over-reverse).
+Inference runs the same pass without tangent rows, on fixed 64-row blocks.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Dual
 from .geometry import HOUR_S, MILE_FT, RiverScenario
 
 __all__ = [
     "DEPTH_FLOOR_FT",
+    "Dual",
     "ExtrapolationWarning",
     "NormalizationBox",
     "FourierEncoder",
     "SurrogateModel",
-    "init_encoder",
     "init_model",
     "encode",
     "weight_views",
@@ -46,6 +51,14 @@ _ACTIVATIONS = ("relu", "tanh")
 
 class ExtrapolationWarning(UserWarning):
     """Issued when a query point falls outside the normalization box."""
+
+
+class Dual(NamedTuple):
+    """A field value with its derivatives along x (per foot) and t (per second)."""
+
+    value: np.ndarray
+    dx: np.ndarray
+    dt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,23 +108,13 @@ class FourierEncoder:
         return 2 * self.m
 
 
-def init_encoder(m: int, sigma: float, seed: int = 0) -> FourierEncoder:
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(seed)
-    return FourierEncoder(rng.normal(0.0, sigma, size=(m, 2)), float(sigma))
-
-
 def encode(encoder: FourierEncoder, v):
     """Encode normalized coordinates ``v`` of shape (..., 2) to (..., 2m).
 
-    The cosine block comes first, then the sine block.  Works on plain
-    arrays, duals, or tape nodes.
+    The cosine block comes first, then the sine block.
     """
-    arg = ad.mul(ad.matmul(v, encoder.b_matrix.T), 2.0 * np.pi)
-    return ad.concat(ad.cos(arg), ad.sin(arg), axis=-1)
+    arg = (v @ encoder.b_matrix.T) * (2.0 * np.pi)
+    return np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
 
 
 @dataclass
@@ -157,15 +160,19 @@ def _manifest(in_dim: int, width: int, n_blocks: int):
     return tuple(entries)
 
 
-def weight_views(model: SurrogateModel) -> dict[str, np.ndarray]:
-    """Name -> array view into the flat weight vector (shared memory)."""
+def _views(manifest, flat: np.ndarray) -> dict[str, np.ndarray]:
     views = {}
     offset = 0
-    for name, shape in model.manifest:
-        size = int(np.prod(shape))
-        views[name] = model.weights[offset : offset + size].reshape(shape)
+    for name, shape in manifest:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     return views
+
+
+def weight_views(model: SurrogateModel) -> dict[str, np.ndarray]:
+    """Name -> array view into the flat weight vector (shared memory)."""
+    return _views(model.manifest, model.weights)
 
 
 def init_model(
@@ -221,25 +228,156 @@ def init_model(
     )
 
 
-def _forward(model: SurrogateModel, params, v):
-    """Generic network forward from normalized coordinates ``v``.
+# --------------------------------------------------------------------------
+# forward and backward
+# --------------------------------------------------------------------------
 
-    ``params`` maps manifest names to payloads (arrays or tape leaves);
-    ``v`` is an (N, 2) payload or Dual.  Returns (h, u) payloads.
+
+class _Pass(NamedTuple):
+    """Outputs of one forward pass, and the rows its backward pass reads."""
+
+    h: np.ndarray  # (N,) depth at the value rows
+    u: np.ndarray  # (N,) velocity at the value rows
+    h_tan: np.ndarray | None  # (K, C) depth tangents of the last C value rows
+    u_tan: np.ndarray | None  # (K, C) velocity tangents
+    inputs: list  # input rows of each linear layer: proj, (W1, W2) per block, head
+    pre: list  # pre-activation rows of each block (both lists empty unless kept)
+    out: np.ndarray  # head output rows
+
+
+def _affine(x, w, b, n):
+    """x @ w, plus the bias on the first ``n`` (value) rows."""
+    y = x @ w
+    y[:n] += b
+    return y
+
+
+def _slope(activation: str, a):
+    """Activation slope at value rows whose activations are ``a``.
+
+    The relu slope is the mask a > 0, so its subgradient at 0 is 0.
     """
-    act = ad.relu if model.activation == "relu" else ad.tanh
-    feats = encode(model.encoder, v) if model.uses_fourier else v
-    z = ad.add(ad.matmul(feats, params["proj.W"]), params["proj.b"])
-    for k in range(model.n_blocks):
-        a1 = act(ad.add(ad.matmul(z, params[f"block{k}.W1"]), params[f"block{k}.b1"]))
-        z = ad.add(z, ad.add(ad.matmul(a1, params[f"block{k}.W2"]), params[f"block{k}.b2"]))
-    out = ad.add(ad.matmul(z, params["head.W"]), params["head.b"])
-    h = ad.add(ad.softplus(ad.column(out, 0)), DEPTH_FLOOR_FT)
-    u = ad.column(out, 1)
-    return h, u
+    return a > 0.0 if activation == "relu" else 1.0 - a * a
 
 
-def _normalize(model: SurrogateModel, x_miles, t_hours, clamp: bool):
+def _sigmoid(x):
+    """Logistic function (the softplus slope); its exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _forward(model: SurrogateModel, views, v, seeds=None, keep: bool = False) -> _Pass:
+    """The network on value rows ``v`` (N, 2) and, optionally, tangent rows.
+
+    ``seeds`` (K, C, 2) holds K input directions for each of the last C
+    value rows.  Rows are stacked as ``[values; direction 1; ...]``.  With
+    ``keep`` the pass holds every layer's rows for :func:`_backward`;
+    without it they are freed as the pass goes.
+    """
+    n = v.shape[0]
+    tangents = seeds is not None
+    if tangents:
+        k, c = seeds.shape[:2]
+        seed_rows = seeds.reshape(k * c, 2)
+    if model.uses_fourier:
+        x = encode(model.encoder, v)
+        if tangents:
+            m = model.encoder.m
+            arg = ((seed_rows @ model.encoder.b_matrix.T) * (2.0 * np.pi)).reshape(k, c, m)
+            cos_c, sin_c = x[n - c :, :m], x[n - c :, m:]
+            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1)
+            x = np.concatenate((x, x_tan.reshape(k * c, 2 * m)))
+    else:
+        x = np.concatenate((v, seed_rows)) if tangents else v
+
+    inputs = [x] if keep else []
+    pre = []
+    z = _affine(x, views["proj.W"], views["proj.b"], n)
+    for b in range(model.n_blocks):
+        p = _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n)
+        a = np.empty_like(p)
+        if model.activation == "relu":
+            np.maximum(p[:n], 0.0, out=a[:n])
+        else:
+            np.tanh(p[:n], out=a[:n])
+        if tangents:
+            slope = _slope(model.activation, a[n - c : n])
+            np.multiply(p[n:].reshape(k, c, -1), slope, out=a[n:].reshape(k, c, -1))
+        if keep:
+            inputs += [z, a]
+            pre.append(p)
+        z = z + _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n)
+    if keep:
+        inputs.append(z)
+    out = _affine(z, views["head.W"], views["head.b"], n)
+    h = np.logaddexp(0.0, out[:n, 0]) + DEPTH_FLOOR_FT
+    h_tan = u_tan = None
+    if tangents:
+        out_tan = out[n:].reshape(k, c, 2)
+        h_tan = _sigmoid(out[n - c : n, 0]) * out_tan[..., 0]
+        u_tan = out_tan[..., 1]
+    return _Pass(h, out[:n, 1], h_tan, u_tan, inputs, pre, out)
+
+
+def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, g_u_tan=None):
+    """Flat weight gradient of a scalar, given its adjoints at the outputs.
+
+    ``g_h``/``g_u`` (N,) are the adjoints of depth and velocity at the value
+    rows, ``g_h_tan``/``g_u_tan`` (K, C) those of the tangents, when the
+    forward pass carried tangent rows.
+    """
+    n = fwd.h.size
+    out = fwd.out
+    grad = np.empty(model.n_weights)
+    grads = _views(model.manifest, grad)
+
+    def affine(x, g, layer, bias):
+        np.matmul(x.T, g, out=grads[layer])
+        np.sum(g[:n], axis=0, out=grads[bias])
+        return g @ views[layer].T
+
+    sig = _sigmoid(out[:n, 0])
+    g = np.empty_like(out)
+    g[:n, 0] = g_h * sig
+    g[:n, 1] = g_u
+    tangents = g_h_tan is not None
+    if tangents:
+        k, c = g_h_tan.shape
+        sig_c = sig[n - c :]
+        g_tan = g[n:].reshape(k, c, 2)
+        g_tan[..., 0] = g_h_tan * sig_c
+        g_tan[..., 1] = g_u_tan
+        # h_tan = sigmoid(out) * out_tan also moves with the value row
+        g[n - c : n, 0] += sig_c * (1.0 - sig_c) * (g_h_tan * out[n:, 0].reshape(k, c)).sum(axis=0)
+
+    g_z = affine(fwd.inputs[-1], g, "head.W", "head.b")
+    for b in reversed(range(model.n_blocks)):
+        z_in, a = fwd.inputs[1 + 2 * b], fwd.inputs[2 + 2 * b]
+        g_a = affine(a, g_z, f"block{b}.W2", f"block{b}.b2")
+        slope = _slope(model.activation, a[:n])
+        g_p = np.empty_like(g_a)
+        np.multiply(g_a[:n], slope, out=g_p[:n])
+        if tangents:
+            g_a_tan = g_a[n:].reshape(k, c, -1)
+            np.multiply(g_a_tan, slope[n - c :], out=g_p[n:].reshape(k, c, -1))
+            if model.activation == "tanh":
+                # a_tan = (1 - a^2) p_tan; d(1 - a^2)/dp = -2 a (1 - a^2); relu's is 0
+                p_tan = fwd.pre[b][n:].reshape(k, c, -1)
+                curvature = -2.0 * a[n - c : n] * slope[n - c :]
+                g_p[n - c : n] += curvature * (p_tan * g_a_tan).sum(axis=0)
+        g_z = g_z + affine(z_in, g_p, f"block{b}.W1", f"block{b}.b1")
+    np.matmul(fwd.inputs[0].T, g_z, out=grads["proj.W"])
+    np.sum(g_z[:n], axis=0, out=grads["proj.b"])
+    return grad
+
+
+# --------------------------------------------------------------------------
+# inference and input derivatives
+# --------------------------------------------------------------------------
+
+
+def _normalize(model: SurrogateModel, x_miles, t_hours, clamp: bool) -> np.ndarray:
+    """Physical coordinates -> (N, 2) rows of unit-square coordinates."""
     box = model.norm
     x = np.asarray(x_miles, dtype=np.float64)
     t = np.asarray(t_hours, dtype=np.float64)
@@ -261,7 +399,17 @@ def _normalize(model: SurrogateModel, x_miles, t_hours, clamp: bool):
             t = np.clip(t, box.t_min_hours, box.t_max_hours)
     xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
     that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
-    return xhat, that
+    return np.column_stack([xhat, that])
+
+
+def _collocation_rows(model: SurrogateModel, x_miles, t_hours):
+    """Value rows and their (2, C, 2) tangent seeds: d/dx per foot, d/dt per second."""
+    v = _normalize(model, x_miles, t_hours, clamp=False)
+    box = model.norm
+    seeds = np.zeros((2,) + v.shape)
+    seeds[0, :, 0] = 1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT)
+    seeds[1, :, 1] = 1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S)
+    return v, seeds
 
 
 _INFERENCE_BLOCK = 64
@@ -272,24 +420,21 @@ def _forward_plain(model: SurrogateModel, v: np.ndarray):
     # rounding can disagree in the last ulp, which would break the contract
     # that a batched prediction equals the same points predicted one at a
     # time.  Rows within a fixed-shape gemm are position-independent, so
-    # every inference forward runs on exactly _INFERENCE_BLOCK rows: small
-    # inputs are zero-padded, large ones processed block by block.
+    # every inference forward runs on exactly _INFERENCE_BLOCK rows: the
+    # input is zero-padded to whole blocks and processed block by block.
     n = v.shape[0]
     views = weight_views(model)
-    if n == _INFERENCE_BLOCK:
-        return _forward(model, views, v)
-    if n < _INFERENCE_BLOCK:
-        padded = np.zeros((_INFERENCE_BLOCK, v.shape[1]))
-        padded[:n] = v
-        h, u = _forward(model, views, padded)
-        return h[:n], u[:n]
-    h_parts = []
-    u_parts = []
-    for start in range(0, n, _INFERENCE_BLOCK):
-        h, u = _forward_plain(model, v[start : start + _INFERENCE_BLOCK])
-        h_parts.append(h)
-        u_parts.append(u)
-    return np.concatenate(h_parts), np.concatenate(u_parts)
+    rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
+    padded = np.zeros((rows, v.shape[1]))
+    padded[:n] = v
+    h = np.empty(rows)
+    u = np.empty(rows)
+    for start in range(0, rows, _INFERENCE_BLOCK):
+        block = slice(start, start + _INFERENCE_BLOCK)
+        fwd = _forward(model, views, padded[block])
+        h[block] = fwd.h
+        u[block] = fwd.u
+    return h[:n], u[:n]
 
 
 def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[float, float]:
@@ -298,9 +443,7 @@ def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[floa
     Points outside the normalization box are clamped onto it, with an
     :class:`ExtrapolationWarning`.
     """
-    xhat, that = _normalize(model, x_miles, t_hours, clamp=True)
-    v = np.array([[float(xhat), float(that)]])
-    h, u = _forward_plain(model, v)
+    h, u = _forward_plain(model, _normalize(model, float(x_miles), float(t_hours), clamp=True))
     return float(h[0]), float(u[0])
 
 
@@ -311,32 +454,16 @@ def predict_batch(model: SurrogateModel, points) -> tuple[np.ndarray, np.ndarray
         raise ValueError("points must have shape (N, 2)")
     if pts.shape[0] == 0:
         return np.zeros(0), np.zeros(0)
-    xhat, that = _normalize(model, pts[:, 0], pts[:, 1], clamp=True)
-    h, u = _forward_plain(model, np.column_stack([xhat, that]))
-    return np.asarray(h), np.asarray(u)
+    return _forward_plain(model, _normalize(model, pts[:, 0], pts[:, 1], clamp=True))
 
 
-def physics_duals(model: SurrogateModel, x_miles, t_hours, params=None):
-    """Forward pass carrying d/dx and d/dt tangents in physical units.
+def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
+    """Depth and velocity with their input derivatives in physical units.
 
-    Returns ``(h, u)`` as duals whose ``dx`` components are derivatives
-    with respect to feet and ``dt`` with respect to seconds -- the units
-    the governing equations are written in.  ``params`` may supply tape
-    leaves in place of the stored weights for training.
+    Returns ``(h, u)`` as :class:`Dual` values whose ``dx`` components are
+    derivatives with respect to feet and ``dt`` with respect to seconds --
+    the units the governing equations are written in.
     """
-    if params is None:
-        params = weight_views(model)
-    xhat, that = _normalize(model, x_miles, t_hours, clamp=False)
-    xhat = np.atleast_1d(xhat)
-    that = np.atleast_1d(that)
-    n = xhat.size
-    box = model.norm
-    dxhat_dxft = 1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT)
-    dthat_dts = 1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S)
-
-    v = np.column_stack([xhat, that])
-    dx_seed = np.zeros((n, 2))
-    dx_seed[:, 0] = dxhat_dxft
-    dt_seed = np.zeros((n, 2))
-    dt_seed[:, 1] = dthat_dts
-    return _forward(model, params, Dual(v, dx_seed, dt_seed))
+    v, seeds = _collocation_rows(model, x_miles, t_hours)
+    fwd = _forward(model, weight_views(model), v, seeds)
+    return Dual(fwd.h, *fwd.h_tan), Dual(fwd.u, *fwd.u_tan)

@@ -2,11 +2,14 @@
 
 The loss is ``L = L_data + lambda * L_physics``: a mean-squared data misfit
 on solver samples plus the mean-squared residual of the governing equations
-at freshly drawn collocation points.  Weight gradients come from the tape
-in :mod:`stagecast.autodiff`; the optimizer is Adam with an exponentially
-decaying learning rate.  Everything is seeded, and the supervised batch
-stream is independent of the physics settings, so runs that share a seed
-share their batches exactly.
+at freshly drawn collocation points.  Each iteration runs the network once
+over the data rows and the collocation rows with their x and t tangent
+rows (:func:`forward_loss`), then hands the adjoints of the two residuals
+to the network's hand-written backward pass (:func:`loss_gradient`).  The
+optimizer is Adam with an exponentially decaying learning rate.
+Everything is seeded, and the supervised batch stream is independent of
+the physics settings, so runs that share a seed share their batches
+exactly.
 """
 
 from __future__ import annotations
@@ -17,13 +20,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, grad_weights
-from .geometry import G_FT_S2, ChannelGeometry, RiverScenario, friction_slope
+from .geometry import (
+    G_FT_S2,
+    ChannelGeometry,
+    RiverScenario,
+    friction_slope,
+    friction_slope_partials,
+)
 from .solver import FlowField
 from .surrogate import (
+    Dual,
     NormalizationBox,
     SurrogateModel,
+    _backward,
+    _collocation_rows,
     _forward,
     _normalize,
     box_for_scenario,
@@ -37,12 +47,15 @@ __all__ = [
     "TrainingSet",
     "AdamState",
     "HistoryRow",
+    "LossPass",
     "TrainingDiverged",
     "NonFiniteGradient",
     "build_training_set",
     "data_loss",
     "physics_loss",
     "total_loss",
+    "forward_loss",
+    "loss_gradient",
     "init_adam",
     "adam_step",
     "train",
@@ -158,32 +171,125 @@ class HistoryRow(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def data_loss(model: SurrogateModel, batch, params=None):
-    """Mean over the batch of (h_hat - h)^2 + (u_hat - u)^2.
+def _residuals(h: Dual, u: Dual, geometry: ChannelGeometry | None):
+    """Continuity and momentum residuals; friction and bed slope with ``geometry``."""
+    r_c = h.dt + h.dx * u.value + h.value * u.dx
+    r_m = u.dt + u.value * u.dx + G_FT_S2 * h.dx
+    if geometry is not None:
+        s_f = friction_slope(geometry.width_ft, geometry.manning_n, h.value, u.value)
+        r_m = r_m + G_FT_S2 * (s_f - geometry.bed_slope)
+    return r_c, r_m
 
-    ``batch`` is a tuple of arrays (x_miles, t_hours, h_ft, u_fps).  With
-    ``params`` given as tape leaves the result is a tape node; otherwise a
-    plain float.
+
+def _momentum_geometry(geometry, extended_momentum: bool):
+    if not extended_momentum:
+        return None
+    if geometry is None:
+        raise ValueError("extended momentum residual needs the channel geometry")
+    return geometry
+
+
+class LossPass(NamedTuple):
+    """The loss at one set of weights, with what :func:`loss_gradient` reads."""
+
+    data_loss: float
+    physics_loss: float
+    total: float
+    model: SurrogateModel
+    views: dict
+    net: tuple  # the network's forward pass over [data; collocation; tangent] rows
+    data_error: tuple  # (h_hat - h, u_hat - u) on the data rows
+    duals: tuple | None  # (h, u) duals at the collocation rows
+    residuals: tuple | None  # (r_c, r_m) at the collocation rows
+    geometry: ChannelGeometry | None  # set for the extended momentum residual
+    lambda_physics: float
+
+
+def forward_loss(
+    model: SurrogateModel,
+    batch,
+    collocation=None,
+    *,
+    lambda_physics: float = 0.0,
+    geometry: ChannelGeometry | None = None,
+    extended_momentum: bool = False,
+) -> LossPass:
+    """Data loss, physics loss and their total in one network pass.
+
+    ``batch`` is a tuple of arrays (x_miles, t_hours, h_ft, u_fps);
+    ``collocation`` (C, 2) points of (x_miles, t_hours), or None for a
+    purely supervised pass.  The data rows come first in the stacked pass.
     """
     x, t, h_true, u_true = batch
-    xhat, that = _normalize(model, x, t, clamp=False)
-    v = np.column_stack([np.atleast_1d(xhat), np.atleast_1d(that)])
-    h, u = _forward(model, params if params is not None else weight_views(model), v)
-    err = ad.add(
-        ad.square(ad.sub(h, np.atleast_1d(np.asarray(h_true, dtype=np.float64)))),
-        ad.square(ad.sub(u, np.atleast_1d(np.asarray(u_true, dtype=np.float64)))),
+    v = _normalize(model, np.atleast_1d(x), np.atleast_1d(t), clamp=False)
+    n_data = v.shape[0]
+    seeds = None
+    if collocation is not None:
+        v_c, seeds = _collocation_rows(model, collocation[:, 0], collocation[:, 1])
+        v = np.concatenate((v, v_c))
+    views = weight_views(model)
+    net = _forward(model, views, v, seeds, keep=True)
+    err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
+    err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
+    data = float(np.mean(err_h * err_h + err_u * err_u))
+    if collocation is None:
+        return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, None, 0.0)
+    h = Dual(net.h[n_data:], *net.h_tan)
+    u = Dual(net.u[n_data:], *net.u_tan)
+    geometry = _momentum_geometry(geometry, extended_momentum)
+    r_c, r_m = _residuals(h, u, geometry)
+    physics = float(np.mean(r_c * r_c + r_m * r_m))
+    total = float(total_loss(data, physics, lambda_physics))
+    return LossPass(
+        data, physics, total, model, views, net, (err_h, err_u), (h, u), (r_c, r_m), geometry,
+        lambda_physics,
     )
-    return ad.total_mean(err)
+
+
+def loss_gradient(lp: LossPass) -> np.ndarray:
+    """Flat gradient of ``lp.total`` with respect to the model's weights."""
+    err_h, err_u = lp.data_error
+    n_data = err_h.size
+    n_rows = lp.net.h.size
+    g_h = np.zeros(n_rows)
+    g_u = np.zeros(n_rows)
+    g_h[:n_data] = (2.0 / n_data) * err_h
+    g_u[:n_data] = (2.0 / n_data) * err_u
+    if lp.residuals is None:
+        return _backward(lp.model, lp.views, lp.net, g_h, g_u)
+    h, u = lp.duals
+    r_c, r_m = lp.residuals
+    scale = lp.lambda_physics * 2.0 / r_c.size
+    a_c = scale * r_c
+    a_m = scale * r_m
+    # r_c = h_t + h_x u + h u_x and r_m = u_t + u u_x + g h_x [+ g (S_f(h, u) - S0)]
+    g_h[n_data:] = a_c * u.dx
+    g_u[n_data:] = a_c * h.dx + a_m * u.dx
+    if lp.geometry is not None:
+        geom = lp.geometry
+        ds_dh, ds_du = friction_slope_partials(geom.width_ft, geom.manning_n, h.value, u.value)
+        g_h[n_data:] += G_FT_S2 * a_m * ds_dh
+        g_u[n_data:] += G_FT_S2 * a_m * ds_du
+    g_h_tan = np.stack((a_c * u.value + G_FT_S2 * a_m, a_c))
+    g_u_tan = np.stack((a_c * h.value + a_m * u.value, a_m))
+    return _backward(lp.model, lp.views, lp.net, g_h, g_u, g_h_tan, g_u_tan)
+
+
+def data_loss(model: SurrogateModel, batch) -> float:
+    """Mean over the batch of (h_hat - h)^2 + (u_hat - u)^2.
+
+    ``batch`` is a tuple of arrays (x_miles, t_hours, h_ft, u_fps).
+    """
+    return forward_loss(model, batch).data_loss
 
 
 def physics_loss(
     model,
     collocation,
-    params=None,
     *,
     geometry: ChannelGeometry | None = None,
     extended_momentum: bool = False,
-):
+) -> float:
     """Mean squared residual of the governing equations at collocation points.
 
     Continuity: r_c = h_t + h_x u + h u_x.  Momentum: r_m = u_t + u u_x +
@@ -197,23 +303,16 @@ def physics_loss(
         raise ValueError("collocation must have shape (N, 2)")
     x, t = pts[:, 0], pts[:, 1]
     if isinstance(model, SurrogateModel):
-        h, u = physics_duals(model, x, t, params)
+        h, u = physics_duals(model, x, t)
     else:
         h, u = model.physics_duals(x, t)
-
-    r_c = ad.add(ad.add(h.dt, ad.mul(h.dx, u.value)), ad.mul(h.value, u.dx))
-    r_m = ad.add(ad.add(u.dt, ad.mul(u.value, u.dx)), ad.mul(G_FT_S2, h.dx))
-    if extended_momentum:
-        if geometry is None:
-            raise ValueError("extended momentum residual needs the channel geometry")
-        s_f = friction_slope(geometry.width_ft, geometry.manning_n, h.value, u.value)
-        r_m = ad.add(r_m, ad.mul(G_FT_S2, ad.sub(s_f, geometry.bed_slope)))
-    return ad.total_mean(ad.add(ad.square(r_c), ad.square(r_m)))
+    r_c, r_m = _residuals(h, u, _momentum_geometry(geometry, extended_momentum))
+    return float(np.mean(r_c * r_c + r_m * r_m))
 
 
 def total_loss(data, physics, lambda_physics: float):
-    """L = L_data + lambda * L_physics (works on floats or tape nodes)."""
-    return ad.add(data, ad.mul(lambda_physics, physics))
+    """L = L_data + lambda * L_physics."""
+    return data + lambda_physics * physics
 
 
 # --------------------------------------------------------------------------
@@ -319,14 +418,10 @@ def train(
 
     for i in range(config.max_iterations):
         current = dataclasses.replace(model, weights=weights)
-        tape = Tape()
-        params = {name: tape.leaf(view) for name, view in weight_views(current).items()}
-
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
         batch = (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx])
-        data_node = data_loss(current, batch, params)
-
+        colloc = None
         if config.lambda_physics > 0.0:
             colloc = np.column_stack(
                 [
@@ -334,36 +429,30 @@ def train(
                     rng_colloc.uniform(box.t_min_hours, box.t_max_hours, config.collocation_count),
                 ]
             )
-            physics_node = physics_loss(
-                current,
-                colloc,
-                params,
-                geometry=geometry,
-                extended_momentum=config.extended_momentum,
-            )
-            loss_node = total_loss(data_node, physics_node, config.lambda_physics)
-            physics_value = float(physics_node.value)
-        else:
-            loss_node = data_node
-            physics_value = 0.0
-        total_value = float(loss_node.value)
+        lp = forward_loss(
+            current,
+            batch,
+            colloc,
+            lambda_physics=config.lambda_physics,
+            geometry=geometry,
+            extended_momentum=config.extended_momentum,
+        )
+        row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, _learning_rate(config, i))
 
         if initial_total is None:
-            initial_total = total_value
-        if not np.isfinite(total_value) or (
-            initial_total > 0 and total_value > config.divergence_factor * initial_total
+            initial_total = lp.total
+        if not np.isfinite(lp.total) or (
+            initial_total > 0 and lp.total > config.divergence_factor * initial_total
         ):
-            history.append(
-                HistoryRow(i + 1, float(data_node.value), physics_value, total_value, _learning_rate(config, i))
-            )
+            history.append(row)
             raise TrainingDiverged(
-                f"loss {total_value:.6g} at iteration {i} exceeds "
+                f"loss {lp.total:.6g} at iteration {i} exceeds "
                 f"{config.divergence_factor:g} x initial {initial_total:.6g}",
                 history,
                 i,
             )
 
-        grads = grad_weights(loss_node, [params[name] for name, _ in current.manifest])
+        grads = loss_gradient(lp)
         try:
             weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
         except NonFiniteGradient as err:
@@ -373,17 +462,9 @@ def train(
             ) from err
 
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
-            history.append(
-                HistoryRow(
-                    i + 1,
-                    float(data_node.value),
-                    physics_value,
-                    total_value,
-                    _learning_rate(config, i),
-                )
-            )
+            history.append(row)
             candidate = dataclasses.replace(model, weights=weights)
-            val = float(data_loss(candidate, val_batch))
+            val = data_loss(candidate, val_batch)
             if val < best_val:
                 best_val = val
                 best_weights = weights.copy()

@@ -6,11 +6,12 @@ whereas the package solves the non-conservative (h, u) form with a
 MacCormack scheme.  Agreement between the two is therefore meaningful
 evidence rather than a tautology.
 
-The one exception is the last section: a frozen copy of the package's
+Two sections are exceptions.  The first is a frozen copy of the package's
 original MacCormack step loop (two separate sweeps, boundary values
-interpolated on every call, friction through the autodiff dispatch).  It
-is a bitwise regression reference for the fused solver loop, so it keeps
-the package's own boundary and friction functions on purpose.
+interpolated on every call).  It is a bitwise regression reference for
+the fused solver loop, so it keeps the package's own boundary and
+friction functions on purpose.  The second is a frozen copy of the
+original inference forward pass, the bitwise reference for predictions.
 """
 
 import numpy as np
@@ -385,3 +386,56 @@ def reference_solve(scenario, n_cells=400, include_friction=True, include_bed_sl
     if cursor != n_t:
         raise SolverError(f"run ended with {n_t - cursor} output times unsampled")
     return t_out_h, h_out, u_out
+
+
+# ---------------------------------------------------------------------------
+# frozen inference forward pass (bitwise regression reference)
+
+
+def reference_forward(model, points):
+    """The original ``predict_batch``: (N, 2) points -> (h, u).
+
+    Coordinates are clamped into the box and scaled to the unit square,
+    then the network runs on zero-padded 64-row blocks, with the original
+    operation order: ``(v @ B.T) * 2 pi``, ``[cos, sin]``, ``x @ W + b``,
+    ``z + (a @ W2 + b2)``, ``logaddexp(0, .) + floor``.
+    """
+    block = 64
+    box = model.norm
+    pts = np.asarray(points, dtype=np.float64)
+    x = np.clip(pts[:, 0], box.x_min_miles, box.x_max_miles)
+    t = np.clip(pts[:, 1], box.t_min_hours, box.t_max_hours)
+    xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
+    that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
+    v = np.column_stack([xhat, that])
+
+    params = {}
+    offset = 0
+    for name, shape in model.manifest:
+        size = int(np.prod(shape))
+        params[name] = model.weights[offset:offset + size].reshape(shape)
+        offset += size
+    act = (lambda a: np.maximum(a, 0.0)) if model.activation == "relu" else np.tanh
+
+    def forward(rows):
+        feats = rows
+        if model.encoder is not None:
+            arg = (rows @ model.encoder.b_matrix.T) * (2.0 * np.pi)
+            feats = np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
+        z = feats @ params["proj.W"] + params["proj.b"]
+        for k in range(model.n_blocks):
+            a = act(z @ params[f"block{k}.W1"] + params[f"block{k}.b1"])
+            z = z + (a @ params[f"block{k}.W2"] + params[f"block{k}.b2"])
+        out = z @ params["head.W"] + params["head.b"]
+        return np.logaddexp(0.0, out[:, 0]) + 0.01, out[:, 1]
+
+    h_parts, u_parts = [], []
+    for start in range(0, v.shape[0], block):
+        rows = v[start:start + block]
+        n = rows.shape[0]
+        padded = np.zeros((block, 2))
+        padded[:n] = rows
+        h, u = forward(padded)
+        h_parts.append(h[:n])
+        u_parts.append(u[:n])
+    return np.concatenate(h_parts), np.concatenate(u_parts)

@@ -5,7 +5,7 @@ import pytest
 
 import stagecast.evaluation as ev
 from oracles import naive_mrae
-from stagecast.autodiff import Dual
+from stagecast.surrogate import Dual
 from stagecast.evaluation import (
     ABLATION_CONFIGS,
     benchmark,

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
-from stagecast.geometry import friction_slope
-from stagecast.solver import _manning_slope, _run
+from stagecast.solver import _run
 
 from oracles import (
     lake_at_rest_scenario,
@@ -146,15 +145,6 @@ def test_fused_loop_matches_two_sweep_reference_bitwise(include_friction, includ
     assert np.array_equal(field.t_hours, t_ref)
     assert np.array_equal(field.h, h_ref)
     assert np.array_equal(field.u, u_ref)
-
-
-@pytest.mark.parametrize("shape", [(7,), (2, 400)])
-def test_solver_manning_term_equals_friction_slope_bitwise(rng, shape):
-    for _ in range(5):
-        width, n = rng.uniform(50.0, 500.0), rng.uniform(0.01, 0.1)
-        h = rng.uniform(1e-3, 60.0, size=shape)
-        u = rng.normal(0.0, 8.0, size=shape)
-        assert np.array_equal(_manning_slope(width, n, h, u), friction_slope(width, n, h, u))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+import stagecast.surrogate as surrogate
+from oracles import reference_forward
 from stagecast.surrogate import (
     DEPTH_FLOOR_FT,
     ExtrapolationWarning,
     FourierEncoder,
     NormalizationBox,
     encode,
-    init_encoder,
     init_model,
     physics_duals,
     predict,
@@ -26,6 +27,11 @@ def _small_model(seed=0, **kwargs):
     defaults = dict(n_blocks=2, width=16, m=8, sigma=4.0, activation="tanh", seed=seed)
     defaults.update(kwargs)
     return init_model(BOX, **defaults)
+
+
+def init_encoder(m, sigma, seed=0):
+    """The Fourier encoder a model built with this seed carries."""
+    return init_model(BOX, n_blocks=1, width=4, m=m, sigma=sigma, seed=seed).encoder
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,34 @@ def test_no_fourier_model_uses_raw_coordinates():
     assert not model.uses_fourier
     h, u = predict(model, 1.0, 2.0)
     assert np.isfinite(h) and np.isfinite(u) and h > 0
+
+
+@pytest.mark.parametrize("n_points", [1, 64, 65, 1940])
+@pytest.mark.parametrize("use_fourier", [True, False])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_predict_batch_equals_reference_forward_bitwise(activation, use_fourier, n_points):
+    model = _small_model(seed=17, activation=activation, use_fourier=use_fourier)
+    rng = np.random.default_rng(n_points)
+    model.weights[:] = rng.normal(0.0, 0.5, model.n_weights)
+    points = np.column_stack([rng.uniform(0, 10, n_points), rng.uniform(0, 48, n_points)])
+    h, u = predict_batch(model, points)
+    h_ref, u_ref = reference_forward(model, points)
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(u, u_ref)
+
+
+def test_predict_batch_builds_weight_views_once(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(1)
+        return weight_views(model)
+
+    monkeypatch.setattr(surrogate, "weight_views", counted)
+    model = _small_model()
+    points = np.column_stack([np.linspace(0, 10, 1940), np.linspace(0, 48, 1940)])
+    predict_batch(model, points)
+    assert len(calls) == 1
 
 
 def test_weight_views_share_storage():

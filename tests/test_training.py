@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import adam_first_step, loop_mse
-from stagecast.autodiff import Dual, Tape, grad_weights
 from stagecast.geometry import G_FT_S2
-from stagecast.surrogate import NormalizationBox, init_model, predict, predict_batch, weight_views
+from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch, weight_views
 from stagecast.training import (
     AdamState,
     NonFiniteGradient,
@@ -18,8 +17,10 @@ from stagecast.training import (
     adam_step,
     build_training_set,
     data_loss,
+    forward_loss,
     grid_search,
     init_adam,
+    loss_gradient,
     physics_loss,
     total_loss,
     train,
@@ -49,9 +50,8 @@ def _internal_prediction(model, x, t):
     """The (h, u) values data_loss sees for a raw batch, bit for bit."""
     from stagecast.surrogate import _forward, _normalize
 
-    xhat, that = _normalize(model, np.asarray(x), np.asarray(t), clamp=False)
-    h, u = _forward(model, weight_views(model), np.column_stack([xhat, that]))
-    return np.asarray(h), np.asarray(u)
+    fwd = _forward(model, weight_views(model), _normalize(model, np.asarray(x), np.asarray(t), clamp=False))
+    return fwd.h, fwd.u
 
 
 def test_data_loss_zero_when_targets_match():
@@ -194,12 +194,12 @@ def test_train_names_the_parameter_with_a_nonfinite_gradient(monkeypatch):
     first, second = model.manifest[0], model.manifest[1]
     bad = int(np.prod(first[1])) + 1  # second component of the second parameter
 
-    def poisoned_grad_weights(loss, params):
-        grads = grad_weights(loss, params)
+    def poisoned_loss_gradient(lp):
+        grads = loss_gradient(lp)
         grads[bad] = np.nan
         return grads
 
-    monkeypatch.setattr(training, "grad_weights", poisoned_grad_weights)
+    monkeypatch.setattr(training, "loss_gradient", poisoned_loss_gradient)
     with pytest.raises(ValueError, match=rf"parameter {second[0]!r} at iteration 0") as info:
         train(model, _constant_training_set(), TrainConfig(max_iterations=3, batch_size=32))
     assert isinstance(info.value.__cause__, NonFiniteGradient)
@@ -334,15 +334,13 @@ def test_supervised_run_replicated_by_hand():
     best_val, best_weights = np.inf, weights.copy()
     for i in range(config.max_iterations):
         current = dataclasses.replace(model, weights=weights)
-        tape = Tape()
-        params = {name: tape.leaf(view) for name, view in weight_views(current).items()}
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
-        node = data_loss(current, (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx]), params)
-        assert float(node.value) == history[i].data_loss  # bitwise trajectory match
-        grads = grad_weights(node, [params[name] for name, _ in current.manifest])
+        lp = forward_loss(current, (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx]))
+        assert lp.data_loss == history[i].data_loss  # bitwise trajectory match
+        grads = loss_gradient(lp)
         weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
-        val = float(data_loss(dataclasses.replace(model, weights=weights), val_batch))
+        val = data_loss(dataclasses.replace(model, weights=weights), val_batch)
         if val < best_val:
             best_val, best_weights = val, weights.copy()
     np.testing.assert_array_equal(trained.weights, best_weights)

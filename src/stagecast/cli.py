@@ -241,12 +241,7 @@ def _cmd_ablate(args) -> int:
         "curve_station_miles": float(result.curve_station_miles),
         "configs": {},
     }
-    run_settings = {
-        "base": {"use_fourier": False, "lambda_physics": 0.0},
-        "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
-        "full": {"use_fourier": True, "lambda_physics": args.lambda_full},
-    }
-    for name in ("base", "fourier_only", "full"):
+    for name, settings in result.settings.items():
         config_dir = out_dir / name
         config_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(
@@ -256,7 +251,7 @@ def _cmd_ablate(args) -> int:
                     "config": name,
                     "seed": int(result.seed),
                     "budget_iters": int(result.budget_iters),
-                    **run_settings[name],
+                    **settings,
                 },
                 indent=2,
                 sort_keys=True,
@@ -285,7 +280,7 @@ def _cmd_ablate(args) -> int:
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     print(f"{'config':<14}{'stage MRAE':>12}{'data loss':>14}{'phys resid':>14}")
-    for name in ("base", "fourier_only", "full"):
+    for name in result.settings:
         report = result.reports[name]
         if report is None:
             print(f"{name:<14}{'diverged':>12}")

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+_PHYSICS_CHUNK = 2048  # collocation points per network pass of the physics residual
+
+
 def mrae(pred, truth) -> float:
     """Mean relative absolute error: sum |pred-truth| / sum truth.
 
@@ -104,6 +107,8 @@ def evaluate(
     """
     if datum not in ("depth", "elevation"):
         raise ValueError("datum must be 'depth' or 'elevation'")
+    if n_collocation < 1:
+        raise ValueError("n_collocation must be positive")
     if getattr(model, "output_datum", "depth") != "depth":
         raise ValueError(
             f"model outputs datum {model.output_datum!r}; evaluation expects depth above bed"
@@ -138,7 +143,9 @@ def evaluate(
             rng.uniform(box.t_min_hours, box.t_max_hours, n_collocation),
         ]
     )
-    residual = float(physics_loss(model, colloc))
+    # chunked: one pass would hold three stacked rows per point in every layer
+    chunks = [colloc[i : i + _PHYSICS_CHUNK] for i in range(0, n_collocation, _PHYSICS_CHUNK)]
+    residual = sum(physics_loss(model, c) * c.shape[0] for c in chunks) / n_collocation
 
     solver_seconds = field.wall_clock_seconds
     return EvalReport(
@@ -242,6 +249,7 @@ class AblationResult:
     curve_t_hours: np.ndarray
     curve_truth_h: np.ndarray
     curves: dict
+    settings: dict  # name -> {"use_fourier", "lambda_physics"}, in ABLATION_CONFIGS order
     field: FlowField = field(repr=False, default=None)
 
 
@@ -282,8 +290,7 @@ def run_ablation(
     station_x = float(field_.x_miles[mid])
     curve_points = np.column_stack([np.full(field_.t_hours.size, station_x), field_.t_hours])
 
-    for name in ABLATION_CONFIGS:
-        spec_ = settings[name]
+    for name, spec_ in settings.items():
         model = init_model(
             ts.norm,
             n_blocks=n_blocks,
@@ -331,5 +338,6 @@ def run_ablation(
         curve_t_hours=field_.t_hours.copy(),
         curve_truth_h=field_.h[:, mid].copy(),
         curves=curves,
+        settings=settings,
         field=field_,
     )

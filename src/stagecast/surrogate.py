@@ -12,10 +12,13 @@ takes value rows and, optionally, tangent rows -- the derivatives of the
 input rows along x and t (forward mode).  All rows are stacked, so each
 linear layer is one gemm; biases, activations and the softplus act on the
 value rows, and the tangent rows are scaled by the activation slope at
-their value rows.  The backward pass is written out by hand for this one
-chain: two gemms per layer plus the slope terms, and, for the tangent
-rows, the second derivatives of the activations (forward-over-reverse).
-Inference runs the same pass without tangent rows, on fixed 64-row blocks.
+their value rows.  The pass starts from the Fourier features, so training
+encodes its fixed samples once per run.  The backward pass is written out
+by hand for this one chain: two gemms per layer plus the slope terms, and,
+for the tangent rows, the second derivatives of the activations
+(forward-over-reverse).  Inference runs the same pass without tangent
+rows on fixed 64-row blocks: every gemm sees 64 rows, the elementwise
+work only the block's real rows; padding rows are zero and stay zero.
 """
 
 from __future__ import annotations
@@ -108,13 +111,21 @@ class FourierEncoder:
         return 2 * self.m
 
 
-def encode(encoder: FourierEncoder, v):
+def encode(encoder: FourierEncoder, v, n: int | None = None):
     """Encode normalized coordinates ``v`` of shape (..., 2) to (..., 2m).
 
-    The cosine block comes first, then the sine block.
+    The cosine block comes first, then the sine block.  With ``n``, the
+    rows of ``v`` from ``n`` on are padding: they are projected with the
+    rest (gemm rounding depends on the row count) but encode to zeros.
     """
-    arg = (v @ encoder.b_matrix.T) * (2.0 * np.pi)
-    return np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
+    arg = v @ encoder.b_matrix.T
+    real = arg[:n]  # every row when n is None
+    real *= 2.0 * np.pi
+    feats = np.concatenate((np.cos(real), np.sin(real)), axis=-1)
+    pad = 0 if n is None else arg.shape[0] - n
+    if pad:
+        feats = np.concatenate((feats, np.zeros((pad, feats.shape[1]))))
+    return feats
 
 
 @dataclass
@@ -266,29 +277,33 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward(model: SurrogateModel, views, v, seeds=None, keep: bool = False) -> _Pass:
-    """The network on value rows ``v`` (N, 2) and, optionally, tangent rows.
+def _features(model: SurrogateModel, v, n: int | None = None):
+    """Input-layer rows of normalized coordinates ``v``: their Fourier
+    features, or ``v`` itself without an encoder (``n`` as in :func:`encode`)."""
+    return encode(model.encoder, v, n) if model.uses_fourier else v
 
-    ``seeds`` (K, C, 2) holds K input directions for each of the last C
-    value rows.  Rows are stacked as ``[values; direction 1; ...]``.  With
-    ``keep`` the pass holds every layer's rows for :func:`_backward`;
+
+def _forward(model: SurrogateModel, views, x, seeds=None, keep: bool = False, n=None) -> _Pass:
+    """The network on input-layer rows ``x`` (see :func:`_features`).
+
+    Only the first ``n`` rows of ``x`` (all by default) are value rows; the
+    rest are zero padding that every layer leaves zero.  ``seeds`` (K, C, 2)
+    holds K input directions for each of the last C value rows of an
+    unpadded ``x``; rows are stacked as ``[values; direction 1; ...]``.
+    With ``keep`` the pass holds every layer's rows for :func:`_backward`;
     without it they are freed as the pass goes.
     """
-    n = v.shape[0]
+    n = x.shape[0] if n is None else n
     tangents = seeds is not None
     if tangents:
         k, c = seeds.shape[:2]
-        seed_rows = seeds.reshape(k * c, 2)
-    if model.uses_fourier:
-        x = encode(model.encoder, v)
-        if tangents:
+        x_tan = seeds.reshape(k * c, 2)
+        if model.uses_fourier:
             m = model.encoder.m
-            arg = ((seed_rows @ model.encoder.b_matrix.T) * (2.0 * np.pi)).reshape(k, c, m)
+            arg = ((x_tan @ model.encoder.b_matrix.T) * (2.0 * np.pi)).reshape(k, c, m)
             cos_c, sin_c = x[n - c :, :m], x[n - c :, m:]
-            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1)
-            x = np.concatenate((x, x_tan.reshape(k * c, 2 * m)))
-    else:
-        x = np.concatenate((v, seed_rows)) if tangents else v
+            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(k * c, 2 * m)
+        x = np.concatenate((x, x_tan))
 
     inputs = [x] if keep else []
     pre = []
@@ -303,6 +318,8 @@ def _forward(model: SurrogateModel, views, v, seeds=None, keep: bool = False) ->
         if tangents:
             slope = _slope(model.activation, a[n - c : n])
             np.multiply(p[n:].reshape(k, c, -1), slope, out=a[n:].reshape(k, c, -1))
+        elif n < a.shape[0]:
+            a[n:] = 0.0  # padding rows
         if keep:
             inputs += [z, a]
             pre.append(p)
@@ -420,21 +437,23 @@ def _forward_plain(model: SurrogateModel, v: np.ndarray):
     # rounding can disagree in the last ulp, which would break the contract
     # that a batched prediction equals the same points predicted one at a
     # time.  Rows within a fixed-shape gemm are position-independent, so
-    # every inference forward runs on exactly _INFERENCE_BLOCK rows: the
-    # input is zero-padded to whole blocks and processed block by block.
+    # every inference gemm runs on exactly _INFERENCE_BLOCK rows: the input
+    # is zero-padded to whole blocks and processed block by block, and only
+    # a block's real rows get the elementwise work.
     n = v.shape[0]
     views = weight_views(model)
     rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
     padded = np.zeros((rows, v.shape[1]))
     padded[:n] = v
-    h = np.empty(rows)
-    u = np.empty(rows)
-    for start in range(0, rows, _INFERENCE_BLOCK):
-        block = slice(start, start + _INFERENCE_BLOCK)
-        fwd = _forward(model, views, padded[block])
-        h[block] = fwd.h
-        u[block] = fwd.u
-    return h[:n], u[:n]
+    h = np.empty(n)
+    u = np.empty(n)
+    for start in range(0, n, _INFERENCE_BLOCK):
+        real = min(n - start, _INFERENCE_BLOCK)
+        x = _features(model, padded[start : start + _INFERENCE_BLOCK], real)
+        fwd = _forward(model, views, x, n=real)
+        h[start : start + real] = fwd.h
+        u[start : start + real] = fwd.u
+    return h, u
 
 
 def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[float, float]:
@@ -465,5 +484,5 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
     the units the governing equations are written in.
     """
     v, seeds = _collocation_rows(model, x_miles, t_hours)
-    fwd = _forward(model, weight_views(model), v, seeds)
+    fwd = _forward(model, weight_views(model), _features(model, v), seeds)
     return Dual(fwd.h, *fwd.h_tan), Dual(fwd.u, *fwd.u_tan)

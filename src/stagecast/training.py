@@ -6,7 +6,9 @@ at freshly drawn collocation points.  Each iteration runs the network once
 over the data rows and the collocation rows with their x and t tangent
 rows (:func:`forward_loss`), then hands the adjoints of the two residuals
 to the network's hand-written backward pass (:func:`loss_gradient`).  The
-optimizer is Adam with an exponentially decaying learning rate.
+samples are fixed, so :func:`train` encodes them once per run and gathers
+each batch's rows; only the fresh collocation points are encoded per
+iteration.  The optimizer is Adam with an exponentially decaying learning rate.
 Everything is seeded, and the supervised batch stream is independent of
 the physics settings, so runs that share a seed share their batches
 exactly.
@@ -34,6 +36,7 @@ from .surrogate import (
     SurrogateModel,
     _backward,
     _collocation_rows,
+    _features,
     _forward,
     _normalize,
     box_for_scenario,
@@ -222,17 +225,25 @@ def forward_loss(
     """
     x, t, h_true, u_true = batch
     v = _normalize(model, np.atleast_1d(x), np.atleast_1d(t), clamp=False)
-    n_data = v.shape[0]
     seeds = None
     if collocation is not None:
         v_c, seeds = _collocation_rows(model, collocation[:, 0], collocation[:, 1])
         v = np.concatenate((v, v_c))
+    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics,
+                      geometry, extended_momentum)
+
+
+def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometry=None,
+               extended_momentum=False) -> LossPass:
+    """:func:`forward_loss` from the Fourier features ``x`` of the data rows
+    and then of the collocation rows, whose tangent ``seeds`` are given."""
+    n_data = x.shape[0] - (0 if seeds is None else seeds.shape[1])
     views = weight_views(model)
-    net = _forward(model, views, v, seeds, keep=True)
+    net = _forward(model, views, x, seeds, keep=True)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
-    if collocation is None:
+    if seeds is None:
         return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, None, 0.0)
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
@@ -337,19 +348,31 @@ def init_adam(n_weights: int) -> AdamState:
 
 
 def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new_weights, new_state)."""
+    """One bias-corrected Adam update; returns (new_weights, new_state).
+
+    Leaves its inputs alone; computes in the returned arrays plus one scratch.
+    """
     if weights.shape != grads.shape:
         raise ValueError(f"gradient shape {grads.shape} != weight shape {weights.shape}")
     finite = np.isfinite(grads)
     if not finite.all():
         raise NonFiniteGradient(int(np.argmax(~finite)))
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_weights = weights - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_weights, dataclasses.replace(state, m=m, v=v, step=t)
+    scratch = np.multiply(grads, 1.0 - state.beta1)
+    m = np.multiply(state.m, state.beta1)
+    m += scratch
+    np.multiply(grads, 1.0 - state.beta2, out=scratch)
+    scratch *= grads
+    v = np.multiply(state.v, state.beta2)
+    v += scratch
+    np.divide(v, 1.0 - state.beta2**t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    step = np.divide(m, 1.0 - state.beta1**t)  # m_hat
+    step *= lr
+    step /= scratch
+    np.subtract(weights, step, out=step)
+    return step, dataclasses.replace(state, m=m, v=v, step=t)
 
 
 def _learning_rate(config: TrainConfig, iteration: int) -> float:
@@ -407,7 +430,9 @@ def train(
 
     ts = training_set
     box = ts.norm
-    val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
+    # the samples are fixed: normalize and encode them once, gather per batch
+    features = _features(model, _normalize(model, ts.x_miles, ts.t_hours, clamp=False))
+    val_rows = (features[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
     state = init_adam(weights.size)
@@ -420,19 +445,18 @@ def train(
         current = dataclasses.replace(model, weights=weights)
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
-        batch = (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx])
-        colloc = None
+        x, seeds = features[idx], None
         if config.lambda_physics > 0.0:
-            colloc = np.column_stack(
-                [
-                    rng_colloc.uniform(box.x_min_miles, box.x_max_miles, config.collocation_count),
-                    rng_colloc.uniform(box.t_min_hours, box.t_max_hours, config.collocation_count),
-                ]
-            )
-        lp = forward_loss(
+            x_c = rng_colloc.uniform(box.x_min_miles, box.x_max_miles, config.collocation_count)
+            t_c = rng_colloc.uniform(box.t_min_hours, box.t_max_hours, config.collocation_count)
+            v_c, seeds = _collocation_rows(current, x_c, t_c)
+            x = np.concatenate((x, _features(current, v_c)))
+        lp = _loss_pass(
             current,
-            batch,
-            colloc,
+            x,
+            ts.h_ft[idx],
+            ts.u_fps[idx],
+            seeds,
             lambda_physics=config.lambda_physics,
             geometry=geometry,
             extended_momentum=config.extended_momentum,
@@ -464,7 +488,7 @@ def train(
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
             history.append(row)
             candidate = dataclasses.replace(model, weights=weights)
-            val = data_loss(candidate, val_batch)
+            val = _loss_pass(candidate, *val_rows).data_loss
             if val < best_val:
                 best_val = val
                 best_weights = weights.copy()

@@ -6,12 +6,13 @@ whereas the package solves the non-conservative (h, u) form with a
 MacCormack scheme.  Agreement between the two is therefore meaningful
 evidence rather than a tautology.
 
-Two sections are exceptions.  The first is a frozen copy of the package's
+Three sections are exceptions.  The first is a frozen copy of the package's
 original MacCormack step loop (two separate sweeps, boundary values
 interpolated on every call).  It is a bitwise regression reference for
 the fused solver loop, so it keeps the package's own boundary and
 friction functions on purpose.  The second is a frozen copy of the
-original inference forward pass, the bitwise reference for predictions.
+original inference forward pass, the bitwise reference for predictions,
+and the third a frozen copy of the original Adam update.
 """
 
 import numpy as np
@@ -439,3 +440,17 @@ def reference_forward(model, points):
         h_parts.append(h[:n])
         u_parts.append(u[:n])
     return np.concatenate(h_parts), np.concatenate(u_parts)
+
+
+# ---------------------------------------------------------------------------
+# frozen Adam update (bitwise regression reference)
+
+
+def reference_adam_step(weights, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The original ``adam_step``, one fresh array per term; returns (w, m, v, step)."""
+    t = step + 1
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return weights - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t

@@ -1,0 +1,84 @@
+"""Batch invariance: a point's prediction does not depend on its batch.
+
+``predict_batch`` over any number of points, in any order, must give each
+point the bits ``predict`` gives it alone and the bits of the frozen
+inference pass in ``oracles.reference_forward``.  The BLAS thread count is
+fixed when numpy is first imported, so the property is also run in child
+interpreters started with ``STAGECAST_THREADS=1`` and ``=2``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stagecast
+from oracles import reference_forward
+from stagecast.surrogate import NormalizationBox, init_model, predict, predict_batch
+
+BOX = NormalizationBox(x_min_miles=0.0, x_max_miles=10.0, t_min_hours=0.0, t_max_hours=48.0)
+CONFIGS = [(act, fourier) for act in ("relu", "tanh") for fourier in (True, False)]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _model(activation, use_fourier):
+    model = init_model(
+        BOX, n_blocks=2, width=16, m=8, sigma=4.0, activation=activation, seed=23,
+        use_fourier=use_fourier,
+    )
+    model.weights[:] = np.random.default_rng(23).normal(0.0, 0.5, model.n_weights)
+    return model
+
+
+MODELS = {config: _model(*config) for config in CONFIGS}
+
+
+@pytest.mark.parametrize("activation, use_fourier", CONFIGS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_predictions_and_reference(activation, use_fourier, size, seed):
+    model = MODELS[(activation, use_fourier)]
+    rng = np.random.default_rng(seed)
+    points = np.column_stack([rng.uniform(0.0, 10.0, size), rng.uniform(0.0, 48.0, size)])
+    order = rng.permutation(size)
+
+    h, u = predict_batch(model, points)
+    h_perm, u_perm = predict_batch(model, points[order])
+    assert np.array_equal(h_perm, h[order]) and np.array_equal(u_perm, u[order])
+
+    h_ref, u_ref = reference_forward(model, points)
+    assert np.array_equal(h, h_ref) and np.array_equal(u, u_ref)
+
+    singles = np.array([predict(model, x, t) for x, t in points])
+    assert np.array_equal(singles[:, 0], h) and np.array_equal(singles[:, 1], u)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_batch_invariance_at_each_blas_thread_count(threads):
+    """The property above, in a child interpreter whose BLAS pool has ``threads``."""
+    src = Path(stagecast.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env["STAGECAST_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # stagecast is imported before numpy, so its thread cap reaches the BLAS pool
+    child = (
+        "import os, sys, stagecast, pytest\n"
+        f"assert os.environ['OPENBLAS_NUM_THREADS'] == {threads!r}\n"
+        "sys.exit(pytest.main(sys.argv[1:]))\n"
+    )
+    node = f"{Path(__file__).resolve()}::test_batch_rows_equal_single_predictions_and_reference"
+    result = subprocess.run(
+        [sys.executable, "-c", child, "-q", "-p", "no:cacheprovider", node],
+        cwd=src.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
+    assert "4 passed" in result.stdout

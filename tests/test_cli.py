@@ -436,3 +436,36 @@ def test_ablate_writes_three_report_directories(workspace, capsys, tmp_path):
     assert json.loads((out_dir / "full" / "config.json").read_text())["lambda_physics"] == 0.1
     table = capsys.readouterr().out
     assert "base" in table and "fourier_only" in table and "full" in table
+
+
+def test_ablate_writes_the_settings_table_it_is_given(workspace, capsys, tmp_path, monkeypatch):
+    """config.json and the printed table come from AblationResult.settings,
+    not from a copy of the table in the CLI."""
+    import stagecast.cli as cli
+
+    real = cli.run_ablation
+
+    def marked(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.settings["full"] = {**result.settings["full"], "lambda_physics": 0.375}
+        result.settings["base"]["marker"] = "from-result"
+        return result
+
+    monkeypatch.setattr(cli, "run_ablation", marked)
+    rc = main([
+        "ablate",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "ablation"),
+        "--budget", "5",
+        "--width", "8",
+        "--blocks", "1",
+        "--fourier-size", "4",
+        "--batch-size", "16",
+        "--n-cells", "40",
+    ])
+    assert rc == 0
+    out_dir = tmp_path / "ablation"
+    assert json.loads((out_dir / "full" / "config.json").read_text())["lambda_physics"] == 0.375
+    assert json.loads((out_dir / "base" / "config.json").read_text())["marker"] == "from-result"
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:4]]
+    assert rows == ["base", "fourier_only", "full"]

@@ -204,6 +204,48 @@ def test_benchmark_structure_and_speedup():
     assert all(t > 0 for t in report.solver_seconds + report.surrogate_seconds)
 
 
+def test_physics_residual_in_chunks_matches_one_pass(monkeypatch):
+    """evaluate() bounds its memory by scoring the residual in fixed chunks;
+    the pooled value equals one pass over all points up to summation order."""
+    scenario = _tiny_scenario()
+    field = solve(scenario, SolverConfig(n_cells=60))
+    model = _tiny_model(scenario, seed=2)
+    model.weights[:] = np.random.default_rng(8).normal(0.0, 0.5, model.n_weights)
+    one_pass = ev.physics_loss
+    sizes = []
+
+    def counted(model, colloc, **kwargs):
+        sizes.append(len(colloc))
+        return one_pass(model, colloc, **kwargs)
+
+    monkeypatch.setattr(ev, "physics_loss", counted)
+    chunk = ev._PHYSICS_CHUNK
+    n = 2 * chunk + 123
+    report = evaluate(model, field, scenario, collocation_seed=4, n_collocation=n)
+    assert sizes == [chunk, chunk, 123]
+
+    box = box_for_scenario(scenario)
+    rng = np.random.default_rng(4)
+    colloc = np.column_stack([
+        rng.uniform(box.x_min_miles, box.x_max_miles, n),
+        rng.uniform(box.t_min_hours, box.t_max_hours, n),
+    ])
+    expected = one_pass(model, colloc)
+    assert expected > 0.0
+    assert report.mean_physics_residual == pytest.approx(expected, rel=1e-12)
+    # any object with physics_duals still works, chunk by chunk
+    monkeypatch.setattr(ev, "predict_batch", lambda m, p: (np.ones(len(p)), np.ones(len(p))))
+    still = evaluate(_StillWaterDuals(), field, scenario, n_collocation=n)
+    assert still.mean_physics_residual == 0.0
+
+
+def test_evaluate_rejects_an_empty_collocation_set():
+    scenario = _tiny_scenario()
+    field = solve(scenario, SolverConfig(n_cells=60))
+    with pytest.raises(ValueError, match="n_collocation"):
+        evaluate(_tiny_model(scenario), field, scenario, n_collocation=0)
+
+
 def test_benchmark_rejects_too_few_repetitions():
     scenario = _tiny_scenario()
     with pytest.raises(ValueError):
@@ -237,6 +279,15 @@ def test_ablation_covers_all_configs(small_ablation):
         assert result.histories[name], "every run records at least the final row"
         assert np.isfinite(result.training_data_loss[name])
         assert result.curves[name].shape == result.curve_t_hours.shape
+
+
+def test_ablation_returns_its_settings_table(small_ablation):
+    assert list(small_ablation.settings) == list(ABLATION_CONFIGS)
+    assert small_ablation.settings == {
+        "base": {"use_fourier": False, "lambda_physics": 0.0},
+        "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
+        "full": {"use_fourier": True, "lambda_physics": 0.1},
+    }
 
 
 def test_ablation_curve_is_the_field_slice(small_ablation):

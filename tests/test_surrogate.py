@@ -70,6 +70,18 @@ def test_encode_bounded():
     assert out.min() >= -1.0 and out.max() <= 1.0
 
 
+def test_encode_of_a_padded_block():
+    """With n, rows from n on are padding: zero out, real rows as encoded
+    in a block of the same row count."""
+    enc = init_encoder(m=8, sigma=4.0, seed=2)
+    block = np.zeros((64, 2))
+    block[:5] = np.random.default_rng(3).uniform(0, 1, (5, 2))
+    out = encode(enc, block, 5)
+    assert out.shape == (64, 16)
+    assert np.array_equal(out[:5], encode(enc, block)[:5])
+    assert not out[5:].any()
+
+
 def test_encoder_is_frozen():
     enc = init_encoder(m=4, sigma=4.0, seed=0)
     with pytest.raises(ValueError):
@@ -162,6 +174,22 @@ def test_predict_batch_equals_reference_forward_bitwise(activation, use_fourier,
     h_ref, u_ref = reference_forward(model, points)
     assert np.array_equal(h, h_ref)
     assert np.array_equal(u, u_ref)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_padding_rows_stay_zero_through_the_pass(activation):
+    """An inference block gets its elementwise work on its real rows only;
+    the zero padding rows pass every layer as zeros."""
+    model = _small_model(seed=5, activation=activation)
+    model.weights[:] = np.random.default_rng(5).normal(0.0, 0.5, model.n_weights)
+    views = weight_views(model)
+    block = np.zeros((64, 2))
+    block[:3] = [[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]]
+    fwd = surrogate._forward(model, views, surrogate._features(model, block, 3), n=3)
+    assert fwd.h.shape == fwd.u.shape == (3,)
+    assert not fwd.out[3:].any()
+    full = surrogate._forward(model, views, surrogate._features(model, block))
+    assert np.array_equal(fwd.h, full.h[:3]) and np.array_equal(fwd.u, full.u[:3])
 
 
 def test_predict_batch_builds_weight_views_once(monkeypatch):

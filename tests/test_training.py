@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import adam_first_step, loop_mse
+from oracles import adam_first_step, loop_mse, reference_adam_step
 from stagecast.geometry import G_FT_S2
 from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch, weight_views
 from stagecast.training import (
@@ -48,9 +48,10 @@ def _constant_training_set(n=512, h=5.0, u=1.0):
 
 def _internal_prediction(model, x, t):
     """The (h, u) values data_loss sees for a raw batch, bit for bit."""
-    from stagecast.surrogate import _forward, _normalize
+    from stagecast.surrogate import _features, _forward, _normalize
 
-    fwd = _forward(model, weight_views(model), _normalize(model, np.asarray(x), np.asarray(t), clamp=False))
+    v = _normalize(model, np.asarray(x), np.asarray(t), clamp=False)
+    fwd = _forward(model, weight_views(model), _features(model, v))
     return fwd.h, fwd.u
 
 
@@ -165,6 +166,27 @@ def test_adam_first_step_closed_form():
     g = rng.normal(size=20)
     w2, _ = adam_step(w, g, init_adam(20), lr=1e-3)
     np.testing.assert_allclose(w2, adam_first_step(w, g, 1e-3), rtol=1e-12)
+
+
+def test_adam_matches_frozen_reference_bitwise():
+    """60 steps with a decaying learning rate and gradients across six decades
+    give the bits of the original one-array-per-term update."""
+    rng = np.random.default_rng(21)
+    n = 2000
+    w = w_ref = rng.normal(size=n)
+    state = init_adam(n)
+    m_ref, v_ref, step_ref = np.zeros(n), np.zeros(n), 0
+    for i in range(60):
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        lr = 1e-2 * 0.5 ** (i / 7)
+        inputs = (w, g, state.m, state.v)
+        copies = [a.copy() for a in inputs]
+        w, state = adam_step(w, g, state, lr)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))  # inputs left alone
+        w_ref, m_ref, v_ref, step_ref = reference_adam_step(w_ref, g, m_ref, v_ref, step_ref, lr)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(state.m, m_ref) and np.array_equal(state.v, v_ref)
+        assert state.step == step_ref
 
 
 def test_adam_descends_quadratic():
@@ -344,6 +366,73 @@ def test_supervised_run_replicated_by_hand():
         if val < best_val:
             best_val, best_weights = val, weights.copy()
     np.testing.assert_array_equal(trained.weights, best_weights)
+
+
+def test_physics_run_replicated_by_hand():
+    """With lambda > 0 the loop draws a fresh collocation set from its own
+    stream each iteration; replicate it with the public forward_loss,
+    loss_gradient and adam_step and match weights and history bit for bit."""
+    from stagecast.training import _learning_rate, _split_indices, init_adam
+
+    ts = _constant_training_set(n=256)
+    config = TrainConfig(
+        lambda_physics=0.1, batch_size=32, collocation_per_batch=24, max_iterations=5,
+        record_every=2, seed=6,
+    )
+    model = _model(seed=4)
+    trained, history = train(model, ts, config)
+
+    batch_seed, colloc_seed = np.random.SeedSequence(config.seed).spawn(2)
+    rng_batch = np.random.default_rng(batch_seed)
+    rng_colloc = np.random.default_rng(colloc_seed)
+    train_idx, val_idx = _split_indices(len(ts), config.validation_fraction, config.seed)
+    val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
+
+    weights = model.weights.copy()
+    state = init_adam(weights.size)
+    rows = []
+    best_val, best_weights = np.inf, weights.copy()
+    for i in range(config.max_iterations):
+        current = dataclasses.replace(model, weights=weights)
+        idx = train_idx[rng_batch.integers(0, train_idx.size, config.batch_size)]
+        colloc = np.column_stack([
+            rng_colloc.uniform(BOX.x_min_miles, BOX.x_max_miles, 24),
+            rng_colloc.uniform(BOX.t_min_hours, BOX.t_max_hours, 24),
+        ])
+        batch = (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx])
+        lp = forward_loss(current, batch, colloc, lambda_physics=config.lambda_physics)
+        lr = _learning_rate(config, i)
+        weights, state = adam_step(weights, loss_gradient(lp), state, lr)
+        if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
+            rows.append((i + 1, lp.data_loss, lp.physics_loss, lp.total, lr))
+            val = data_loss(dataclasses.replace(model, weights=weights), val_batch)
+            if val < best_val:
+                best_val, best_weights = val, weights.copy()
+    assert [tuple(row) for row in history] == rows
+    assert all(row[2] > 0.0 for row in rows)
+    np.testing.assert_array_equal(trained.weights, best_weights)
+
+
+def test_training_encodes_its_samples_once(monkeypatch):
+    """The training samples are encoded once per run; only the freshly
+    drawn collocation points are encoded every iteration."""
+    import stagecast.surrogate as surrogate
+
+    calls = []
+
+    def counted(encoder, v, n=None):
+        calls.append(v.shape[0])
+        return encode(encoder, v, n)
+
+    encode = surrogate.encode
+    monkeypatch.setattr(surrogate, "encode", counted)
+    ts = _constant_training_set(n=256)
+    kwargs = dict(batch_size=32, max_iterations=7, record_every=2, seed=3)
+    train(_model(), ts, TrainConfig(lambda_physics=0.0, **kwargs))
+    assert calls == [256]
+    calls.clear()
+    train(_model(), ts, TrainConfig(lambda_physics=0.1, collocation_per_batch=16, **kwargs))
+    assert calls == [256] + [16] * 7
 
 
 def test_physics_toggle_leaves_batch_stream_alone():

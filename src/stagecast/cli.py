@@ -16,24 +16,19 @@ bad command lines), 2 solver failures, 3 cross-input consistency errors,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .evaluation import benchmark as run_benchmark
 from .evaluation import evaluate, run_ablation
 from .fileio import (
-    FormatError,
-    atomic_write_text,
     load_checkpoint,
     read_field,
     read_scenario,
-    report_to_dict,
     save_checkpoint,
     scenario_hash,
+    write_ablation,
     write_benchmark,
     write_field,
     write_history,
@@ -234,50 +229,7 @@ def _cmd_ablate(args) -> int:
     )
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "seed": int(result.seed),
-        "budget_iters": int(result.budget_iters),
-        "curve_station_miles": float(result.curve_station_miles),
-        "configs": {},
-    }
-    for name, settings in result.settings.items():
-        config_dir = out_dir / name
-        config_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            config_dir / "config.json",
-            json.dumps(
-                {
-                    "config": name,
-                    "seed": int(result.seed),
-                    "budget_iters": int(result.budget_iters),
-                    **settings,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        write_history(result.histories[name], config_dir / "history.csv")
-        report = result.reports[name]
-        entry = {
-            "diverged": bool(result.diverged[name]),
-            "training_data_loss": float(result.training_data_loss[name]),
-        }
-        if report is not None:
-            write_report(report, config_dir)
-            entry["overall_stage_mrae"] = float(report.overall_stage_mrae)
-            entry["overall_velocity_mrae"] = float(report.overall_velocity_mrae)
-            entry["mean_physics_residual"] = float(report.mean_physics_residual)
-            curve_rows = ["t_hours,truth_h_ft,predicted_h_ft"]
-            curve = result.curves[name]
-            for t, truth, pred in zip(result.curve_t_hours, result.curve_truth_h, curve):
-                curve_rows.append(f"{t!r},{truth!r},{pred!r}")
-            atomic_write_text(config_dir / "curve.csv", "\n".join(curve_rows) + "\n")
-        summary["configs"][name] = entry
-
-    atomic_write_text(out_dir / "summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_ablation(result, out_dir)
 
     print(f"{'config':<14}{'stage MRAE':>12}{'data loss':>14}{'phys resid':>14}")
     for name in result.settings:
@@ -394,19 +346,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except ConsistencyError as err:
         print(f"consistency error: {err}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except ValueError as err:
+    except (FileNotFoundError, ValueError) as err:  # ValueError covers FormatError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
 

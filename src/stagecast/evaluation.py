@@ -11,7 +11,6 @@ solver-versus-surrogate timing comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +41,9 @@ __all__ = [
 
 
 _PHYSICS_CHUNK = 2048  # collocation points per network pass of the physics residual
+# marks a report field as a wall-clock figure; report files keep these apart
+# from the figures that are a pure function of the seeds and inputs
+_WALL_CLOCK = {"wall_clock": True}
 
 
 def mrae(pred, truth) -> float:
@@ -59,6 +61,12 @@ def mrae(pred, truth) -> float:
     if denom <= 0.0:
         raise ValueError("truth mean must be positive for a relative error")
     return float(np.sum(np.abs(p - y)) / denom)
+
+
+def _grid_points(field: FlowField) -> np.ndarray:
+    """The (x_miles, t_hours) points of a field's station-time grid, time-major."""
+    xx, tt = np.meshgrid(field.x_miles, field.t_hours)
+    return np.column_stack([xx.ravel(), tt.ravel()])
 
 
 def error_histogram(per_station_error: np.ndarray, n_bins: int = 20):
@@ -84,9 +92,9 @@ class EvalReport:
     mean_physics_residual: float
     collocation_seed: int
     n_collocation: int
-    solver_seconds: float
-    surrogate_seconds: float
-    speedup: float
+    solver_seconds: float = field(metadata=_WALL_CLOCK)
+    surrogate_seconds: float = field(metadata=_WALL_CLOCK)
+    speedup: float = field(metadata=_WALL_CLOCK)
 
 
 def evaluate(
@@ -114,8 +122,7 @@ def evaluate(
             f"model outputs datum {model.output_datum!r}; evaluation expects depth above bed"
         )
 
-    xx, tt = np.meshgrid(field.x_miles, field.t_hours)
-    points = np.column_stack([xx.ravel(), tt.ravel()])
+    points = _grid_points(field)
     started = time.perf_counter()
     h_flat, u_flat = predict_batch(model, points)
     surrogate_seconds = time.perf_counter() - started
@@ -173,11 +180,11 @@ class BenchmarkReport:
     n_cells: int
     n_points: int
     repetitions: int
-    solver_seconds: list[float]
-    surrogate_seconds: list[float]
-    solver_median: float
-    surrogate_median: float
-    speedup: float
+    solver_seconds: list[float] = field(metadata=_WALL_CLOCK)
+    surrogate_seconds: list[float] = field(metadata=_WALL_CLOCK)
+    solver_median: float = field(metadata=_WALL_CLOCK)
+    surrogate_median: float = field(metadata=_WALL_CLOCK)
+    speedup: float = field(metadata=_WALL_CLOCK)
 
 
 def benchmark(
@@ -199,12 +206,7 @@ def benchmark(
         raise ValueError("need at least 3 repetitions for a stable median")
     config = SolverConfig(n_cells=n_cells)
 
-    n_t = int(round(scenario.t_total_hours / scenario.output_dt_hours)) + 1
-    t_grid = scenario.output_dt_hours * np.arange(n_t)
-    xx, tt = np.meshgrid(np.asarray(scenario.station_positions_miles), t_grid)
-    points = np.column_stack([xx.ravel(), tt.ravel()])
-
-    solve(scenario, config)  # warm-up, discarded
+    points = _grid_points(solve(scenario, config))  # warm-up; only its grid is kept
     predict_batch(model, points)  # warm-up, discarded
 
     solver_times = []
@@ -265,9 +267,6 @@ def run_ablation(
     m: int = 32,
     activation: str = "tanh",
     batch_size: int = 256,
-    lr_initial: float = 1e-3,
-    lr_decay_rate: float = 0.5,
-    lr_decay_every: int = 20_000,
     n_cells: int = 400,
 ) -> AblationResult:
     """Train base / fourier_only / full under one seed and budget.
@@ -305,9 +304,6 @@ def run_ablation(
             lambda_physics=spec_["lambda_physics"],
             sigma=sigma,
             batch_size=batch_size,
-            lr_initial=lr_initial,
-            lr_decay_rate=lr_decay_rate,
-            lr_decay_every=lr_decay_every,
             max_iterations=budget_iters,
             seed=seed,
         )

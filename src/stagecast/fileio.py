@@ -1,4 +1,4 @@
-"""On-disk formats: scenario text, field tables, checkpoints, reports.
+"""Every file stagecast writes, and the readers for its inputs.
 
 Text formats share one sectioned grammar::
 
@@ -11,22 +11,29 @@ Text formats share one sectioned grammar::
 
 Block rows are indented by exactly two spaces and run until the first
 unindented line.  Scalar keys match the field names of the in-memory
-types.  Unknown sections or keys are hard errors that name the offending
-line.  Floats are written with ``repr`` so every value survives a
-write/read round trip bit-for-bit.
+types.  An unknown or missing section is a hard error, and so is an
+unknown key, which is named with its line.  Floats are written with
+``repr`` so every value survives a write/read round trip bit-for-bit.
 
 Checkpoints are binary: a magic string, a JSON header (architecture,
-normalization box, seed, weight manifest), then the Fourier matrix and the
-flat weight vector as little-endian float64.
+normalization box, seed, scenario hash, weight manifest), then the
+Fourier matrix and the flat weight vector as little-endian float64.
 
-The evaluation report JSON nests all wall-clock figures under a single
-``"timing"`` key; everything outside ``"timing"`` is a pure function of
-the seeds and inputs.  All writers go through a temp-file-plus-rename so
-readers never observe a half-written file.
+Tables (loss history, per-station error, error histogram, ablation
+curve) are CSV with a header line; reports, benchmark timings and the
+ablation summary are JSON.  One CSV writer and one JSON writer serve
+them all, and both turn numpy values into Python numbers first.  The
+history columns are the fields of :class:`~stagecast.training.HistoryRow`
+and the report keys the fields of the report dataclasses, whose
+wall-clock fields go under a single ``"timing"`` key; everything outside
+``"timing"`` is a pure function of the seeds and inputs.  All writers go
+through a temp-file-plus-rename so readers never observe a half-written
+file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import BenchmarkReport, EvalReport, error_histogram
+from .evaluation import AblationResult, BenchmarkReport, EvalReport, error_histogram
 from .geometry import (
     BoundaryConditions,
     ChannelGeometry,
@@ -65,6 +72,7 @@ __all__ = [
     "report_to_dict",
     "write_report",
     "write_benchmark",
+    "write_ablation",
     "atomic_write_text",
     "atomic_write_bytes",
 ]
@@ -110,9 +118,70 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # --------------------------------------------------------------------------
 
 
-def _parse_sections(text: str, error_cls):
-    """Parse the shared grammar into {section: {key: (lineno, value)}};
-    block values are lists of row strings, scalars are strings."""
+class _Section:
+    """One parsed ``[section]``: typed reads by key, each key read once.
+
+    Every error names the section and raises the format's error class.
+    """
+
+    def __init__(self, name: str, entries: dict, error_cls):
+        self.name = name
+        self._entries = entries  # key -> (lineno, scalar string or list of block rows)
+        self._error = error_cls
+
+    def _pop(self, key: str):
+        if key not in self._entries:
+            raise self._error(f"[{self.name}] is missing required key {key!r}")
+        return self._entries.pop(key)[1]
+
+    def text(self, key: str) -> str:
+        value = self._pop(key)
+        if isinstance(value, list):
+            raise self._error(f"[{self.name}] {key}: expected a scalar, found a block")
+        return value
+
+    def float(self, key: str) -> float:
+        value = self.text(key)
+        try:
+            return float(value)
+        except ValueError as err:
+            raise self._error(f"[{self.name}] {key}: not a number: {value!r}") from err
+
+    def rows(self, key: str) -> list[str]:
+        value = self._pop(key)
+        if not isinstance(value, list):
+            raise self._error(f"[{self.name}] {key}: expected an indented block")
+        return value
+
+    def series(self, key: str) -> TimeSeries:
+        ts, vs = [], []
+        for i, row in enumerate(self.rows(key)):
+            parts = row.split(",")
+            if len(parts) != 2:
+                raise self._error(f"[{self.name}] {key} row {i + 1}: expected 't,value', got {row!r}")
+            try:
+                ts.append(float(parts[0]))
+                vs.append(float(parts[1]))
+            except ValueError as err:
+                raise self._error(f"[{self.name}] {key} row {i + 1}: not numeric: {row!r}") from err
+        try:
+            return TimeSeries(np.array(ts), np.array(vs))
+        except ValueError as err:
+            raise self._error(f"[{self.name}] {key}: {err}") from err
+
+    def close(self) -> None:
+        """Reject any key that was not read."""
+        if self._entries:
+            key, (lineno, _) = next(iter(self._entries.items()))
+            raise self._error(f"line {lineno}: unknown key {key!r} in [{self.name}]")
+
+
+def _parse_sections(text: str, error_cls, kind: str, names: tuple[str, ...]) -> list[_Section]:
+    """Parse the shared grammar; return the sections ``names``, in that order.
+
+    An unknown, missing or duplicated section is an error, and so is a
+    duplicated key or a line the grammar does not allow.
+    """
     sections: dict[str, dict] = {}
     current: str | None = None
     block: list | None = None
@@ -151,72 +220,13 @@ def _parse_sections(text: str, error_cls):
             sections[current][key] = (lineno, value.strip())
             continue
         raise error_cls(f"line {lineno}: cannot parse {raw!r}")
-    return sections
-
-
-def _take(section: dict, section_name: str, key: str, error_cls):
-    if key not in section:
-        raise error_cls(f"[{section_name}] is missing required key {key!r}")
-    _, value = section.pop(key)
-    return value
-
-
-def _take_float(section, section_name, key, error_cls) -> float:
-    value = _take(section, section_name, key, error_cls)
-    if isinstance(value, list):
-        raise error_cls(f"[{section_name}] {key}: expected a scalar, found a block")
-    try:
-        return float(value)
-    except ValueError as err:
-        raise error_cls(f"[{section_name}] {key}: not a number: {value!r}") from err
-
-
-def _take_str(section, section_name, key, error_cls) -> str:
-    value = _take(section, section_name, key, error_cls)
-    if isinstance(value, list):
-        raise error_cls(f"[{section_name}] {key}: expected a scalar, found a block")
-    return value
-
-
-def _take_rows(section, section_name, key, error_cls) -> list[str]:
-    value = _take(section, section_name, key, error_cls)
-    if not isinstance(value, list):
-        raise error_cls(f"[{section_name}] {key}: expected an indented block")
-    return value
-
-
-def _reject_unknown(sections: dict, expected: set[str], error_cls, kind: str):
-    for name, body in sections.items():
-        if name not in expected:
-            lineno = min(ln for ln, _ in body.values()) if body else 0
+    for name in sections:
+        if name not in names:
             raise error_cls(f"unknown {kind} section [{name}]")
-    for name in expected:
+    for name in names:
         if name not in sections:
             raise error_cls(f"missing required section [{name}]")
-
-
-def _reject_leftover(section: dict, section_name: str, error_cls):
-    if section:
-        key = next(iter(section))
-        lineno = section[key][0]
-        raise error_cls(f"line {lineno}: unknown key {key!r} in [{section_name}]")
-
-
-def _parse_series_rows(rows, section_name, key, error_cls) -> TimeSeries:
-    ts, vs = [], []
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise error_cls(f"[{section_name}] {key} row {i + 1}: expected 't,value', got {row!r}")
-        try:
-            ts.append(float(parts[0]))
-            vs.append(float(parts[1]))
-        except ValueError as err:
-            raise error_cls(f"[{section_name}] {key} row {i + 1}: not numeric: {row!r}") from err
-    try:
-        return TimeSeries(np.array(ts), np.array(vs))
-    except ValueError as err:
-        raise error_cls(f"[{section_name}] {key}: {err}") from err
+    return [_Section(name, sections[name], error_cls) for name in names]
 
 
 def _series_rows(series: TimeSeries) -> list[str]:
@@ -227,12 +237,13 @@ def _series_rows(series: TimeSeries) -> list[str]:
 # scenario format
 # --------------------------------------------------------------------------
 
+_GEOMETRY_KEYS = tuple(f.name for f in dataclasses.fields(ChannelGeometry))
+
 
 def serialize_scenario(scenario: RiverScenario) -> str:
     g, b = scenario.geometry, scenario.boundaries
     lines = ["# stagecast scenario v1", "[geometry]"]
-    for name in ("length_miles", "width_ft", "bed_slope", "manning_n", "bed_elevation_upstream_ft"):
-        lines.append(f"{name} = {getattr(g, name)!r}")
+    lines += [f"{name} = {getattr(g, name)!r}" for name in _GEOMETRY_KEYS]
     lines += ["", "[boundaries]"]
     lines.append(f"initial_depth_ft = {b.initial_depth_ft!r}")
     lines.append(f"initial_velocity_fps = {b.initial_velocity_fps!r}")
@@ -250,56 +261,37 @@ def serialize_scenario(scenario: RiverScenario) -> str:
 
 def parse_scenario(text: str) -> RiverScenario:
     err = ScenarioFormatError
-    sections = _parse_sections(text, err)
-    _reject_unknown(sections, {"geometry", "boundaries", "stations", "run"}, err, "scenario")
-
-    sec = sections["geometry"]
-    geometry = ChannelGeometry(
-        length_miles=_take_float(sec, "geometry", "length_miles", err),
-        width_ft=_take_float(sec, "geometry", "width_ft", err),
-        bed_slope=_take_float(sec, "geometry", "bed_slope", err),
-        manning_n=_take_float(sec, "geometry", "manning_n", err),
-        bed_elevation_upstream_ft=_take_float(sec, "geometry", "bed_elevation_upstream_ft", err),
+    geo, bounds, stations, run = _parse_sections(
+        text, err, "scenario", ("geometry", "boundaries", "stations", "run")
     )
-    _reject_leftover(sec, "geometry", err)
 
-    sec = sections["boundaries"]
+    geometry = ChannelGeometry(**{name: geo.float(name) for name in _GEOMETRY_KEYS})
+    geo.close()
+
     boundaries = BoundaryConditions(
-        initial_depth_ft=_take_float(sec, "boundaries", "initial_depth_ft", err),
-        initial_velocity_fps=_take_float(sec, "boundaries", "initial_velocity_fps", err),
-        upstream_discharge_cfs=_parse_series_rows(
-            _take_rows(sec, "boundaries", "upstream_discharge_cfs", err),
-            "boundaries",
-            "upstream_discharge_cfs",
-            err,
-        ),
-        downstream_stage_ft=_parse_series_rows(
-            _take_rows(sec, "boundaries", "downstream_stage_ft", err),
-            "boundaries",
-            "downstream_stage_ft",
-            err,
-        ),
+        initial_depth_ft=bounds.float("initial_depth_ft"),
+        initial_velocity_fps=bounds.float("initial_velocity_fps"),
+        upstream_discharge_cfs=bounds.series("upstream_discharge_cfs"),
+        downstream_stage_ft=bounds.series("downstream_stage_ft"),
     )
-    _reject_leftover(sec, "boundaries", err)
+    bounds.close()
 
-    sec = sections["stations"]
-    rows = _take_rows(sec, "stations", "positions_miles", err)
-    _reject_leftover(sec, "stations", err)
+    rows = stations.rows("positions_miles")
+    stations.close()
     try:
-        stations = tuple(float(r) for r in rows)
+        positions = tuple(float(r) for r in rows)
     except ValueError as exc:
         raise err(f"[stations] positions_miles: non-numeric row") from exc
 
-    sec = sections["run"]
-    t_total = _take_float(sec, "run", "t_total_hours", err)
-    output_dt = _take_float(sec, "run", "output_dt_hours", err)
-    _reject_leftover(sec, "run", err)
+    t_total = run.float("t_total_hours")
+    output_dt = run.float("output_dt_hours")
+    run.close()
 
     try:
         return RiverScenario(
             geometry=geometry,
             boundaries=boundaries,
-            station_positions_miles=stations,
+            station_positions_miles=positions,
             t_total_hours=t_total,
             output_dt_hours=output_dt,
         )
@@ -349,28 +341,25 @@ def write_field(field: FlowField, scenario_digest: str, path) -> None:
 
 def read_field(path) -> tuple[FlowField, str]:
     err = FieldFormatError
-    sections = _parse_sections(Path(path).read_text(), err)
-    _reject_unknown(sections, {"field", "data"}, err, "field")
+    head, data = _parse_sections(Path(path).read_text(), err, "field", ("field", "data"))
 
-    sec = sections["field"]
-    n_x = int(_take_float(sec, "field", "n_stations", err))
-    n_t = int(_take_float(sec, "field", "n_times", err))
-    units = _take_str(sec, "field", "units", err)
+    n_x = int(head.float("n_stations"))
+    n_t = int(head.float("n_times"))
+    units = head.text("units")
     if units != "x:miles,t:hours,h:ft,u:ft/s":
         raise err(f"unsupported unit system {units!r}")
-    digest = _take_str(sec, "field", "scenario_hash", err)
-    wall = _take_float(sec, "field", "wall_clock_seconds", err)
-    x = np.array([float(r) for r in _take_rows(sec, "field", "x_miles", err)])
-    t = np.array([float(r) for r in _take_rows(sec, "field", "t_hours", err)])
-    _reject_leftover(sec, "field", err)
+    digest = head.text("scenario_hash")
+    wall = head.float("wall_clock_seconds")
+    x = np.array([float(r) for r in head.rows("x_miles")])
+    t = np.array([float(r) for r in head.rows("t_hours")])
+    head.close()
     if x.size != n_x:
         raise err(f"x_miles has {x.size} rows, header says {n_x}")
     if t.size != n_t:
         raise err(f"t_hours has {t.size} rows, header says {n_t}")
 
-    sec = sections["data"]
-    rows = _take_rows(sec, "data", "t_x_h_u", err)
-    _reject_leftover(sec, "data", err)
+    rows = data.rows("t_x_h_u")
+    data.close()
     if len(rows) != n_t * n_x:
         raise err(f"[data] has {len(rows)} rows, expected n_times*n_stations = {n_t * n_x}")
     table = np.empty((len(rows), 4))
@@ -497,89 +486,107 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
 
 
 # --------------------------------------------------------------------------
-# loss history and reports
+# tables and reports
 # --------------------------------------------------------------------------
 
-_HISTORY_HEADER = "iteration,data_loss,physics_loss,total_loss,lr"
+
+def _plain(value):
+    """A numpy scalar or array as the Python number or list it holds."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header line of column names, then one ``repr`` cell per value."""
+    lines = [",".join(header)]
+    lines += [",".join([repr(_plain(v)) for v in row]) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
+
+
+_HISTORY_HEADER = ",".join(HistoryRow._fields)
 
 
 def write_history(history, path) -> None:
-    lines = [_HISTORY_HEADER]
-    for row in history:
-        lines.append(
-            f"{row.iteration},{row.data_loss!r},{row.physics_loss!r},{row.total_loss!r},{row.lr!r}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, HistoryRow._fields, history)
 
 
 def read_history(path) -> list[HistoryRow]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _HISTORY_HEADER:
         raise FormatError(f"{path}: missing history header {_HISTORY_HEADER!r}")
+    n_columns = len(HistoryRow._fields)
     out = []
     for i, line in enumerate(lines[1:], 2):
         parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"{path} line {i}: expected 5 columns")
-        out.append(
-            HistoryRow(
-                int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4])
-            )
-        )
+        if len(parts) != n_columns:
+            raise FormatError(f"{path} line {i}: expected {n_columns} columns")
+        out.append(HistoryRow(int(parts[0]), *map(float, parts[1:])))  # iteration, then floats
     return out
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready report; wall-clock figures live under the 'timing' key."""
-    return {
-        "datum": report.datum,
-        "n_stations": report.n_stations,
-        "n_times": report.n_times,
-        "station_miles": report.station_miles.tolist(),
-        "per_station_mrae": report.per_station_mrae.tolist(),
-        "overall_stage_mrae": report.overall_stage_mrae,
-        "overall_velocity_mrae": report.overall_velocity_mrae,
-        "max_stage_abs_error_ft": report.max_stage_abs_error_ft,
-        "mean_physics_residual": report.mean_physics_residual,
-        "collocation_seed": report.collocation_seed,
-        "n_collocation": report.n_collocation,
-        "timing": {
-            "solver_seconds": report.solver_seconds,
-            "surrogate_seconds": report.surrogate_seconds,
-            "speedup": report.speedup,
-        },
-    }
+def report_to_dict(report: EvalReport | BenchmarkReport) -> dict:
+    """A report's fields as JSON-ready values; its wall-clock fields go
+    under the ``"timing"`` key, so the rest is a pure function of seeds and inputs."""
+    out, timing = {}, {}
+    for f in dataclasses.fields(report):
+        (timing if f.metadata.get("wall_clock") else out)[f.name] = _plain(getattr(report, f.name))
+    out["timing"] = timing
+    return out
 
 
 def write_report(report: EvalReport, out_dir) -> None:
     """Write report.json, per_station.csv, and error_histogram.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-
-    lines = ["station_miles,stage_mrae"]
-    for x, e in zip(report.station_miles.tolist(), report.per_station_mrae.tolist()):
-        lines.append(f"{x!r},{e!r}")
-    atomic_write_text(out / "per_station.csv", "\n".join(lines) + "\n")
-
+    _write_json(out / "report.json", report_to_dict(report))
+    _write_csv(
+        out / "per_station.csv",
+        ("station_miles", "stage_mrae"),
+        zip(report.station_miles, report.per_station_mrae),
+    )
     edges, counts = error_histogram(report.per_station_mrae)
-    lines = ["bin_left,bin_right,count"]
-    for i, c in enumerate(counts.tolist()):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{c}")
-    atomic_write_text(out / "error_histogram.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "error_histogram.csv", ("bin_left", "bin_right", "count"),
+               zip(edges[:-1], edges[1:], counts))
 
 
 def write_benchmark(result: BenchmarkReport, path) -> None:
-    payload = {
-        "n_cells": result.n_cells,
-        "n_points": result.n_points,
-        "repetitions": result.repetitions,
-        "timing": {
-            "solver_seconds": result.solver_seconds,
-            "surrogate_seconds": result.surrogate_seconds,
-            "solver_median": result.solver_median,
-            "surrogate_median": result.surrogate_median,
-            "speedup": result.speedup,
-        },
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, report_to_dict(result))
+
+
+_ABLATION_SUMMARY_KEYS = ("overall_stage_mrae", "overall_velocity_mrae", "mean_physics_residual")
+
+
+def write_ablation(result: AblationResult, out_dir) -> None:
+    """Write summary.json and one directory per configuration: config.json,
+    history.csv and, unless the run diverged, the report files and curve.csv
+    (stage at the curve station over time, truth against prediction)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    run = {"seed": result.seed, "budget_iters": result.budget_iters}
+    configs = {}
+    for name, settings in result.settings.items():
+        config_dir = out / name
+        config_dir.mkdir(exist_ok=True)
+        _write_json(config_dir / "config.json", {"config": name, **run, **settings})
+        write_history(result.histories[name], config_dir / "history.csv")
+        entry = {
+            "diverged": result.diverged[name],
+            "training_data_loss": result.training_data_loss[name],
+        }
+        report = result.reports[name]
+        if report is not None:
+            write_report(report, config_dir)
+            entry.update({key: getattr(report, key) for key in _ABLATION_SUMMARY_KEYS})
+            _write_csv(
+                config_dir / "curve.csv",
+                ("t_hours", "truth_h_ft", "predicted_h_ft"),
+                zip(result.curve_t_hours, result.curve_truth_h, result.curves[name]),
+            )
+        configs[name] = entry
+    _write_json(
+        out / "summary.json",
+        {**run, "curve_station_miles": result.curve_station_miles, "configs": configs},
+    )

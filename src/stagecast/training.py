@@ -106,7 +106,6 @@ class TrainConfig:
     seed: int = 0
     record_every: int = 100
     validation_fraction: float = 0.1
-    extended_momentum: bool = False
     divergence_factor: float = 1e6
 
     def __post_init__(self):
@@ -184,14 +183,6 @@ def _residuals(h: Dual, u: Dual, geometry: ChannelGeometry | None):
     return r_c, r_m
 
 
-def _momentum_geometry(geometry, extended_momentum: bool):
-    if not extended_momentum:
-        return None
-    if geometry is None:
-        raise ValueError("extended momentum residual needs the channel geometry")
-    return geometry
-
-
 class LossPass(NamedTuple):
     """The loss at one set of weights, with what :func:`loss_gradient` reads."""
 
@@ -204,7 +195,7 @@ class LossPass(NamedTuple):
     data_error: tuple  # (h_hat - h, u_hat - u) on the data rows
     duals: tuple | None  # (h, u) duals at the collocation rows
     residuals: tuple | None  # (r_c, r_m) at the collocation rows
-    geometry: ChannelGeometry | None  # set for the extended momentum residual
+    geometry: ChannelGeometry | None  # set for the friction and bed-slope momentum terms
     lambda_physics: float
 
 
@@ -215,7 +206,6 @@ def forward_loss(
     *,
     lambda_physics: float = 0.0,
     geometry: ChannelGeometry | None = None,
-    extended_momentum: bool = False,
 ) -> LossPass:
     """Data loss, physics loss and their total in one network pass.
 
@@ -229,12 +219,10 @@ def forward_loss(
     if collocation is not None:
         v_c, seeds = _collocation_rows(model, collocation[:, 0], collocation[:, 1])
         v = np.concatenate((v, v_c))
-    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics,
-                      geometry, extended_momentum)
+    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics, geometry)
 
 
-def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometry=None,
-               extended_momentum=False) -> LossPass:
+def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometry=None) -> LossPass:
     """:func:`forward_loss` from the Fourier features ``x`` of the data rows
     and then of the collocation rows, whose tangent ``seeds`` are given."""
     n_data = x.shape[0] - (0 if seeds is None else seeds.shape[1])
@@ -247,7 +235,6 @@ def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometr
         return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, None, 0.0)
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
-    geometry = _momentum_geometry(geometry, extended_momentum)
     r_c, r_m = _residuals(h, u, geometry)
     physics = float(np.mean(r_c * r_c + r_m * r_m))
     total = float(total_loss(data, physics, lambda_physics))
@@ -299,13 +286,12 @@ def physics_loss(
     collocation,
     *,
     geometry: ChannelGeometry | None = None,
-    extended_momentum: bool = False,
 ) -> float:
     """Mean squared residual of the governing equations at collocation points.
 
     Continuity: r_c = h_t + h_x u + h u_x.  Momentum: r_m = u_t + u u_x +
-    g h_x, optionally extended with the g(S_f - S0) source when
-    ``extended_momentum`` is set (requires ``geometry``).  Any model that
+    g h_x, extended with the g(S_f - S0) friction and bed-slope source when
+    the channel ``geometry`` is given.  Any model that
     exposes ``physics_duals(x, t)`` returning depth/velocity duals works
     here, which is how closed-form mock fields are tested.
     """
@@ -317,7 +303,7 @@ def physics_loss(
         h, u = physics_duals(model, x, t)
     else:
         h, u = model.physics_duals(x, t)
-    r_c, r_m = _residuals(h, u, _momentum_geometry(geometry, extended_momentum))
+    r_c, r_m = _residuals(h, u, geometry)
     return float(np.mean(r_c * r_c + r_m * r_m))
 
 
@@ -417,11 +403,9 @@ def train(
     iterations (plus once at the final iteration) and the returned model
     carries the best-by-validation weights.  The loop aborts with :class:`TrainingDiverged` (history
     attached) if the total loss exceeds ``divergence_factor`` times its
-    initial value or stops being finite.  ``geometry`` is only needed
-    when ``config.extended_momentum`` is set.
+    initial value or stops being finite.  With ``geometry`` the momentum
+    residual carries the friction and bed-slope source.
     """
-    if config.extended_momentum and geometry is None:
-        raise ValueError("extended momentum training needs the channel geometry")
     ss = np.random.SeedSequence(config.seed)
     batch_seed, colloc_seed = ss.spawn(2)
     rng_batch = np.random.default_rng(batch_seed)
@@ -459,7 +443,6 @@ def train(
             seeds,
             lambda_physics=config.lambda_physics,
             geometry=geometry,
-            extended_momentum=config.extended_momentum,
         )
         row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, _learning_rate(config, i))
 

@@ -169,7 +169,7 @@ def test_weight_gradients_match_finite_differences(activation):
             model = _model(activation, seed=int(rng.integers(1000)))
             batch = _batch(rng)
             colloc = _colloc(rng) if lam > 0 else None
-            kwargs = dict(lambda_physics=lam, geometry=GEOMETRY, extended_momentum=extended)
+            kwargs = dict(lambda_physics=lam, geometry=GEOMETRY if extended else None)
             g = loss_gradient(forward_loss(model, batch, colloc, **kwargs))
 
             def f(w):

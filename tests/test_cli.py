@@ -60,6 +60,20 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _assert_csv_cells_are_numbers(root):
+    """Every cell below the header of every CSV under ``root`` reads back
+    as a number (float() also reads the integer cells)."""
+    paths = sorted(root.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        for lineno, line in enumerate(path.read_text().splitlines()[1:], 2):
+            for cell in line.split(","):
+                try:
+                    float(cell)
+                except ValueError:
+                    pytest.fail(f"{path.name} line {lineno}: cell {cell!r} is not a number")
+
+
 # ---------------------------------------------------------------------------
 # parser basics
 
@@ -325,6 +339,7 @@ def test_eval_writes_report(workspace, capsys, tmp_path):
     assert blob["datum"] == "depth"
     assert (tmp_path / "report" / "per_station.csv").exists()
     assert (tmp_path / "report" / "error_histogram.csv").exists()
+    _assert_csv_cells_are_numbers(tmp_path / "report")
 
 
 def test_eval_checkpoint_from_other_scenario_exits_three(workspace, capsys, tmp_path):
@@ -434,6 +449,7 @@ def test_ablate_writes_three_report_directories(workspace, capsys, tmp_path):
         assert len(curve) > 1
     assert json.loads((out_dir / "base" / "config.json").read_text())["use_fourier"] is False
     assert json.loads((out_dir / "full" / "config.json").read_text())["lambda_physics"] == 0.1
+    _assert_csv_cells_are_numbers(out_dir)
     table = capsys.readouterr().out
     assert "base" in table and "fourier_only" in table and "full" in table
 

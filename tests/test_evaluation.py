@@ -1,5 +1,7 @@
 """Metrics, reports, timing comparison, and the ablation harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from stagecast.evaluation import (
 )
 from stagecast.geometry import make_flood_wave_scenario
 from stagecast.solver import SolverConfig, solve
-from stagecast.surrogate import box_for_scenario, init_model, predict_batch
+from stagecast.surrogate import ExtrapolationWarning, box_for_scenario, init_model, predict_batch
 
 
 def _tiny_scenario():
@@ -202,6 +204,19 @@ def test_benchmark_structure_and_speedup():
     n_times = int(round(scenario.t_total_hours / scenario.output_dt_hours)) + 1
     assert report.n_points == len(scenario.station_positions_miles) * n_times
     assert all(t > 0 for t in report.solver_seconds + report.surrogate_seconds)
+
+
+def test_benchmark_predicts_on_the_solver_grid():
+    """A run length that is not a whole number of output steps: the solver
+    clamps its last output time to the run length, and the benchmark must
+    query that grid, not one that runs past the end of the domain."""
+    scenario = make_flood_wave_scenario(4, 2.0, seed=3, t_total_hours=1.0, output_dt_hours=0.35)
+    field = solve(scenario, SolverConfig(n_cells=60))
+    assert field.t_hours[-1] == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ExtrapolationWarning)
+        report = benchmark(_tiny_model(scenario), scenario, repetitions=3, n_cells=60)
+    assert report.n_points == field.h.size
 
 
 def test_physics_residual_in_chunks_matches_one_pass(monkeypatch):

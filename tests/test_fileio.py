@@ -1,6 +1,7 @@
 """Round trips and failure modes of the on-disk formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ def test_scenario_bad_series_row_rejected():
     text = text.replace("upstream_discharge_cfs:\n", "upstream_discharge_cfs:\n  1.0,2.0,3.0\n")
     with pytest.raises(ScenarioFormatError, match="row 1"):
         parse_scenario(text)
+
+
+def test_readme_scenario_example_parses():
+    """The example in README.md's "File formats" section is a valid scenario."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example scenario:", 1)[1].split("```", 2)[1]
+    scenario = parse_scenario(example)
+    assert scenario.station_positions_miles == (2.0, 5.0, 8.0)
+    assert scenario.boundaries.upstream_discharge_cfs.values.tolist() == [20000.0, 60000.0, 20000.0]
+    assert scenario.t_total_hours == 48.0
 
 
 def test_scenario_inconsistent_content_rejected():

@@ -462,13 +462,6 @@ def test_divergence_guard_raises_with_history():
     )
 
 
-def test_extended_momentum_requires_geometry():
-    ts = _constant_training_set()
-    config = TrainConfig(extended_momentum=True, max_iterations=1, batch_size=8)
-    with pytest.raises(ValueError, match="geometry"):
-        train(_model(), ts, config)
-
-
 def test_learning_rate_schedule_in_history():
     ts = _constant_training_set()
     config = TrainConfig(

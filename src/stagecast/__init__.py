@@ -22,7 +22,6 @@ from .geometry import (  # noqa: E402
     BoundaryConditions,
     RiverScenario,
     TimeSeries,
-    interpolate_boundary,
     make_flood_wave_scenario,
     normal_depth,
 )
@@ -45,9 +44,7 @@ from .training import (  # noqa: E402
     adam_step,
     build_training_set,
     data_loss,
-    grid_search,
     physics_loss,
-    total_loss,
     train,
 )
 from .evaluation import (  # noqa: E402
@@ -66,7 +63,6 @@ __all__ = [
     "BoundaryConditions",
     "RiverScenario",
     "TimeSeries",
-    "interpolate_boundary",
     "make_flood_wave_scenario",
     "normal_depth",
     "FlowField",
@@ -89,9 +85,7 @@ __all__ = [
     "adam_step",
     "build_training_set",
     "data_loss",
-    "grid_search",
     "physics_loss",
-    "total_loss",
     "train",
     "AblationResult",
     "BenchmarkReport",

@@ -109,18 +109,13 @@ def evaluate(
     """Score a model on the station-time grid of a solved field.
 
     ``datum`` selects whether stage errors are measured on depth above bed
-    or on water-surface elevation (bed profile added to both sides).  The
-    model must predict depth; feeding one that claims another datum is a
-    hard error rather than a silently wrong comparison.
+    or on water-surface elevation: the bed profile added to both the
+    solver's depths and the model's, which predicts depth above bed.
     """
     if datum not in ("depth", "elevation"):
         raise ValueError("datum must be 'depth' or 'elevation'")
     if n_collocation < 1:
         raise ValueError("n_collocation must be positive")
-    if getattr(model, "output_datum", "depth") != "depth":
-        raise ValueError(
-            f"model outputs datum {model.output_datum!r}; evaluation expects depth above bed"
-        )
 
     points = _grid_points(field)
     started = time.perf_counter()
@@ -150,7 +145,7 @@ def evaluate(
             rng.uniform(box.t_min_hours, box.t_max_hours, n_collocation),
         ]
     )
-    # chunked: one pass would hold three stacked rows per point in every layer
+    # chunked, so the residual's arrays stay bounded for any n_collocation
     chunks = [colloc[i : i + _PHYSICS_CHUNK] for i in range(0, n_collocation, _PHYSICS_CHUNK)]
     residual = sum(physics_loss(model, c) * c.shape[0] for c in chunks) / n_collocation
 
@@ -275,23 +270,15 @@ def run_ablation(
     supervised batch stream; they differ only in the encoder and the
     physics weight.  A diverged run is marked and skipped, never fatal.
     """
-    field_ = solve(scenario, SolverConfig(n_cells=n_cells))
-    ts = build_training_set(field_, scenario)
-
     settings = {
         "base": {"use_fourier": False, "lambda_physics": 0.0},
         "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
         "full": {"use_fourier": True, "lambda_physics": lambda_full},
     }
-    reports, histories, final_losses, diverged, curves = {}, {}, {}, {}, {}
-
-    mid = field_.x_miles.size // 2
-    station_x = float(field_.x_miles[mid])
-    curve_points = np.column_stack([np.full(field_.t_hours.size, station_x), field_.t_hours])
-
+    runs = {}  # built before the solve, so a bad setting fails before any work
     for name, spec_ in settings.items():
         model = init_model(
-            ts.norm,
+            box_for_scenario(scenario),
             n_blocks=n_blocks,
             width=width,
             m=m,
@@ -307,6 +294,16 @@ def run_ablation(
             max_iterations=budget_iters,
             seed=seed,
         )
+        runs[name] = model, config
+    field_ = solve(scenario, SolverConfig(n_cells=n_cells))
+    ts = build_training_set(field_, scenario)
+    reports, histories, final_losses, diverged, curves = {}, {}, {}, {}, {}
+
+    mid = field_.x_miles.size // 2
+    station_x = float(field_.x_miles[mid])
+    curve_points = np.column_stack([np.full(field_.t_hours.size, station_x), field_.t_hours])
+
+    for name, (model, config) in runs.items():
         try:
             trained, history = train(model, ts, config)
         except TrainingDiverged as err:

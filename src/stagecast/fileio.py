@@ -153,6 +153,16 @@ class _Section:
             raise self._error(f"[{self.name}] {key}: expected an indented block")
         return value
 
+    def floats(self, key: str) -> np.ndarray:
+        """An indented block of one number per row."""
+        values = []
+        for i, row in enumerate(self.rows(key), 1):
+            try:
+                values.append(float(row))
+            except ValueError as err:
+                raise self._error(f"[{self.name}] {key} row {i}: not a number: {row!r}") from err
+        return np.array(values)
+
     def series(self, key: str) -> TimeSeries:
         ts, vs = [], []
         for i, row in enumerate(self.rows(key)):
@@ -276,12 +286,8 @@ def parse_scenario(text: str) -> RiverScenario:
     )
     bounds.close()
 
-    rows = stations.rows("positions_miles")
+    positions = tuple(stations.floats("positions_miles").tolist())
     stations.close()
-    try:
-        positions = tuple(float(r) for r in rows)
-    except ValueError as exc:
-        raise err(f"[stations] positions_miles: non-numeric row") from exc
 
     t_total = run.float("t_total_hours")
     output_dt = run.float("output_dt_hours")
@@ -350,8 +356,8 @@ def read_field(path) -> tuple[FlowField, str]:
         raise err(f"unsupported unit system {units!r}")
     digest = head.text("scenario_hash")
     wall = head.float("wall_clock_seconds")
-    x = np.array([float(r) for r in head.rows("x_miles")])
-    t = np.array([float(r) for r in head.rows("t_hours")])
+    x = head.floats("x_miles")
+    t = head.floats("t_hours")
     head.close()
     if x.size != n_x:
         raise err(f"x_miles has {x.size} rows, header says {n_x}")
@@ -523,7 +529,10 @@ def read_history(path) -> list[HistoryRow]:
         parts = line.split(",")
         if len(parts) != n_columns:
             raise FormatError(f"{path} line {i}: expected {n_columns} columns")
-        out.append(HistoryRow(int(parts[0]), *map(float, parts[1:])))  # iteration, then floats
+        try:
+            out.append(HistoryRow(int(parts[0]), *map(float, parts[1:])))  # iteration, then floats
+        except ValueError as err:
+            raise FormatError(f"{path} line {i}: not a number in {line!r}") from err
     return out
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ChannelGeometry",
     "BoundaryConditions",
     "RiverScenario",
-    "interpolate_boundary",
     "make_flood_wave_scenario",
     "bed_elevation_at",
     "hydraulic_radius",
@@ -165,29 +164,6 @@ class RiverScenario:
             series: TimeSeries = getattr(self.boundaries, name)
             if series.t_hours[0] > 0.0 or series.t_hours[-1] < self.t_total_hours:
                 raise ValueError(f"{name} must cover [0, t_total_hours]")
-
-    @property
-    def mean_station_spacing_miles(self) -> float:
-        s = self.station_positions_miles
-        return (s[-1] - s[0]) / (len(s) - 1)
-
-
-def interpolate_boundary(series: TimeSeries, t_hours):
-    """Piecewise-linear boundary value at time ``t_hours`` (scalar or array).
-
-    Exact at the knots.  Times outside the knot range raise ``ValueError``
-    rather than extrapolating.
-    """
-    t = np.asarray(t_hours, dtype=np.float64)
-    lo, hi = series.t_hours[0], series.t_hours[-1]
-    if np.any(t < lo) or np.any(t > hi):
-        bad = t[(t < lo) | (t > hi)]
-        first = float(np.atleast_1d(bad)[0])
-        raise ValueError(
-            f"time {first} h outside boundary series range [{lo}, {hi}] h; refusing to extrapolate"
-        )
-    out = np.interp(t, series.t_hours, series.values)
-    return float(out) if np.ndim(t_hours) == 0 else out
 
 
 def bed_elevation_at(geometry: ChannelGeometry, x_miles):

@@ -48,16 +48,12 @@ class SolverConfig:
 
     ``n_cells`` counts grid points along the reach, endpoints included.
     ``cfl`` is the Courant number applied to ``max(|u| + sqrt(g h))``.
-    The friction and bed-slope switches exist for idealized test flows;
-    production runs keep both on.
+    The momentum source always carries Manning friction and the bed slope;
+    the step budget and the dt floor are the defaults of the step loop.
     """
 
     n_cells: int = 400
     cfl: float = 0.9
-    include_friction: bool = True
-    include_bed_slope: bool = True
-    max_steps: int = 2_000_000
-    dt_floor_s: float = 1e-9
 
     def __post_init__(self):
         if self.n_cells < 4:
@@ -212,15 +208,8 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
     t_out_s = t_out_h * HOUR_S
 
-    s0 = geom.bed_slope if config.include_bed_slope else 0.0
-    if config.include_friction:
-        def source_fn(h, u):
-            return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - s0)
-    else:
-        source = g * (0.0 - s0)
-
-        def source_fn(h, u):
-            return source
+    def source_fn(h, u):
+        return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - geom.bed_slope)
 
     discharge = bounds.upstream_discharge_cfs
     stage = bounds.downstream_stage_ft
@@ -277,8 +266,6 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
         source_fn=source_fn,
         cfl=config.cfl,
         g=g,
-        dt_floor_s=config.dt_floor_s,
-        max_steps=config.max_steps,
     )
     if cursor != n_t:
         raise SolverError(f"run ended with {n_t - cursor} output times unsampled")

@@ -19,6 +19,7 @@ for the tangent rows, the second derivatives of the activations
 (forward-over-reverse).  Inference runs the same pass without tangent
 rows on fixed 64-row blocks: every gemm sees 64 rows, the elementwise
 work only the block's real rows; padding rows are zero and stay zero.
+``physics_duals`` runs on fixed blocks of 64 points too.
 """
 
 from __future__ import annotations
@@ -148,8 +149,6 @@ class SurrogateModel:
     norm: NormalizationBox
     seed: int
 
-    output_datum = "depth"  # predictions are depth above bed, not elevation
-
     @property
     def uses_fourier(self) -> bool:
         return self.encoder is not None
@@ -206,6 +205,12 @@ def init_model(
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+    if width < 1:
+        raise ValueError("width must be positive")
+    if n_blocks < 0:
+        raise ValueError("n_blocks must be non-negative")
+    if use_fourier and m < 1:
+        raise ValueError("m must be positive")
     rng = np.random.default_rng(seed)
     encoder = None
     in_dim = 2
@@ -481,8 +486,18 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
 
     Returns ``(h, u)`` as :class:`Dual` values whose ``dx`` components are
     derivatives with respect to feet and ``dt`` with respect to seconds --
-    the units the governing equations are written in.
+    the units the governing equations are written in.  The points run in
+    blocks of ``_INFERENCE_BLOCK``, as in inference, so that a point's
+    duals are the same bits in a batch of any size or order.
     """
-    v, seeds = _collocation_rows(model, x_miles, t_hours)
-    fwd = _forward(model, weight_views(model), _features(model, v), seeds)
-    return Dual(fwd.h, *fwd.h_tan), Dual(fwd.u, *fwd.u_tan)
+    n = np.size(x_miles)
+    rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
+    # whole blocks, padded with repeats of the given points; padding is dropped
+    v, seeds = _collocation_rows(model, np.resize(x_miles, rows), np.resize(t_hours, rows))
+    views = weight_views(model)
+    out = np.empty((6, rows))
+    for start in range(0, rows, _INFERENCE_BLOCK):
+        block = slice(start, start + _INFERENCE_BLOCK)
+        fwd = _forward(model, views, _features(model, v[block]), seeds[:, block])
+        out[:, block] = np.vstack((fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan))
+    return Dual(*out[:3, :n]), Dual(*out[3:, :n])

@@ -40,7 +40,6 @@ from .surrogate import (
     _forward,
     _normalize,
     box_for_scenario,
-    init_model,
     physics_duals,
     weight_views,
 )
@@ -56,14 +55,15 @@ __all__ = [
     "build_training_set",
     "data_loss",
     "physics_loss",
-    "total_loss",
     "forward_loss",
     "loss_gradient",
     "init_adam",
     "adam_step",
     "train",
-    "grid_search",
 ]
+
+_VALIDATION_FRACTION = 0.1  # share of the samples held out to pick the best weights
+_DIVERGENCE_FACTOR = 1e6  # a total loss this many times the first one aborts the run
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,11 +88,11 @@ class NonFiniteGradient(ValueError):
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``sigma`` is consumed when a model is built for this configuration
-    (grid search and the ablation builder do this); :func:`train` itself
-    uses the encoder already attached to the model.  ``collocation_per_batch``
-    defaults to the batch size.  The learning rate follows
-    ``lr_initial * lr_decay_rate ** (i / lr_decay_every)``.
+    ``sigma`` is read by no code in this package: :func:`train` uses the
+    encoder already attached to the model.  It is kept for the callers that
+    set it to record the bandwidth they built the model with.
+    ``collocation_per_batch`` defaults to the batch size.  The learning
+    rate follows ``lr_initial * lr_decay_rate ** (i / lr_decay_every)``.
     """
 
     lambda_physics: float = 0.1
@@ -105,22 +105,24 @@ class TrainConfig:
     max_iterations: int = 100_000
     seed: int = 0
     record_every: int = 100
-    validation_fraction: float = 0.1
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if self.lambda_physics < 0:
             raise ValueError("lambda_physics must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.collocation_per_batch is not None and self.collocation_per_batch < 1:
+            raise ValueError("collocation_per_batch must be positive")
+        if not self.lr_initial > 0.0:
+            raise ValueError("lr_initial must be positive")
         if not 0.0 < self.lr_decay_rate <= 1.0:
             raise ValueError("lr_decay_rate must be in (0, 1]")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
+        if self.record_every < 1:
+            raise ValueError("record_every must be positive")
 
     @property
     def collocation_count(self) -> int:
@@ -237,7 +239,7 @@ def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometr
     u = Dual(net.u[n_data:], *net.u_tan)
     r_c, r_m = _residuals(h, u, geometry)
     physics = float(np.mean(r_c * r_c + r_m * r_m))
-    total = float(total_loss(data, physics, lambda_physics))
+    total = data + lambda_physics * physics
     return LossPass(
         data, physics, total, model, views, net, (err_h, err_u), (h, u), (r_c, r_m), geometry,
         lambda_physics,
@@ -307,11 +309,6 @@ def physics_loss(
     return float(np.mean(r_c * r_c + r_m * r_m))
 
 
-def total_loss(data, physics, lambda_physics: float):
-    """L = L_data + lambda * L_physics."""
-    return data + lambda_physics * physics
-
-
 # --------------------------------------------------------------------------
 # Adam
 # --------------------------------------------------------------------------
@@ -370,12 +367,10 @@ def _learning_rate(config: TrainConfig, iteration: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _split_indices(n: int, fraction: float, seed: int):
-    """Deterministic validation split shared by train() and grid_search()."""
+def _split_indices(n: int, seed: int):
+    """Deterministic (train, validation) split of ``n >= 2`` samples."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-    k_val = max(1, int(round(fraction * n)))
-    if k_val >= n:
-        raise ValueError("validation split leaves no training samples")
+    k_val = max(1, int(round(_VALIDATION_FRACTION * n)))
     perm = rng.permutation(n)
     return perm[k_val:], perm[:k_val]
 
@@ -401,16 +396,17 @@ def train(
 
     A seeded 10 % holdout scores the model every ``record_every``
     iterations (plus once at the final iteration) and the returned model
-    carries the best-by-validation weights.  The loop aborts with :class:`TrainingDiverged` (history
-    attached) if the total loss exceeds ``divergence_factor`` times its
-    initial value or stops being finite.  With ``geometry`` the momentum
-    residual carries the friction and bed-slope source.
+    carries the best-by-validation weights.  The loop aborts with
+    :class:`TrainingDiverged` (history attached) if the total loss exceeds
+    a million times its initial value or stops being finite.  With
+    ``geometry`` the momentum residual carries the friction and bed-slope
+    source.
     """
     ss = np.random.SeedSequence(config.seed)
     batch_seed, colloc_seed = ss.spawn(2)
     rng_batch = np.random.default_rng(batch_seed)
     rng_colloc = np.random.default_rng(colloc_seed)
-    train_idx, val_idx = _split_indices(len(training_set), config.validation_fraction, config.seed)
+    train_idx, val_idx = _split_indices(len(training_set), config.seed)
 
     ts = training_set
     box = ts.norm
@@ -449,12 +445,12 @@ def train(
         if initial_total is None:
             initial_total = lp.total
         if not np.isfinite(lp.total) or (
-            initial_total > 0 and lp.total > config.divergence_factor * initial_total
+            initial_total > 0 and lp.total > _DIVERGENCE_FACTOR * initial_total
         ):
             history.append(row)
             raise TrainingDiverged(
                 f"loss {lp.total:.6g} at iteration {i} exceeds "
-                f"{config.divergence_factor:g} x initial {initial_total:.6g}",
+                f"{_DIVERGENCE_FACTOR:g} x initial {initial_total:.6g}",
                 history,
                 i,
             )
@@ -479,80 +475,3 @@ def train(
     if config.max_iterations == 0:
         best_weights = weights
     return dataclasses.replace(model, weights=best_weights), history
-
-
-# --------------------------------------------------------------------------
-# hyperparameter grid search
-# --------------------------------------------------------------------------
-
-
-def grid_search(
-    training_set: TrainingSet,
-    lambdas,
-    sigmas,
-    budget_iters: int,
-    *,
-    base_config: TrainConfig | None = None,
-    width: int = 64,
-    n_blocks: int = 2,
-    m: int = 32,
-    activation: str = "tanh",
-    model_seed: int = 0,
-):
-    """Short-budget sweep over (lambda, sigma); returns (best pair, table).
-
-    Every cell trains a fresh model for ``budget_iters`` iterations under
-    the shared seed and is scored by stage MRAE on the validation split.
-    Diverged cells score +inf instead of failing the sweep.  Ties break
-    toward smaller sigma, then smaller lambda.
-    """
-    from .evaluation import mrae  # local import; evaluation depends on this module
-
-    if budget_iters < 1:
-        raise ValueError("budget_iters must be positive")
-    base = base_config if base_config is not None else TrainConfig()
-    _, val_idx = _split_indices(len(training_set), base.validation_fraction, base.seed)
-    ts = training_set
-    table = []
-    scored = []
-    for sigma in sigmas:
-        for lam in lambdas:
-            config = dataclasses.replace(
-                base, lambda_physics=float(lam), sigma=float(sigma), max_iterations=budget_iters
-            )
-            model = init_model(
-                ts.norm,
-                n_blocks=n_blocks,
-                width=width,
-                m=m,
-                sigma=float(sigma),
-                activation=activation,
-                seed=model_seed,
-                use_fourier=True,
-            )
-            diverged = False
-            score = np.inf
-            try:
-                trained, _ = train(model, ts, config)
-                pred_h, _ = _predict_training_points(trained, ts, val_idx)
-                score = mrae(pred_h, ts.h_ft[val_idx])
-            except TrainingDiverged:
-                diverged = True
-            table.append(
-                {
-                    "lambda_physics": float(lam),
-                    "sigma": float(sigma),
-                    "val_mrae": float(score),
-                    "diverged": diverged,
-                }
-            )
-            scored.append((float(score), float(sigma), float(lam)))
-    best = min(scored)
-    return (best[2], best[1]), table
-
-
-def _predict_training_points(model: SurrogateModel, ts: TrainingSet, idx):
-    from .surrogate import predict_batch
-
-    points = np.column_stack([ts.x_miles[idx], ts.t_hours[idx]])
-    return predict_batch(model, points)

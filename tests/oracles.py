@@ -322,14 +322,13 @@ def reference_run(h, u, dx_ft, t_end_s, bc_fn, on_interval, *, source_fn, cfl,
     return h, u
 
 
-def reference_solve(scenario, n_cells=400, include_friction=True, include_bed_slope=True,
-                    cfl=0.9):
+def reference_solve(scenario, n_cells=400, cfl=0.9):
     """The original ``solve()`` around :func:`reference_run`.
 
     Returns (t_hours, h, u) sampled like ``FlowField``.
     """
     from stagecast import SolverError
-    from stagecast.geometry import friction_slope, interpolate_boundary
+    from stagecast.geometry import friction_slope
 
     geom = scenario.geometry
     bounds = scenario.boundaries
@@ -344,22 +343,19 @@ def reference_solve(scenario, n_cells=400, include_friction=True, include_bed_sl
     t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
     t_out_s = t_out_h * HOUR_S
 
-    s0 = geom.bed_slope if include_bed_slope else 0.0
-    if include_friction:
-        def source_fn(h, u):
-            return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - s0)
-    else:
-        def source_fn(h, u):
-            return g * (np.zeros_like(h) - s0)
+    def source_fn(h, u):
+        return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - geom.bed_slope)
 
     def bc_fn(h, u, t_s):
         t_h = t_s / HOUR_S
         h[0] = 2.0 * h[1] - h[2]
         if h[0] <= 0.0:
             raise SolverError(f"upstream depth extrapolated non-positive at t={t_s:.3f} s")
-        q = interpolate_boundary(bounds.upstream_discharge_cfs, min(t_h, scenario.t_total_hours))
-        u[0] = q / (geom.width_ft * h[0])
-        h[-1] = interpolate_boundary(bounds.downstream_stage_ft, min(t_h, scenario.t_total_hours))
+        t_h = min(t_h, scenario.t_total_hours)
+        q = bounds.upstream_discharge_cfs
+        u[0] = float(np.interp(t_h, q.t_hours, q.values)) / (geom.width_ft * h[0])
+        stage = bounds.downstream_stage_ft
+        h[-1] = float(np.interp(t_h, stage.t_hours, stage.values))
         u[-1] = 2.0 * u[-2] - u[-3]
 
     h = np.full(n_cells, bounds.initial_depth_ft, dtype=np.float64)

@@ -124,8 +124,7 @@ def test_dual_quotient_and_chain():
 
 
 def test_dual_array_payloads_elementwise():
-    """A batch of points gives each point's own tangents (to rounding: the
-    gemm shapes differ)."""
+    """A batch of points gives each point's own tangents."""
     model = _model(seed=6)
     rng = np.random.default_rng(6)
     x, t = rng.uniform(0, 8, 5), rng.uniform(0, 30, 5)

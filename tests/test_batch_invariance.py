@@ -5,6 +5,8 @@ point the bits ``predict`` gives it alone and the bits of the frozen
 inference pass in ``oracles.reference_forward``.  The BLAS thread count is
 fixed when numpy is first imported, so the property is also run in child
 interpreters started with ``STAGECAST_THREADS=1`` and ``=2``.
+``physics_duals`` must likewise give each point the same bits in a batch of
+any size, one included, and in any order.
 """
 
 import os
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import stagecast
 from oracles import reference_forward
-from stagecast.surrogate import NormalizationBox, init_model, predict, predict_batch
+from stagecast.surrogate import NormalizationBox, init_model, physics_duals, predict, predict_batch
 
 BOX = NormalizationBox(x_min_miles=0.0, x_max_miles=10.0, t_min_hours=0.0, t_max_hours=48.0)
 CONFIGS = [(act, fourier) for act in ("relu", "tanh") for fourier in (True, False)]
@@ -82,3 +84,24 @@ def test_batch_invariance_at_each_blas_thread_count(threads):
     )
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
     assert "4 passed" in result.stdout
+
+
+def _dual_rows(model, x, t):
+    """The six dual components of ``physics_duals`` at (x, t), one row each."""
+    h, u = physics_duals(model, x, t)
+    return np.stack([*h, *u])
+
+
+@pytest.mark.parametrize("activation, use_fourier", CONFIGS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(size=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_physics_duals_rows_equal_the_batched_rows(activation, use_fourier, size, seed):
+    """Sub-batches of one point, of a random size and of all points, each
+    in a random order, give every point its bits in the whole batch."""
+    model = MODELS[(activation, use_fourier)]
+    rng = np.random.default_rng(seed)
+    x, t = rng.uniform(0.0, 10.0, size), rng.uniform(0.0, 48.0, size)
+    batched = _dual_rows(model, x, t)
+    for k in (1, int(rng.integers(1, size + 1)), size):
+        pick = rng.permutation(size)[:k]
+        assert np.array_equal(_dual_rows(model, x[pick], t[pick]), batched[:, pick]), k

@@ -320,6 +320,24 @@ def test_train_divergence_exits_four(workspace, capsys, tmp_path):
     assert not (tmp_path / "boom" / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("bad_flag", [
+    ["--record-every", "0"], ["--record-every", "-5"], ["--width", "0"], ["--blocks", "-1"],
+    ["--fourier-size", "0"], ["--collocation", "0"], ["--lr", "-1"],
+])
+def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
+    rc = main([
+        "train",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--field", str(workspace / "field.txt"),
+        "--out-dir", str(tmp_path / "run"),
+        *TINY_TRAIN,
+        *bad_flag,
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -452,6 +470,23 @@ def test_ablate_writes_three_report_directories(workspace, capsys, tmp_path):
     _assert_csv_cells_are_numbers(out_dir)
     table = capsys.readouterr().out
     assert "base" in table and "fourier_only" in table and "full" in table
+
+
+@pytest.mark.parametrize(
+    "bad_flag", [["--width", "0"], ["--blocks", "-1"], ["--fourier-size", "0"]]
+)
+def test_ablate_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
+    rc = main([
+        "ablate",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "ablation"),
+        "--budget", "5",
+        "--n-cells", "40",
+        *bad_flag,
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ablate_writes_the_settings_table_it_is_given(workspace, capsys, tmp_path, monkeypatch):

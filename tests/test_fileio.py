@@ -154,6 +154,14 @@ def test_scenario_bad_series_row_rejected():
         parse_scenario(text)
 
 
+def test_scenario_non_numeric_station_names_its_row():
+    text = serialize_scenario(_awkward_scenario())
+    text = text.replace("  1.7\n", "  one\n")
+    with pytest.raises(ScenarioFormatError,
+                       match=r"\[stations\] positions_miles row 2: not a number: 'one'"):
+        parse_scenario(text)
+
+
 def test_readme_scenario_example_parses():
     """The example in README.md's "File formats" section is a valid scenario."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -236,6 +244,18 @@ def test_field_bad_column_count(tmp_path, solved):
     lines[-1] = lines[-1] + ",9.9"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match="4 columns"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("key", ["x_miles", "t_hours"])
+def test_field_non_numeric_grid_row_names_its_row(tmp_path, solved, key):
+    _, field = solved
+    path = tmp_path / "field.txt"
+    write_field(field, "0" * 64, path)
+    lines = path.read_text().splitlines()
+    lines[lines.index(f"{key}:") + 2] = "  zero"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match=rf"\[field\] {key} row 2: not a number: 'zero'"):
         read_field(path)
 
 
@@ -373,6 +393,13 @@ def test_history_bad_row(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("iteration,data_loss,physics_loss,total_loss,lr\n1,2,3\n")
     with pytest.raises(FormatError, match="line 2"):
+        read_history(path)
+
+
+def test_history_non_numeric_cell_names_file_and_line(tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text("iteration,data_loss,physics_loss,total_loss,lr\n1,2,3,4,5\n2,2,nope,4,5\n")
+    with pytest.raises(FormatError, match=r"history\.csv line 3: not a number"):
         read_history(path)
 
 

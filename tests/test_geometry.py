@@ -16,7 +16,6 @@ from stagecast.geometry import (
     friction_slope,
     friction_slope_partials,
     hydraulic_radius,
-    interpolate_boundary,
     make_flood_wave_scenario,
     manning_discharge,
     normal_depth,
@@ -26,24 +25,6 @@ from stagecast.geometry import (
 def _series(pairs):
     t, v = zip(*pairs)
     return TimeSeries(np.asarray(t, float), np.asarray(v, float))
-
-
-def test_interpolation_midpoint():
-    assert interpolate_boundary(_series([(0, 100), (2, 300)]), 1.0) == 200.0
-
-
-def test_interpolation_exact_at_knots():
-    series = _series([(0, 100), (2, 300)])
-    assert interpolate_boundary(series, 0.0) == 100.0
-    assert interpolate_boundary(series, 2.0) == 300.0
-
-
-def test_interpolation_refuses_extrapolation():
-    series = _series([(0, 100), (2, 300)])
-    with pytest.raises(ValueError):
-        interpolate_boundary(series, 2.5)
-    with pytest.raises(ValueError):
-        interpolate_boundary(series, -0.1)
 
 
 def test_time_series_must_increase():
@@ -137,7 +118,6 @@ def test_station_spacing():
     scenario = make_flood_wave_scenario(12, 2.0, seed=0)
     spacing = np.diff(scenario.station_positions_miles)
     np.testing.assert_allclose(spacing, STATION_SPACING_MILES, rtol=1e-9)
-    assert scenario.mean_station_spacing_miles == pytest.approx(0.74, rel=1e-9)
 
 
 def test_too_few_stations_rejected():

@@ -1,4 +1,5 @@
-"""Every import in the package is used (a stdlib-only lint check)."""
+"""Every import in the package is used, every exported name is defined, and
+every private module-level name is referenced (stdlib-only lint checks)."""
 
 import ast
 from pathlib import Path
@@ -6,29 +7,77 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stagecast"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _exported(tree) -> list[str]:
+    """The string entries of the module's ``__all__``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names += [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return names
+
+
+def _defined(node) -> list[str]:
+    """The names a module-level statement defines by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _imported(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
 
 
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}  # bound name -> line
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+        for name in _imported(node):
+            imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a name listed in __all__ is re-exported, which counts as a use
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    used |= set(_exported(tree))  # a name listed in __all__ is re-exported, which counts as a use
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def _undefined_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {name for node in tree.body for name in _defined(node) + _imported(node)}
+    return [name for name in _exported(tree) if name not in defined]
+
+
+def _unreferenced_privates(sources: dict) -> list[str]:
+    """``module: name`` for each module-level ``_private`` def, class or
+    constant that no module of ``sources`` (name -> text) reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -36,3 +85,29 @@ def test_no_unused_imports(path):
 def test_the_check_finds_an_unused_import():
     source = "import json\nimport os as system\nfrom numpy import array, zeros\nzeros(3)\n"
     assert _unused_imports(source) == ["line 3: array", "line 1: json", "line 2: system"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    assert _undefined_exports(path.read_text()) == []
+
+
+def test_the_check_finds_an_undefined_export():
+    source = (
+        '__all__ = ["defined", "Shape", "LIMIT", "zeros", "missing"]\n'
+        "from numpy import zeros\ndef defined(): pass\nclass Shape: pass\nLIMIT = 3\n"
+    )
+    assert _undefined_exports(source) == ["missing"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unreferenced_privates(sources) == []
+
+
+def test_the_check_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED = 2\ndef _helper():\n    return _USED\ndef _leftover(): pass\n",
+        "b.py": "from a import _helper\nvalue = _helper()\n",
+    }
+    assert _unreferenced_privates(sources) == ["a.py: _UNUSED", "a.py: _leftover"]

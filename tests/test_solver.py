@@ -129,19 +129,14 @@ def test_flood_peak_travels_downstream(flood_scenario, flood_field):
 
 
 @pytest.mark.parametrize("n_cells", [100, 400])
-@pytest.mark.parametrize("include_bed_slope", [True, False])
-@pytest.mark.parametrize("include_friction", [True, False])
-def test_fused_loop_matches_two_sweep_reference_bitwise(include_friction, include_bed_slope,
-                                                        n_cells):
+def test_fused_loop_matches_two_sweep_reference_bitwise(n_cells):
     """Half an hour of a fast pulse: every boundary and source path is live."""
     scenario = make_flood_wave_scenario(
         4, 3.0, seed=11, t_total_hours=0.5, output_dt_hours=0.05,
         pulse_center_hours=0.25, pulse_sigma_hours=0.1,
     )
-    config = SolverConfig(n_cells=n_cells, include_friction=include_friction,
-                          include_bed_slope=include_bed_slope)
-    field = solve(scenario, config)
-    t_ref, h_ref, u_ref = reference_solve(scenario, n_cells, include_friction, include_bed_slope)
+    field = solve(scenario, SolverConfig(n_cells=n_cells))
+    t_ref, h_ref, u_ref = reference_solve(scenario, n_cells)
     assert np.array_equal(field.t_hours, t_ref)
     assert np.array_equal(field.h, h_ref)
     assert np.array_equal(field.u, u_ref)
@@ -180,18 +175,6 @@ def test_symmetric_hump_stays_symmetric():
 
 # ---------------------------------------------------------------------------
 # failure modes and validation
-
-
-def test_cfl_collapse_is_diagnosed():
-    scenario = lake_at_rest_scenario(t_total_hours=0.5)
-    with pytest.raises(SolverError, match="CFL"):
-        solve(scenario, SolverConfig(n_cells=100, dt_floor_s=1e9))
-
-
-def test_step_budget_is_enforced():
-    scenario = lake_at_rest_scenario(t_total_hours=1.0)
-    with pytest.raises(SolverError, match="steps"):
-        solve(scenario, SolverConfig(n_cells=100, max_steps=10))
 
 
 def test_negative_depth_names_the_cell():
@@ -235,6 +218,18 @@ def _diagnosis(run, bc_fn):
     return str(info.value)
 
 
+def test_cfl_collapse_is_diagnosed():
+    with pytest.raises(SolverError, match="CFL"):
+        _run(np.full(50, 2.0), np.zeros(50), 100.0, 3600.0, lambda h, u, t: _wall_bc(h, u),
+             lambda *args: None, source_fn=_no_source, cfl=0.9, dt_floor_s=1e9)
+
+
+def test_step_budget_is_enforced():
+    with pytest.raises(SolverError, match="steps"):
+        _run(np.full(50, 2.0), np.zeros(50), 100.0, 3600.0, lambda h, u, t: _wall_bc(h, u),
+             lambda *args: None, source_fn=_no_source, cfl=0.9, max_steps=10)
+
+
 def test_negative_depth_diagnosis_is_silent_and_unchanged():
     """The draining channel above: no RuntimeWarning on the way to the
     error, and the message the two-sweep reference gives."""
@@ -269,11 +264,3 @@ def test_config_validation():
         SolverConfig(cfl=0.0)
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
-
-
-def test_friction_flag_changes_the_solution(flood_scenario):
-    config_on = SolverConfig(n_cells=80)
-    config_off = SolverConfig(n_cells=80, include_friction=False, include_bed_slope=False)
-    with_friction = solve(flood_scenario, config_on)
-    without = solve(flood_scenario, config_off)
-    assert not np.array_equal(with_friction.h, without.h)

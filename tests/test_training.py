@@ -18,11 +18,9 @@ from stagecast.training import (
     build_training_set,
     data_loss,
     forward_loss,
-    grid_search,
     init_adam,
     loss_gradient,
     physics_loss,
-    total_loss,
     train,
 )
 
@@ -143,9 +141,17 @@ def test_physics_loss_rejects_bad_points():
 
 
 def test_total_loss_combination():
-    assert total_loss(0.5, 0.25, 1.0) == 0.75
-    assert total_loss(0.5, 0.25, 0.0) == 0.5
-    assert total_loss(2.0, 3.0, 0.1) == pytest.approx(2.3, rel=1e-15)
+    """The total is L_data + lambda * L_physics, with each part as the
+    stand-alone losses compute it."""
+    model = _model(seed=5)
+    rng = np.random.default_rng(5)
+    batch = tuple(rng.uniform(lo, hi, 16) for lo, hi in ((0, 8), (0, 30), (2, 9), (-1, 4)))
+    colloc = np.column_stack([rng.uniform(0, 8, 64), rng.uniform(0, 30, 64)])
+    for lam in (0.0, 0.1, 1.0):
+        lp = forward_loss(model, batch, colloc, lambda_physics=lam)
+        assert lp.total == lp.data_loss + lam * lp.physics_loss
+        assert lp.data_loss == pytest.approx(data_loss(model, batch), rel=1e-12)
+        assert lp.physics_loss == pytest.approx(physics_loss(model, colloc), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(max_iterations=-1)
     with pytest.raises(ValueError):
-        TrainConfig(validation_fraction=1.0)
+        TrainConfig(record_every=0)
+    with pytest.raises(ValueError):
+        TrainConfig(collocation_per_batch=0)
+    with pytest.raises(ValueError):
+        TrainConfig(lr_initial=-1.0)
 
 
 def test_collocation_count_defaults_to_batch_size():
@@ -348,7 +358,7 @@ def test_supervised_run_replicated_by_hand():
 
     batch_seed, _colloc_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng_batch = np.random.default_rng(batch_seed)
-    train_idx, val_idx = _split_indices(len(ts), config.validation_fraction, config.seed)
+    train_idx, val_idx = _split_indices(len(ts), config.seed)
     val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
@@ -385,7 +395,7 @@ def test_physics_run_replicated_by_hand():
     batch_seed, colloc_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng_batch = np.random.default_rng(batch_seed)
     rng_colloc = np.random.default_rng(colloc_seed)
-    train_idx, val_idx = _split_indices(len(ts), config.validation_fraction, config.seed)
+    train_idx, val_idx = _split_indices(len(ts), config.seed)
     val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
@@ -479,39 +489,3 @@ def test_learning_rate_schedule_in_history():
     assert lrs[0] == 1e-3
     assert lrs[1] == pytest.approx(1e-3 * 0.5**0.5, rel=1e-12)
     assert lrs[2] == pytest.approx(5e-4, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# grid search
-
-
-def test_grid_search_single_cell():
-    ts = _constant_training_set(n=128)
-    base = TrainConfig(batch_size=16, record_every=10, seed=3)
-    (lam, sigma), table = grid_search(
-        ts, [0.05], [2.0], budget_iters=10, base_config=base, width=8, n_blocks=1, m=4
-    )
-    assert (lam, sigma) == (0.05, 2.0)
-    assert len(table) == 1
-    assert table[0]["lambda_physics"] == 0.05
-    assert np.isfinite(table[0]["val_mrae"])
-    assert not table[0]["diverged"]
-
-
-def test_grid_search_picks_minimum():
-    ts = _constant_training_set(n=128)
-    base = TrainConfig(batch_size=16, record_every=10, seed=3)
-    (lam, sigma), table = grid_search(
-        ts, [0.0, 0.1], [1.0, 4.0], budget_iters=15, base_config=base, width=8, n_blocks=1, m=4
-    )
-    assert len(table) == 4
-    best_row = min(table, key=lambda r: r["val_mrae"])
-    assert (lam, sigma) == (best_row["lambda_physics"], best_row["sigma"])
-    for row in table:
-        assert set(row) == {"lambda_physics", "sigma", "val_mrae", "diverged"}
-
-
-def test_grid_search_rejects_zero_budget():
-    ts = _constant_training_set(n=64)
-    with pytest.raises(ValueError):
-        grid_search(ts, [0.1], [4.0], budget_iters=0)

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file the field was solved from")
     p.add_argument("--field", required=True, help="field file with the training data")
     p.add_argument("--out-dir", required=True, help="directory for checkpoint.bin and history.csv")
-    p.add_argument("--lambda", "--lambda-physics", dest="lambda_physics", type=float,
+    p.add_argument("--lambda", dest="lambda_physics", type=float,
                    default=0.1, metavar="LAMBDA",
                    help="weight on the physics residual loss (0 disables collocation)")
     p.add_argument("--sigma", type=float, default=4.0, help="Fourier feature bandwidth")

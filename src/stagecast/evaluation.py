@@ -5,8 +5,9 @@ The headline metric is the mean relative absolute error
     MRAE = sum(|pred - truth|) / sum(truth),
 
 pooled over points or computed per station.  Reports also carry the mean
-squared physics residual on a fresh uniform collocation set and the
-solver-versus-surrogate timing comparison.
+squared physics residual (:func:`~stagecast.training.physics_loss`) on a
+seeded uniform sample of 10,000 collocation points, scored in one call,
+and the solver-versus-surrogate timing comparison.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-_PHYSICS_CHUNK = 2048  # collocation points per network pass of the physics residual
+_N_COLLOCATION = 10_000  # points in the physics-residual sample
 # marks a report field as a wall-clock figure; report files keep these apart
 # from the figures that are a pure function of the seeds and inputs
 _WALL_CLOCK = {"wall_clock": True}
@@ -69,11 +70,11 @@ def _grid_points(field: FlowField) -> np.ndarray:
     return np.column_stack([xx.ravel(), tt.ravel()])
 
 
-def error_histogram(per_station_error: np.ndarray, n_bins: int = 20):
-    """Binned counts of per-station errors over [0, max]; returns (edges, counts)."""
+def error_histogram(per_station_error: np.ndarray):
+    """Counts of per-station errors in 20 bins over [0, max]; returns (edges, counts)."""
     errs = np.asarray(per_station_error, dtype=np.float64)
     top = float(errs.max()) if errs.size and errs.max() > 0 else 1.0
-    counts, edges = np.histogram(errs, bins=n_bins, range=(0.0, top))
+    counts, edges = np.histogram(errs, bins=20, range=(0.0, top))
     return edges, counts
 
 
@@ -104,18 +105,17 @@ def evaluate(
     *,
     datum: str = "depth",
     collocation_seed: int = 0,
-    n_collocation: int = 10_000,
 ) -> EvalReport:
     """Score a model on the station-time grid of a solved field.
 
     ``datum`` selects whether stage errors are measured on depth above bed
     or on water-surface elevation: the bed profile added to both the
     solver's depths and the model's, which predicts depth above bed.
+    The physics residual is scored on 10,000 points drawn uniformly over
+    the scenario's domain with ``collocation_seed``.
     """
     if datum not in ("depth", "elevation"):
         raise ValueError("datum must be 'depth' or 'elevation'")
-    if n_collocation < 1:
-        raise ValueError("n_collocation must be positive")
 
     points = _grid_points(field)
     started = time.perf_counter()
@@ -141,13 +141,10 @@ def evaluate(
     rng = np.random.default_rng(collocation_seed)
     colloc = np.column_stack(
         [
-            rng.uniform(box.x_min_miles, box.x_max_miles, n_collocation),
-            rng.uniform(box.t_min_hours, box.t_max_hours, n_collocation),
+            rng.uniform(box.x_min_miles, box.x_max_miles, _N_COLLOCATION),
+            rng.uniform(box.t_min_hours, box.t_max_hours, _N_COLLOCATION),
         ]
     )
-    # chunked, so the residual's arrays stay bounded for any n_collocation
-    chunks = [colloc[i : i + _PHYSICS_CHUNK] for i in range(0, n_collocation, _PHYSICS_CHUNK)]
-    residual = sum(physics_loss(model, c) * c.shape[0] for c in chunks) / n_collocation
 
     solver_seconds = field.wall_clock_seconds
     return EvalReport(
@@ -159,9 +156,9 @@ def evaluate(
         overall_stage_mrae=float(overall_stage),
         overall_velocity_mrae=float(overall_velocity),
         max_stage_abs_error_ft=float(np.max(np.abs(h_pred - field.h))),
-        mean_physics_residual=residual,
+        mean_physics_residual=physics_loss(model, colloc),
         collocation_seed=collocation_seed,
-        n_collocation=n_collocation,
+        n_collocation=_N_COLLOCATION,
         solver_seconds=float(solver_seconds),
         surrogate_seconds=float(surrogate_seconds),
         speedup=float(solver_seconds / surrogate_seconds),

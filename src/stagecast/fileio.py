@@ -147,6 +147,13 @@ class _Section:
         except ValueError as err:
             raise self._error(f"[{self.name}] {key}: not a number: {value!r}") from err
 
+    def int(self, key: str) -> int:
+        value = self.text(key)
+        try:
+            return int(value)
+        except ValueError as err:
+            raise self._error(f"[{self.name}] {key}: not an integer: {value!r}") from err
+
     def rows(self, key: str) -> list[str]:
         value = self._pop(key)
         if not isinstance(value, list):
@@ -349,8 +356,8 @@ def read_field(path) -> tuple[FlowField, str]:
     err = FieldFormatError
     head, data = _parse_sections(Path(path).read_text(), err, "field", ("field", "data"))
 
-    n_x = int(head.float("n_stations"))
-    n_t = int(head.float("n_times"))
+    n_x = head.int("n_stations")
+    n_t = head.int("n_times")
     units = head.text("units")
     if units != "x:miles,t:hours,h:ft,u:ft/s":
         raise err(f"unsupported unit system {units!r}")

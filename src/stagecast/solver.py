@@ -126,7 +126,6 @@ def _run(
     *,
     source_fn,
     cfl,
-    g=G_FT_S2,
     dt_floor_s=1e-9,
     max_steps=2_000_000,
 ):
@@ -150,7 +149,7 @@ def _run(
         # cheap reductions first; the per-cell scan runs only to name a bad cell
         if not h.min() > 0.0:
             _check_state(h, u, step, t)
-        celerity_max = float((np.abs(u) + np.sqrt(g * h)).max())
+        celerity_max = float((np.abs(u) + np.sqrt(G_FT_S2 * h)).max())
         if not celerity_max < np.inf:
             _check_state(h, u, step, t)
         dt = cfl * dx_ft / celerity_max
@@ -163,14 +162,14 @@ def _run(
         _one_sided(h, dx_ft, dh, forward_row=0)
         _one_sided(u, dx_ft, du, forward_row=0)
         hp = h - dt * (u * dh + h * du)
-        up = u - dt * (u * du + g * dh) - dt * source_fn(h, u)
+        up = u - dt * (u * du + G_FT_S2 * dh) - dt * source_fn(h, u)
         bc_fn(hp[0], up[0], t_new)
         bc_fn(hp[1], up[1], t_new)
 
         _one_sided(hp, dx_ft, dhp, forward_row=1)
         _one_sided(up, dx_ft, dup, forward_row=1)
         hn = 0.5 * (h + hp - dt * (up * dhp + hp * dup))
-        un = 0.5 * (u + up - dt * (up * dup + g * dhp) - dt * source_fn(hp, up))
+        un = 0.5 * (u + up - dt * (up * dup + G_FT_S2 * dhp) - dt * source_fn(hp, up))
         bc_fn(hn[0], un[0], t_new)
         bc_fn(hn[1], un[1], t_new)
 
@@ -265,7 +264,6 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
         on_interval,
         source_fn=source_fn,
         cfl=config.cfl,
-        g=g,
     )
     if cursor != n_t:
         raise SolverError(f"run ended with {n_t - cursor} output times unsampled")

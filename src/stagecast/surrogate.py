@@ -13,7 +13,9 @@ input rows along x and t (forward mode).  All rows are stacked, so each
 linear layer is one gemm; biases, activations and the softplus act on the
 value rows, and the tangent rows are scaled by the activation slope at
 their value rows.  The pass starts from the Fourier features, so training
-encodes its fixed samples once per run.  The backward pass is written out
+encodes its fixed samples once per run, and it always keeps the rows of
+every layer for the backward pass (an inference block holds 64 rows, so
+this costs little memory).  The backward pass is written out
 by hand for this one chain: two gemms per layer plus the slope terms, and,
 for the tangent rows, the second derivatives of the activations
 (forward-over-reverse).  Inference runs the same pass without tangent
@@ -257,7 +259,7 @@ class _Pass(NamedTuple):
     h_tan: np.ndarray | None  # (K, C) depth tangents of the last C value rows
     u_tan: np.ndarray | None  # (K, C) velocity tangents
     inputs: list  # input rows of each linear layer: proj, (W1, W2) per block, head
-    pre: list  # pre-activation rows of each block (both lists empty unless kept)
+    pre: list  # pre-activation rows of each block
     out: np.ndarray  # head output rows
 
 
@@ -288,15 +290,14 @@ def _features(model: SurrogateModel, v, n: int | None = None):
     return encode(model.encoder, v, n) if model.uses_fourier else v
 
 
-def _forward(model: SurrogateModel, views, x, seeds=None, keep: bool = False, n=None) -> _Pass:
+def _forward(model: SurrogateModel, views, x, seeds=None, n=None) -> _Pass:
     """The network on input-layer rows ``x`` (see :func:`_features`).
 
     Only the first ``n`` rows of ``x`` (all by default) are value rows; the
     rest are zero padding that every layer leaves zero.  ``seeds`` (K, C, 2)
     holds K input directions for each of the last C value rows of an
     unpadded ``x``; rows are stacked as ``[values; direction 1; ...]``.
-    With ``keep`` the pass holds every layer's rows for :func:`_backward`;
-    without it they are freed as the pass goes.
+    The pass holds every layer's rows for :func:`_backward`.
     """
     n = x.shape[0] if n is None else n
     tangents = seeds is not None
@@ -310,7 +311,7 @@ def _forward(model: SurrogateModel, views, x, seeds=None, keep: bool = False, n=
             x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(k * c, 2 * m)
         x = np.concatenate((x, x_tan))
 
-    inputs = [x] if keep else []
+    inputs = [x]
     pre = []
     z = _affine(x, views["proj.W"], views["proj.b"], n)
     for b in range(model.n_blocks):
@@ -325,12 +326,10 @@ def _forward(model: SurrogateModel, views, x, seeds=None, keep: bool = False, n=
             np.multiply(p[n:].reshape(k, c, -1), slope, out=a[n:].reshape(k, c, -1))
         elif n < a.shape[0]:
             a[n:] = 0.0  # padding rows
-        if keep:
-            inputs += [z, a]
-            pre.append(p)
+        inputs += [z, a]
+        pre.append(p)
         z = z + _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n)
-    if keep:
-        inputs.append(z)
+    inputs.append(z)
     out = _affine(z, views["head.W"], views["head.b"], n)
     h = np.logaddexp(0.0, out[:n, 0]) + DEPTH_FLOOR_FT
     h_tan = u_tan = None
@@ -455,9 +454,9 @@ def _forward_plain(model: SurrogateModel, v: np.ndarray):
     for start in range(0, n, _INFERENCE_BLOCK):
         real = min(n - start, _INFERENCE_BLOCK)
         x = _features(model, padded[start : start + _INFERENCE_BLOCK], real)
-        fwd = _forward(model, views, x, n=real)
-        h[start : start + real] = fwd.h
-        u[start : start + real] = fwd.u
+        # taking the outputs in one statement frees the pass's layer rows
+        # before the next block allocates its own
+        h[start : start + real], u[start : start + real] = _forward(model, views, x, n=real)[:2]
     return h, u
 
 

@@ -1,17 +1,18 @@
 """Hybrid data/physics training for the stage surrogate.
 
 The loss is ``L = L_data + lambda * L_physics``: a mean-squared data misfit
-on solver samples plus the mean-squared residual of the governing equations
-at freshly drawn collocation points.  Each iteration runs the network once
-over the data rows and the collocation rows with their x and t tangent
-rows (:func:`forward_loss`), then hands the adjoints of the two residuals
-to the network's hand-written backward pass (:func:`loss_gradient`).  The
-samples are fixed, so :func:`train` encodes them once per run and gathers
-each batch's rows; only the fresh collocation points are encoded per
-iteration.  The optimizer is Adam with an exponentially decaying learning rate.
-Everything is seeded, and the supervised batch stream is independent of
-the physics settings, so runs that share a seed share their batches
-exactly.
+on solver samples plus the mean-squared residual of the shallow-water
+equations at freshly drawn collocation points: continuity, and momentum
+without a source term (no friction, no bed slope).  Each iteration runs
+the network once over the data rows and the collocation rows with their
+x and t tangent rows (:func:`forward_loss`), then hands the adjoints of
+the two residuals to the network's hand-written backward pass
+(:func:`loss_gradient`).  The samples are fixed, so :func:`train` encodes
+them once per run and gathers each batch's rows; only the fresh
+collocation points are encoded per iteration.  The optimizer is Adam with
+an exponentially decaying learning rate.  Everything is seeded, and the
+supervised batch stream is independent of the physics settings, so runs
+that share a seed share their batches exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    G_FT_S2,
-    ChannelGeometry,
-    RiverScenario,
-    friction_slope,
-    friction_slope_partials,
-)
+from .geometry import G_FT_S2, RiverScenario
 from .solver import FlowField
 from .surrogate import (
     Dual,
@@ -175,13 +170,10 @@ class HistoryRow(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _residuals(h: Dual, u: Dual, geometry: ChannelGeometry | None):
-    """Continuity and momentum residuals; friction and bed slope with ``geometry``."""
+def _residuals(h: Dual, u: Dual):
+    """Continuity and momentum residuals, without a friction or bed-slope source."""
     r_c = h.dt + h.dx * u.value + h.value * u.dx
     r_m = u.dt + u.value * u.dx + G_FT_S2 * h.dx
-    if geometry is not None:
-        s_f = friction_slope(geometry.width_ft, geometry.manning_n, h.value, u.value)
-        r_m = r_m + G_FT_S2 * (s_f - geometry.bed_slope)
     return r_c, r_m
 
 
@@ -197,7 +189,6 @@ class LossPass(NamedTuple):
     data_error: tuple  # (h_hat - h, u_hat - u) on the data rows
     duals: tuple | None  # (h, u) duals at the collocation rows
     residuals: tuple | None  # (r_c, r_m) at the collocation rows
-    geometry: ChannelGeometry | None  # set for the friction and bed-slope momentum terms
     lambda_physics: float
 
 
@@ -207,7 +198,6 @@ def forward_loss(
     collocation=None,
     *,
     lambda_physics: float = 0.0,
-    geometry: ChannelGeometry | None = None,
 ) -> LossPass:
     """Data loss, physics loss and their total in one network pass.
 
@@ -221,28 +211,27 @@ def forward_loss(
     if collocation is not None:
         v_c, seeds = _collocation_rows(model, collocation[:, 0], collocation[:, 1])
         v = np.concatenate((v, v_c))
-    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics, geometry)
+    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics)
 
 
-def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0, geometry=None) -> LossPass:
+def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0) -> LossPass:
     """:func:`forward_loss` from the Fourier features ``x`` of the data rows
     and then of the collocation rows, whose tangent ``seeds`` are given."""
     n_data = x.shape[0] - (0 if seeds is None else seeds.shape[1])
     views = weight_views(model)
-    net = _forward(model, views, x, seeds, keep=True)
+    net = _forward(model, views, x, seeds)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
     if seeds is None:
-        return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, None, 0.0)
+        return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, 0.0)
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
-    r_c, r_m = _residuals(h, u, geometry)
+    r_c, r_m = _residuals(h, u)
     physics = float(np.mean(r_c * r_c + r_m * r_m))
     total = data + lambda_physics * physics
     return LossPass(
-        data, physics, total, model, views, net, (err_h, err_u), (h, u), (r_c, r_m), geometry,
-        lambda_physics,
+        data, physics, total, model, views, net, (err_h, err_u), (h, u), (r_c, r_m), lambda_physics
     )
 
 
@@ -262,14 +251,9 @@ def loss_gradient(lp: LossPass) -> np.ndarray:
     scale = lp.lambda_physics * 2.0 / r_c.size
     a_c = scale * r_c
     a_m = scale * r_m
-    # r_c = h_t + h_x u + h u_x and r_m = u_t + u u_x + g h_x [+ g (S_f(h, u) - S0)]
+    # r_c = h_t + h_x u + h u_x and r_m = u_t + u u_x + g h_x
     g_h[n_data:] = a_c * u.dx
     g_u[n_data:] = a_c * h.dx + a_m * u.dx
-    if lp.geometry is not None:
-        geom = lp.geometry
-        ds_dh, ds_du = friction_slope_partials(geom.width_ft, geom.manning_n, h.value, u.value)
-        g_h[n_data:] += G_FT_S2 * a_m * ds_dh
-        g_u[n_data:] += G_FT_S2 * a_m * ds_du
     g_h_tan = np.stack((a_c * u.value + G_FT_S2 * a_m, a_c))
     g_u_tan = np.stack((a_c * h.value + a_m * u.value, a_m))
     return _backward(lp.model, lp.views, lp.net, g_h, g_u, g_h_tan, g_u_tan)
@@ -283,19 +267,13 @@ def data_loss(model: SurrogateModel, batch) -> float:
     return forward_loss(model, batch).data_loss
 
 
-def physics_loss(
-    model,
-    collocation,
-    *,
-    geometry: ChannelGeometry | None = None,
-) -> float:
+def physics_loss(model, collocation) -> float:
     """Mean squared residual of the governing equations at collocation points.
 
     Continuity: r_c = h_t + h_x u + h u_x.  Momentum: r_m = u_t + u u_x +
-    g h_x, extended with the g(S_f - S0) friction and bed-slope source when
-    the channel ``geometry`` is given.  Any model that
-    exposes ``physics_duals(x, t)`` returning depth/velocity duals works
-    here, which is how closed-form mock fields are tested.
+    g h_x, with no friction or bed-slope source.  Any model that exposes
+    ``physics_duals(x, t)`` returning depth/velocity duals works here,
+    which is how closed-form mock fields are tested.
     """
     pts = np.asarray(collocation, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -305,13 +283,18 @@ def physics_loss(
         h, u = physics_duals(model, x, t)
     else:
         h, u = model.physics_duals(x, t)
-    r_c, r_m = _residuals(h, u, geometry)
+    r_c, r_m = _residuals(h, u)
     return float(np.mean(r_c * r_c + r_m * r_m))
 
 
 # --------------------------------------------------------------------------
 # Adam
 # --------------------------------------------------------------------------
+
+
+_BETA1 = 0.9  # Adam's first-moment decay
+_BETA2 = 0.999  # Adam's second-moment decay
+_EPS = 1e-8  # Adam's denominator floor
 
 
 @dataclass(frozen=True)
@@ -321,9 +304,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(n_weights: int) -> AdamState:
@@ -341,21 +321,21 @@ def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: floa
     if not finite.all():
         raise NonFiniteGradient(int(np.argmax(~finite)))
     t = state.step + 1
-    scratch = np.multiply(grads, 1.0 - state.beta1)
-    m = np.multiply(state.m, state.beta1)
+    scratch = np.multiply(grads, 1.0 - _BETA1)
+    m = np.multiply(state.m, _BETA1)
     m += scratch
-    np.multiply(grads, 1.0 - state.beta2, out=scratch)
+    np.multiply(grads, 1.0 - _BETA2, out=scratch)
     scratch *= grads
-    v = np.multiply(state.v, state.beta2)
+    v = np.multiply(state.v, _BETA2)
     v += scratch
-    np.divide(v, 1.0 - state.beta2**t, out=scratch)  # v_hat
+    np.divide(v, 1.0 - _BETA2**t, out=scratch)  # v_hat
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    step = np.divide(m, 1.0 - state.beta1**t)  # m_hat
+    scratch += _EPS
+    step = np.divide(m, 1.0 - _BETA1**t)  # m_hat
     step *= lr
     step /= scratch
     np.subtract(weights, step, out=step)
-    return step, dataclasses.replace(state, m=m, v=v, step=t)
+    return step, AdamState(m, v, t)
 
 
 def _learning_rate(config: TrainConfig, iteration: int) -> float:
@@ -389,8 +369,6 @@ def train(
     model: SurrogateModel,
     training_set: TrainingSet,
     config: TrainConfig,
-    *,
-    geometry: ChannelGeometry | None = None,
 ):
     """Run the hybrid training loop; returns (trained model, loss history).
 
@@ -398,9 +376,7 @@ def train(
     iterations (plus once at the final iteration) and the returned model
     carries the best-by-validation weights.  The loop aborts with
     :class:`TrainingDiverged` (history attached) if the total loss exceeds
-    a million times its initial value or stops being finite.  With
-    ``geometry`` the momentum residual carries the friction and bed-slope
-    source.
+    a million times its initial value or stops being finite.
     """
     ss = np.random.SeedSequence(config.seed)
     batch_seed, colloc_seed = ss.spawn(2)
@@ -431,15 +407,7 @@ def train(
             t_c = rng_colloc.uniform(box.t_min_hours, box.t_max_hours, config.collocation_count)
             v_c, seeds = _collocation_rows(current, x_c, t_c)
             x = np.concatenate((x, _features(current, v_c)))
-        lp = _loss_pass(
-            current,
-            x,
-            ts.h_ft[idx],
-            ts.u_fps[idx],
-            seeds,
-            lambda_physics=config.lambda_physics,
-            geometry=geometry,
-        )
+        lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], seeds, config.lambda_physics)
         row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, _learning_rate(config, i))
 
         if initial_total is None:

@@ -8,7 +8,7 @@ import pytest
 
 import stagecast.training as training
 from oracles import fd_gradient
-from stagecast.geometry import G_FT_S2, ChannelGeometry
+from stagecast.geometry import G_FT_S2
 from stagecast.surrogate import (
     DEPTH_FLOOR_FT,
     Dual,
@@ -32,9 +32,6 @@ from stagecast.training import (
 )
 
 BOX = NormalizationBox(x_min_miles=0.0, x_max_miles=8.0, t_min_hours=0.0, t_max_hours=30.0)
-GEOMETRY = ChannelGeometry(
-    length_miles=8.0, width_ft=300.0, bed_slope=2e-4, manning_n=0.03, bed_elevation_upstream_ft=100.0
-)
 
 
 def _model(activation="tanh", seed=1, scale=0.4, **kwargs):
@@ -71,7 +68,7 @@ def test_product_rule_example():
     """r_c = h_t + (h u)_x and r_m = u_t + u u_x + g h_x on exact numbers."""
     h = Dual(np.array([2.0]), np.array([3.0]), np.array([5.0]))
     u = Dual(np.array([7.0]), np.array([11.0]), np.array([13.0]))
-    r_c, r_m = _residuals(h, u, None)
+    r_c, r_m = _residuals(h, u)
     assert r_c[0] == 5.0 + 3.0 * 7.0 + 2.0 * 11.0
     assert r_m[0] == 13.0 + 7.0 * 11.0 + G_FT_S2 * 3.0
 
@@ -161,22 +158,21 @@ def test_forward_dual_matches_central_differences():
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_weight_gradients_match_finite_differences(activation):
-    """Every loss term: data only, data + physics, and the friction source."""
+    """Every loss term: data only, and data + physics."""
     rng = np.random.default_rng(2024)
     for lam in (0.0, 0.1):
-        for extended in (False, True):
-            model = _model(activation, seed=int(rng.integers(1000)))
-            batch = _batch(rng)
-            colloc = _colloc(rng) if lam > 0 else None
-            kwargs = dict(lambda_physics=lam, geometry=GEOMETRY if extended else None)
-            g = loss_gradient(forward_loss(model, batch, colloc, **kwargs))
+        model = _model(activation, seed=int(rng.integers(1000)))
+        batch = _batch(rng)
+        colloc = _colloc(rng) if lam > 0 else None
+        g = loss_gradient(forward_loss(model, batch, colloc, lambda_physics=lam))
 
-            def f(w):
-                return forward_loss(dataclasses.replace(model, weights=w), batch, colloc, **kwargs).total
+        def f(w):
+            trial = dataclasses.replace(model, weights=w)
+            return forward_loss(trial, batch, colloc, lambda_physics=lam).total
 
-            fd = fd_gradient(f, model.weights.copy(), eps=1e-6)
-            scale = np.maximum(np.abs(fd), 1e-4)
-            assert np.max(np.abs(g - fd) / scale) < 1e-5, (lam, extended)
+        fd = fd_gradient(f, model.weights.copy(), eps=1e-6)
+        scale = np.maximum(np.abs(fd), 1e-4)
+        assert np.max(np.abs(g - fd) / scale) < 1e-5, lam
 
 
 def test_dual_through_tape_composition():

@@ -338,6 +338,44 @@ def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_stations", "inf"), ("n_stations", "nan"), ("n_stations", "2.5"), ("n_times", "1e3"),
+])
+def test_train_non_integer_field_count_exits_one_before_writing(
+    workspace, key, value, capsys, tmp_path
+):
+    text = (workspace / "field.txt").read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    field = tmp_path / "field.txt"
+    field.write_text(text.replace(line, f"{key} = {value}", 1))
+    rc = main([
+        "train",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--field", str(field),
+        "--out-dir", str(tmp_path / "run"),
+        *TINY_TRAIN,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [field] {key}: not an integer: {value!r}"
+    ]
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_the_lambda_physics_spelling(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "train",
+            "--scenario", str(tmp_path / "scenario.txt"),
+            "--field", str(tmp_path / "field.txt"),
+            "--out-dir", str(tmp_path / "run"),
+            "--lambda-physics", "0.1",
+        ])
+    assert exc_info.value.code == 1
+    assert "unrecognized arguments: --lambda-physics" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 

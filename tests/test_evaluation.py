@@ -19,6 +19,7 @@ from stagecast.evaluation import (
 from stagecast.geometry import make_flood_wave_scenario
 from stagecast.solver import SolverConfig, solve
 from stagecast.surrogate import ExtrapolationWarning, box_for_scenario, init_model, predict_batch
+from stagecast.training import physics_loss
 
 
 def _tiny_scenario():
@@ -89,7 +90,7 @@ def test_error_histogram_default_bins():
 
 
 def test_error_histogram_degenerate_zero_errors():
-    edges, counts = error_histogram(np.zeros(7), n_bins=5)
+    edges, counts = error_histogram(np.zeros(7))
     assert counts.sum() == 7
     assert counts[0] == 7
     assert edges[-1] == 1.0
@@ -116,7 +117,7 @@ def test_evaluate_exact_interpolant_scores_zero(monkeypatch):
         return field.h.ravel().copy(), field.u.ravel().copy()
 
     monkeypatch.setattr(ev, "predict_batch", exact)
-    report = evaluate(_StillWaterDuals(), field, scenario, n_collocation=100)
+    report = evaluate(_StillWaterDuals(), field, scenario)
     assert report.overall_stage_mrae == 0.0
     assert report.overall_velocity_mrae == 0.0
     assert np.all(report.per_station_mrae == 0.0)
@@ -128,7 +129,7 @@ def test_evaluate_report_consistency():
     scenario = _tiny_scenario()
     field = solve(scenario, SolverConfig(n_cells=60))
     model = _tiny_model(scenario)
-    report = evaluate(model, field, scenario, n_collocation=500)
+    report = evaluate(model, field, scenario)
 
     assert report.datum == "depth"
     assert report.n_stations == field.x_miles.size
@@ -154,8 +155,8 @@ def test_evaluate_elevation_datum_shrinks_relative_error():
     scenario = _tiny_scenario()
     field = solve(scenario, SolverConfig(n_cells=60))
     model = _tiny_model(scenario)
-    depth = evaluate(model, field, scenario, datum="depth", n_collocation=100)
-    elev = evaluate(model, field, scenario, datum="elevation", n_collocation=100)
+    depth = evaluate(model, field, scenario, datum="depth")
+    elev = evaluate(model, field, scenario, datum="elevation")
     assert elev.datum == "elevation"
     assert elev.overall_stage_mrae < depth.overall_stage_mrae
     assert elev.max_stage_abs_error_ft == pytest.approx(depth.max_stage_abs_error_ft)
@@ -172,9 +173,9 @@ def test_evaluate_collocation_is_seeded():
     scenario = _tiny_scenario()
     field = solve(scenario, SolverConfig(n_cells=60))
     model = _tiny_model(scenario)
-    a = evaluate(model, field, scenario, collocation_seed=3, n_collocation=200)
-    b = evaluate(model, field, scenario, collocation_seed=3, n_collocation=200)
-    c = evaluate(model, field, scenario, collocation_seed=4, n_collocation=200)
+    a = evaluate(model, field, scenario, collocation_seed=3)
+    b = evaluate(model, field, scenario, collocation_seed=3)
+    c = evaluate(model, field, scenario, collocation_seed=4)
     assert a.mean_physics_residual == b.mean_physics_residual
     assert a.mean_physics_residual != c.mean_physics_residual
 
@@ -211,46 +212,26 @@ def test_benchmark_predicts_on_the_solver_grid():
     assert report.n_points == field.h.size
 
 
-def test_physics_residual_in_chunks_matches_one_pass(monkeypatch):
-    """evaluate() bounds its memory by scoring the residual in fixed chunks;
-    the pooled value equals one pass over all points up to summation order."""
+@pytest.mark.parametrize("seed", range(5))
+def test_physics_residual_is_one_pass_over_the_sample(seed):
+    """The report's residual is one physics_loss call over the seeded
+    sample, to the bit."""
     scenario = _tiny_scenario()
     field = solve(scenario, SolverConfig(n_cells=60))
-    model = _tiny_model(scenario, seed=2)
-    model.weights[:] = np.random.default_rng(8).normal(0.0, 0.5, model.n_weights)
-    one_pass = ev.physics_loss
-    sizes = []
+    model = _tiny_model(scenario)
+    report = evaluate(model, field, scenario, collocation_seed=seed)
 
-    def counted(model, colloc, **kwargs):
-        sizes.append(len(colloc))
-        return one_pass(model, colloc, **kwargs)
-
-    monkeypatch.setattr(ev, "physics_loss", counted)
-    chunk = ev._PHYSICS_CHUNK
-    n = 2 * chunk + 123
-    report = evaluate(model, field, scenario, collocation_seed=4, n_collocation=n)
-    assert sizes == [chunk, chunk, 123]
-
+    n = report.n_collocation
+    assert n == 10_000
     box = box_for_scenario(scenario)
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(seed)
     colloc = np.column_stack([
         rng.uniform(box.x_min_miles, box.x_max_miles, n),
         rng.uniform(box.t_min_hours, box.t_max_hours, n),
     ])
-    expected = one_pass(model, colloc)
+    expected = physics_loss(model, colloc)
     assert expected > 0.0
-    assert report.mean_physics_residual == pytest.approx(expected, rel=1e-12)
-    # any object with physics_duals still works, chunk by chunk
-    monkeypatch.setattr(ev, "predict_batch", lambda m, p: (np.ones(len(p)), np.ones(len(p))))
-    still = evaluate(_StillWaterDuals(), field, scenario, n_collocation=n)
-    assert still.mean_physics_residual == 0.0
-
-
-def test_evaluate_rejects_an_empty_collocation_set():
-    scenario = _tiny_scenario()
-    field = solve(scenario, SolverConfig(n_cells=60))
-    with pytest.raises(ValueError, match="n_collocation"):
-        evaluate(_tiny_model(scenario), field, scenario, n_collocation=0)
+    assert report.mean_physics_residual == expected
 
 
 def test_benchmark_rejects_too_few_repetitions():

@@ -411,7 +411,7 @@ def test_history_non_numeric_cell_names_file_and_line(tmp_path):
 def report(solved):
     scenario, field = solved
     model = _model(scenario)
-    return evaluate(model, field, scenario, n_collocation=200)
+    return evaluate(model, field, scenario)
 
 
 def test_report_json_isolates_timing(report):

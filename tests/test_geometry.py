@@ -14,7 +14,6 @@ from stagecast.geometry import (
     TimeSeries,
     bed_elevation_at,
     friction_slope,
-    friction_slope_partials,
     hydraulic_radius,
     make_flood_wave_scenario,
     manning_discharge,
@@ -61,18 +60,6 @@ def test_friction_slope_manning_formula():
     r = w * h / (w + 2 * h)
     expected = n * n * u * abs(u) / (MANNING_K**2 * r ** (4.0 / 3.0))
     assert friction_slope(w, n, h, u) == pytest.approx(expected, rel=1e-15)
-
-
-def test_friction_slope_partials_match_central_differences(rng):
-    for _ in range(20):
-        w, n = rng.uniform(50.0, 500.0), rng.uniform(0.01, 0.1)
-        h, u = rng.uniform(0.5, 40.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 8.0)
-        ds_dh, ds_du = friction_slope_partials(w, n, np.array([h]), np.array([u]))
-        eps_h, eps_u = 1e-6 * h, 1e-6 * abs(u)
-        fd_h = (friction_slope(w, n, h + eps_h, u) - friction_slope(w, n, h - eps_h, u)) / (2 * eps_h)
-        fd_u = (friction_slope(w, n, h, u + eps_u) - friction_slope(w, n, h, u - eps_u)) / (2 * eps_u)
-        assert ds_dh[0] == pytest.approx(fd_h, rel=1e-7)
-        assert ds_du[0] == pytest.approx(fd_u, rel=1e-7)
 
 
 def test_normal_depth_satisfies_manning():

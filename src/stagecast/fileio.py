@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -140,12 +141,18 @@ class _Section:
             raise self._error(f"[{self.name}] {key}: expected a scalar, found a block")
         return value
 
-    def float(self, key: str) -> float:
-        value = self.text(key)
+    def _finite(self, text: str, where: str) -> float:
+        """``text`` as a float; nan and inf parse but are no scenario's numbers."""
         try:
-            return float(value)
+            value = float(text)
         except ValueError as err:
-            raise self._error(f"[{self.name}] {key}: not a number: {value!r}") from err
+            raise self._error(f"[{self.name}] {where}: not a number: {text!r}") from err
+        if not math.isfinite(value):
+            raise self._error(f"[{self.name}] {where}: not finite: {text!r}")
+        return value
+
+    def float(self, key: str) -> float:
+        return self._finite(self.text(key), key)
 
     def int(self, key: str) -> int:
         value = self.text(key)
@@ -162,13 +169,8 @@ class _Section:
 
     def floats(self, key: str) -> np.ndarray:
         """An indented block of one number per row."""
-        values = []
-        for i, row in enumerate(self.rows(key), 1):
-            try:
-                values.append(float(row))
-            except ValueError as err:
-                raise self._error(f"[{self.name}] {key} row {i}: not a number: {row!r}") from err
-        return np.array(values)
+        rows = self.rows(key)
+        return np.array([self._finite(row, f"{key} row {i}") for i, row in enumerate(rows, 1)])
 
     def series(self, key: str) -> TimeSeries:
         ts, vs = [], []
@@ -177,10 +179,13 @@ class _Section:
             if len(parts) != 2:
                 raise self._error(f"[{self.name}] {key} row {i + 1}: expected 't,value', got {row!r}")
             try:
-                ts.append(float(parts[0]))
-                vs.append(float(parts[1]))
+                t, v = float(parts[0]), float(parts[1])
             except ValueError as err:
                 raise self._error(f"[{self.name}] {key} row {i + 1}: not numeric: {row!r}") from err
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise self._error(f"[{self.name}] {key} row {i + 1}: not finite: {row!r}")
+            ts.append(t)
+            vs.append(v)
         try:
             return TimeSeries(np.array(ts), np.array(vs))
         except ValueError as err:

@@ -73,6 +73,8 @@ class TimeSeries:
             raise ValueError("time series needs at least two knots")
         if not np.all(np.diff(self.t_hours) > 0):
             raise ValueError("time series knots must be strictly increasing")
+        if not np.all(np.isfinite(self.t_hours) & np.isfinite(self.values)):
+            raise ValueError("time series knots and values must be finite")
 
     def __eq__(self, other):
         if not isinstance(other, TimeSeries):
@@ -107,13 +109,14 @@ class ChannelGeometry:
     bed_elevation_upstream_ft: float
 
     def __post_init__(self):
-        if self.length_miles <= 0:
+        # each check is written so that NaN fails it
+        if not self.length_miles > 0:
             raise ValueError("length_miles must be positive")
-        if self.width_ft <= 0:
+        if not self.width_ft > 0:
             raise ValueError("width_ft must be positive")
-        if self.bed_slope < 0:
+        if not self.bed_slope >= 0:
             raise ValueError("bed_slope must be non-negative")
-        if self.manning_n <= 0:
+        if not self.manning_n > 0:
             raise ValueError("manning_n must be positive")
 
 
@@ -132,8 +135,10 @@ class BoundaryConditions:
     downstream_stage_ft: TimeSeries
 
     def __post_init__(self):
-        if self.initial_depth_ft <= 0:
+        if not self.initial_depth_ft > 0:
             raise ValueError("initial_depth_ft must be positive")
+        if not math.isfinite(self.initial_velocity_fps):
+            raise ValueError("initial_velocity_fps must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,14 @@ class RiverScenario:
         object.__setattr__(self, "station_positions_miles", stations)
         if len(stations) < 2:
             raise ValueError("need at least two stations")
-        if any(b <= a for a, b in zip(stations, stations[1:])):
+        # as in ChannelGeometry, NaN fails every check
+        if not all(b > a for a, b in zip(stations, stations[1:])):
             raise ValueError("stations must be strictly increasing")
-        if stations[0] < 0 or stations[-1] > self.geometry.length_miles * (1 + 1e-12):
+        if not (stations[0] >= 0 and stations[-1] <= self.geometry.length_miles * (1 + 1e-12)):
             raise ValueError("stations must lie within the reach")
-        if self.t_total_hours <= 0 or self.output_dt_hours <= 0:
+        if not (self.t_total_hours > 0 and self.output_dt_hours > 0):
             raise ValueError("t_total_hours and output_dt_hours must be positive")
-        if self.output_dt_hours > self.t_total_hours:
+        if not self.output_dt_hours <= self.t_total_hours:
             raise ValueError("output_dt_hours exceeds the run length")
         for name in ("upstream_discharge_cfs", "downstream_stage_ft"):
             series: TimeSeries = getattr(self.boundaries, name)
@@ -175,10 +181,23 @@ def hydraulic_radius(width_ft: float, depth):
     return (depth * width_ft) / (depth * 2.0 + width_ft)
 
 
-def friction_slope(width_ft: float, manning_n: float, depth, velocity):
-    """Manning friction slope S_f = n^2 u|u| / (2.208 R^(4/3)), US units."""
-    r = hydraulic_radius(width_ft, depth)
-    return (manning_n**2 * (velocity * np.abs(velocity))) / (MANNING_K**2 * r ** (4.0 / 3.0))
+def friction_slope(width_ft: float, manning_n: float, depth, velocity, out=None):
+    """Manning friction slope S_f = n^2 u|u| / (2.208 R^(4/3)), US units.
+
+    ``out`` is optional scratch the caller owns: a float array of shape
+    ``(2,) + shape``.  The slope is written into ``out[0]`` and returned,
+    and ``out[1]`` holds intermediates, so the call allocates nothing;
+    without ``out`` each operation allocates its result.
+    """
+    slope, work = (None, None) if out is None else out
+    # R = w h / (2 h + w), as hydraulic_radius, which stays plain Python
+    # arithmetic for the scalar callers
+    radius = np.add(np.multiply(depth, 2.0, out=work), width_ft, out=work)
+    radius = np.divide(np.multiply(depth, width_ft, out=slope), radius, out=slope)
+    denominator = np.multiply(MANNING_K**2, np.power(radius, 4.0 / 3.0, out=slope), out=slope)
+    numerator = np.multiply(velocity, np.abs(velocity, out=work), out=work)
+    numerator = np.multiply(manning_n**2, numerator, out=work)
+    return np.divide(numerator, denominator, out=slope)
 
 
 def manning_discharge(geometry: ChannelGeometry, depth: float) -> float:

@@ -12,25 +12,37 @@ sweeps (forward-then-backward and backward-then-forward), which removes
 the directional bias of the classic scheme; on symmetric data the update
 is symmetric to the last bit.  The time step adapts to the CFL limit.
 
-Both sweeps run as one fused pass over (2, N) stacks, one row per sweep,
-so each step costs one set of array operations rather than two; the
-scheme and its bits are those of two separate sweeps.  Boundary values
-are interpolated once per step time, friction is plain numpy, and the
-per-cell state scan runs only when a cheap reduction flags bad state.
+The state is one (2, N) ``[h; u]`` stack.  Both sweeps run as one fused
+pass over ``[variable, sweep, cell]`` stacks, so each step costs one set
+of array operations rather than two per variable and sweep; the scheme
+and its bits are those of two separate sweeps.  A solve allocates its
+work buffers once and every step writes into them: the one-sided
+differences of h and u come from one subtraction and one division into
+a padded buffer whose shifted windows are the forward and backward
+differences, and friction is computed into scratch the solve owns.  The
+boundary condition rewrites the same boundary cells on every call, so it
+runs on the two predicted profiles and on the averaged one, not on the
+corrected sweeps.  Boundary values are interpolated once per step time,
+and the per-cell state scan runs only when a cheap reduction flags bad
+state.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .geometry import (
     G_FT_S2,
     HOUR_S,
     MILE_FT,
     RiverScenario,
+    TimeSeries,
     friction_slope,
 )
 
@@ -88,25 +100,6 @@ class FlowField:
         )
 
 
-def _one_sided(f, dx, out, forward_row):
-    """Fill the (2, N) stack ``out`` with one-sided differences of ``f``:
-    forward in row ``forward_row``, backward in the other row.
-
-    ``f`` is one profile (N,) shared by both rows, or a (2, N) stack with
-    one profile per row.  The off-end entry of each row falls back
-    one-sided and is always overwritten by a boundary condition afterwards.
-    """
-    d = (f[..., 1:] - f[..., :-1]) / dx
-    rows = (d, d) if d.ndim == 1 else d
-    backward_row = 1 - forward_row
-    fwd, bwd = rows[forward_row], rows[backward_row]
-    out[forward_row, :-1] = fwd
-    out[forward_row, -1] = fwd[-1]
-    out[backward_row, 1:] = bwd
-    out[backward_row, 0] = bwd[0]
-    return out
-
-
 def _check_state(h, u, step, t_s):
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
         bad = int(np.argmax(~(np.isfinite(h) & np.isfinite(u))))
@@ -114,6 +107,27 @@ def _check_state(h, u, step, t_s):
     if np.any(h <= 0.0):
         bad = int(np.argmax(h <= 0.0))
         raise SolverError(f"non-positive depth at step {step}, cell {bad}, t={t_s:.3f} s")
+
+
+def _difference_views(f, pad):
+    """Views that write the one-sided differences of the (..., N) stack
+    ``f`` into ``pad``, shaped (..., N + 1).
+
+    Entry k + 1 of ``pad`` holds (f[k + 1] - f[k]) / dx, and each end entry
+    repeats its neighbour.  The window of ``pad`` starting at column 1 is
+    then the forward difference of every cell and the window starting at
+    column 0 the backward one, each falling back one-sided at its off end.
+    """
+    n = f.shape[-1]
+    # the end columns 0 and n take columns 1 and n - 1
+    return f[..., 1:], f[..., :-1], pad[..., 1:n], pad[..., ::n], pad[..., 1 : n : n - 2]
+
+
+def _differentiate(views, dx):
+    ahead, behind, inner, ends, next_to_ends = views
+    np.subtract(ahead, behind, out=inner)
+    np.divide(inner, dx, out=inner)
+    np.copyto(ends, next_to_ends)
 
 
 def _run(
@@ -131,58 +145,138 @@ def _run(
 ):
     """Advance (h, u) to ``t_end_s``, reporting each accepted step.
 
-    ``bc_fn(h, u, t)`` fixes the boundary rows of one profile in place;
-    ``source_fn(h, u)`` takes one profile or a (2, N) stack of them;
-    ``on_interval`` receives (t_prev, t_new, h_prev, u_prev, h_new, u_new)
-    after every step so the caller can interpolate output times that the
-    step crossed.
+    ``bc_fn(h, u, t)`` fixes the boundary cells of one profile in place.
+    On every call it rewrites the same boundary cells, from interior
+    cells and ``t`` only; the averaged profile gets the last call of a
+    step, so whatever the two sweeps left in those cells is discarded.
+    ``source_fn(h, u)`` returns the momentum source of one profile or of a
+    (2, N) stack of them, and may reuse its result array from one call to
+    the next.  ``on_interval`` receives (t_prev, t_new, h_prev, u_prev,
+    h_new, u_new) after every step so the caller can interpolate output
+    times that the step crossed; the arrays are work buffers that the next
+    step overwrites.  The input profiles are left untouched and the
+    returned ones are fresh arrays.
 
-    Both MacCormack sweeps run in one pass over (2, N) stacks: row 0
-    predicts with forward differences and corrects with backward ones,
-    row 1 the reverse.  The step is the average of the two rows.
+    Both MacCormack sweeps run in one pass over stacks indexed
+    ``[variable, sweep, cell]``: sweep 0 predicts with forward differences
+    and corrects with backward ones, sweep 1 the reverse, and the step is
+    the average of the two.  Every array the loop touches is allocated
+    here, once, and each step writes into the same buffers in the
+    operation order of two separate sweeps, so the bits are theirs.
     """
     n = h.size
-    dh, du, dhp, dup = (np.empty((2, n)) for _ in range(4))
+    g = G_FT_S2
+    predicted = np.empty((2, 2, n))
+    corrected = np.empty((2, 2, n))
+    flux = np.empty((2, 2, n))
+    flux_work = np.empty((2, 2, n))
+    source = np.empty((2, n))
+    speed = np.empty(n)
+    speed_work = np.empty(n)
+    diff_state = np.empty((2, n + 1))
+    diff_predicted = np.empty((2, 2, n + 1))
+    # predictor differences: sweep 0 reads the forward window, sweep 1 the backward one
+    d_state = sliding_window_view(diff_state, n, axis=-1)[:, ::-1]
+    # corrector differences: sweep s reads the window starting at column s
+    s_var, s_sweep, s_cell = diff_predicted.strides
+    d_predicted = as_strided(
+        diff_predicted, (2, 2, n), (s_var, s_sweep + s_cell, s_cell), writeable=False
+    )
+    predicted_diff_views = _difference_views(predicted, diff_predicted)
+    hp, up = predicted
+
+    def state_views(stack):
+        return stack, stack[0], stack[1], stack[:, None], _difference_views(stack, diff_state)
+
+    # the state [h; u] and its successor swap buffers after every step
+    state = np.empty((2, n))
+    state[0] = h
+    state[1] = u
+    current, following = state_views(state), state_views(np.empty((2, n)))
     t = 0.0
     step = 0
     while t < t_end_s:
+        _, h, u, state_rows, state_diff_views = current
         # cheap reductions first; the per-cell scan runs only to name a bad cell
         if not h.min() > 0.0:
             _check_state(h, u, step, t)
-        celerity_max = float((np.abs(u) + np.sqrt(G_FT_S2 * h)).max())
+        np.abs(u, out=speed)
+        np.multiply(g, h, out=speed_work)
+        np.sqrt(speed_work, out=speed_work)
+        np.add(speed, speed_work, out=speed)
+        celerity_max = float(speed.max())
         if not celerity_max < np.inf:
             _check_state(h, u, step, t)
         dt = cfl * dx_ft / celerity_max
-        if not np.isfinite(dt) or dt < dt_floor_s:
+        if not math.isfinite(dt) or dt < dt_floor_s:
             raise SolverError(f"CFL collapse: dt={dt!r} s at step {step}, t={t:.3f} s")
         if step >= max_steps:
             raise SolverError(f"exceeded {max_steps} steps at t={t:.3f} s of {t_end_s:.3f} s")
         t_new = t + dt
 
-        _one_sided(h, dx_ft, dh, forward_row=0)
-        _one_sided(u, dx_ft, du, forward_row=0)
-        hp = h - dt * (u * dh + h * du)
-        up = u - dt * (u * du + G_FT_S2 * dh) - dt * source_fn(h, u)
+        # predictor: h - dt (u dh + h du), u - dt (u du + g dh) - dt S(h, u)
+        _differentiate(state_diff_views, dx_ft)
+        np.multiply(u, d_state, out=flux)
+        np.multiply(h, d_state[1], out=flux_work[0])
+        np.multiply(g, d_state[0], out=flux_work[1])
+        np.add(flux, flux_work, out=flux)
+        np.multiply(dt, flux, out=flux)
+        np.subtract(state_rows, flux, out=predicted)
+        np.multiply(dt, source_fn(h, u), out=source[0])
+        np.subtract(up, source[0], out=up)
         bc_fn(hp[0], up[0], t_new)
         bc_fn(hp[1], up[1], t_new)
 
-        _one_sided(hp, dx_ft, dhp, forward_row=1)
-        _one_sided(up, dx_ft, dup, forward_row=1)
-        hn = 0.5 * (h + hp - dt * (up * dhp + hp * dup))
-        un = 0.5 * (u + up - dt * (up * dup + G_FT_S2 * dhp) - dt * source_fn(hp, up))
-        bc_fn(hn[0], un[0], t_new)
-        bc_fn(hn[1], un[1], t_new)
+        # corrector: (h + hp - dt (up dhp + hp dup)) / 2,
+        # (u + up - dt (up dup + g dhp) - dt S(hp, up)) / 2
+        _differentiate(predicted_diff_views, dx_ft)
+        np.add(state_rows, predicted, out=corrected)
+        np.multiply(up, d_predicted, out=flux)
+        np.multiply(hp, d_predicted[1], out=flux_work[0])
+        np.multiply(g, d_predicted[0], out=flux_work[1])
+        np.add(flux, flux_work, out=flux)
+        np.multiply(dt, flux, out=flux)
+        np.subtract(corrected, flux, out=corrected)
+        np.multiply(dt, source_fn(hp, up), out=source)
+        np.subtract(corrected[1], source, out=corrected[1])
+        np.multiply(0.5, corrected, out=corrected)
 
-        h_new = 0.5 * (hn[0] + hn[1])
-        u_new = 0.5 * (un[0] + un[1])
+        # the step is the average of the two sweeps
+        successor, h_new, u_new = following[:3]
+        np.add(corrected[:, 0], corrected[:, 1], out=successor)
+        np.multiply(0.5, successor, out=successor)
         bc_fn(h_new, u_new, t_new)
 
         on_interval(t, t_new, h, u, h_new, u_new)
-        h, u = h_new, u_new
+        current, following = following, current
         t = t_new
         step += 1
+    h, u = current[1:3]
     _check_state(h, u, step, t)
-    return h, u
+    return h.copy(), u.copy()
+
+
+def _interpolant(series: TimeSeries):
+    """``t -> float(np.interp(t, series.t_hours, series.values))`` for ``t``
+    from the first knot on, in Python floats.
+
+    It takes the knot interval and does the arithmetic of numpy's compiled
+    loop, to the bit, without the wrapper's array set-up on every call: a
+    time on a knot returns that knot's value, and the last knot's value
+    holds from there on.
+    """
+    knots = series.t_hours.tolist()
+    values = series.values.tolist()
+    last = len(knots) - 1
+
+    def at(t):
+        j = bisect_right(knots, t) - 1
+        if j == last or knots[j] == t:
+            return values[j]
+        slope = (values[j + 1] - values[j]) / (knots[j + 1] - knots[j])
+        return slope * (t - knots[j]) + values[j]
+
+    return at
 
 
 def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> FlowField:
@@ -202,13 +296,22 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     dx = length_ft / (config.n_cells - 1)
     stations_ft = np.asarray(scenario.station_positions_miles) * MILE_FT
 
-    n_t = int(round(scenario.t_total_hours / scenario.output_dt_hours)) + 1
+    # the last output step may be partial: the grid ends at the run length
+    n_t = math.ceil(scenario.t_total_hours / scenario.output_dt_hours - 1e-9) + 1
     t_out_h = scenario.output_dt_hours * np.arange(n_t)
     t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
     t_out_s = t_out_h * HOUR_S
 
+    # friction scratch per profile shape: (N,) in the predictor, (2, N) in the corrector
+    scratch = {}
+
     def source_fn(h, u):
-        return g * (friction_slope(geom.width_ft, geom.manning_n, h, u) - geom.bed_slope)
+        out = scratch.get(h.shape)
+        if out is None:
+            out = scratch[h.shape] = np.empty((2,) + h.shape)
+        slope = friction_slope(geom.width_ft, geom.manning_n, h, u, out=out)
+        np.subtract(slope, geom.bed_slope, out=slope)
+        return np.multiply(g, slope, out=slope)
 
     discharge = bounds.upstream_discharge_cfs
     stage = bounds.downstream_stage_ft
@@ -217,6 +320,8 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
         s.t_hours[0] <= 0.0 and s.t_hours[-1] >= scenario.t_total_hours
         for s in (discharge, stage)
     )
+    discharge_at = _interpolant(discharge)
+    stage_at = _interpolant(stage)
     # every bc_fn call of a step shares one time: interpolate once per time
     cached_t_s = None
     q_up = h_down = 0.0
@@ -225,8 +330,8 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
         nonlocal cached_t_s, q_up, h_down
         if t_s != cached_t_s:
             t_h = min(t_s / HOUR_S, scenario.t_total_hours)
-            q_up = float(np.interp(t_h, discharge.t_hours, discharge.values))
-            h_down = float(np.interp(t_h, stage.t_hours, stage.values))
+            q_up = discharge_at(t_h)
+            h_down = stage_at(t_h)
             cached_t_s = t_s
         h[0] = 2.0 * h[1] - h[2]
         if h[0] <= 0.0:

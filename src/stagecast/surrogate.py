@@ -410,17 +410,37 @@ def _normalize(model: SurrogateModel, x_miles, t_hours, clamp: bool) -> np.ndarr
             | (t > box.t_max_hours)
         )
         if np.any(outside):
-            warnings.warn(
-                f"{int(np.count_nonzero(outside))} query point(s) outside the "
-                "normalization box; clamping to the box",
-                ExtrapolationWarning,
-                stacklevel=3,
-            )
+            _warn_outside(int(np.count_nonzero(outside)))
             x = np.clip(x, box.x_min_miles, box.x_max_miles)
             t = np.clip(t, box.t_min_hours, box.t_max_hours)
     xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
     that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
     return np.column_stack([xhat, that])
+
+
+def _normalize_point(model: SurrogateModel, x: float, t: float) -> np.ndarray:
+    """:func:`_normalize` with clamping for one point, in Python floats.
+
+    The same IEEE operations in the same order, so the same bits, without
+    setting up a dozen 0-d arrays for one row.
+    """
+    box = model.norm
+    if x < box.x_min_miles or x > box.x_max_miles or t < box.t_min_hours or t > box.t_max_hours:
+        _warn_outside(1)
+        x = min(max(x, box.x_min_miles), box.x_max_miles)
+        t = min(max(t, box.t_min_hours), box.t_max_hours)
+    xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
+    that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
+    return np.array([[xhat, that]])
+
+
+def _warn_outside(count: int) -> None:
+    # attributed to the caller of predict / predict_batch
+    warnings.warn(
+        f"{count} query point(s) outside the normalization box; clamping to the box",
+        ExtrapolationWarning,
+        stacklevel=4,
+    )
 
 
 def _collocation_rows(model: SurrogateModel, x_miles, t_hours):
@@ -466,7 +486,7 @@ def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[floa
     Points outside the normalization box are clamped onto it, with an
     :class:`ExtrapolationWarning`.
     """
-    h, u = _forward_plain(model, _normalize(model, float(x_miles), float(t_hours), clamp=True))
+    h, u = _forward_plain(model, _normalize_point(model, float(x_miles), float(t_hours)))
     return float(h[0]), float(u[0])
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, exit codes, printed output."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_simulate_solver_failure_exits_two(capsys, tmp_path):
     assert rc == 2
     assert "solver error" in capsys.readouterr().err
     assert not (tmp_path / "f.txt").exists()
+
+
+def test_simulate_non_finite_scenario_number_exits_one_before_writing(capsys, tmp_path):
+    path = tmp_path / "scenario.txt"
+    write_scenario(lake_at_rest_scenario(t_total_hours=0.5), path)
+    text = path.read_text()
+    path.write_text(re.sub(r"(?m)^width_ft = .*$", "width_ft = nan", text))
+    rc = main(["simulate", "--scenario", str(path), "--field-out", str(tmp_path / "f.txt")])
+    assert rc == 1
+    assert "[geometry] width_ft: not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Round trips and failure modes of the on-disk formats."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,27 @@ def test_scenario_non_numeric_station_names_its_row():
     text = text.replace("  1.7\n", "  one\n")
     with pytest.raises(ScenarioFormatError,
                        match=r"\[stations\] positions_miles row 2: not a number: 'one'"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("width_ft = 100.3", "width_ft = {}", r"\[geometry\] width_ft: "),
+        ("t_total_hours = 5.0", "t_total_hours = {}", r"\[run\] t_total_hours: "),
+        ("  1.7\n", "  {}\n", r"\[stations\] positions_miles row 2: "),
+        ("  5.0,900.0\n", "  5.0,{}\n", r"\[boundaries\] upstream_discharge_cfs row 3: "),
+    ],
+    ids=["scalar", "run-scalar", "block-row", "series-row"],
+)
+def test_scenario_non_finite_number_rejected(word, old, new, where):
+    """nan and inf parse as floats but are no scenario's numbers: each is
+    rejected where it is read, naming its section and key."""
+    text = serialize_scenario(_awkward_scenario())
+    assert old in text
+    text = text.replace(old, new.format(word), 1)
+    with pytest.raises(ScenarioFormatError, match=where + "not finite: '[^']*" + re.escape(word)):
         parse_scenario(text)
 
 

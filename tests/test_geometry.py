@@ -141,3 +141,57 @@ def test_scenario_rejects_station_outside_reach():
             t_total_hours=base.t_total_hours,
             output_dt_hours=base.output_dt_hours,
         )
+
+
+def test_friction_slope_into_caller_scratch_is_the_same_bits():
+    rng = np.random.default_rng(7)
+    depth = rng.uniform(0.5, 30.0, (2, 50))
+    velocity = rng.uniform(-6.0, 6.0, (2, 50))
+    out = np.empty((2, 2, 50))
+    slope = friction_slope(300.0, 0.03, depth, velocity, out=out)
+    assert np.shares_memory(slope, out[0])
+    assert np.array_equal(slope, friction_slope(300.0, 0.03, depth, velocity))
+    # the formula as written before the scratch form: same operations, same order
+    r = (depth * 300.0) / (depth * 2.0 + 300.0)
+    expected = (0.03**2 * (velocity * np.abs(velocity))) / (MANNING_K**2 * r ** (4.0 / 3.0))
+    assert np.array_equal(slope, expected)
+
+
+_GEOMETRY = dict(
+    length_miles=2.0, width_ft=100.0, bed_slope=1e-4, manning_n=0.03,
+    bed_elevation_upstream_ft=0.0,
+)
+
+
+@pytest.mark.parametrize("field", ["length_miles", "width_ft", "bed_slope", "manning_n"])
+def test_channel_geometry_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        ChannelGeometry(**{**_GEOMETRY, field: float("nan")})
+
+
+def test_scenario_checks_reject_nan():
+    base = make_flood_wave_scenario(5, 2.0, seed=1, t_total_hours=2.0)
+    nan = float("nan")
+    b = base.boundaries
+    with pytest.raises(ValueError, match="initial_depth_ft"):
+        BoundaryConditions(nan, b.initial_velocity_fps, b.upstream_discharge_cfs,
+                           b.downstream_stage_ft)
+    with pytest.raises(ValueError, match="initial_velocity_fps"):
+        BoundaryConditions(b.initial_depth_ft, nan, b.upstream_discharge_cfs,
+                           b.downstream_stage_ft)
+    with pytest.raises(ValueError, match="finite"):
+        _series([(0.0, 1.0), (1.0, nan)])
+    for t_total, dt_out, stations in [
+        (nan, 0.25, base.station_positions_miles),
+        (2.0, nan, base.station_positions_miles),
+        (2.0, 0.25, (0.0, nan, 1.0)),
+    ]:
+        with pytest.raises(ValueError):
+            RiverScenario(base.geometry, b, stations, t_total, dt_out)
+
+
+def test_runtime_warning_in_geometry_fails_the_suite():
+    """The suite turns RuntimeWarnings from every stagecast module into
+    errors, geometry's included: friction runs inside every solver step."""
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        friction_slope(100.0, 0.03, np.array([-1.0]), np.array([1.0]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
-from stagecast.solver import _run
+from stagecast.solver import _interpolant, _run
 
 from oracles import (
     lake_at_rest_scenario,
@@ -65,6 +65,24 @@ def test_field_shapes_and_grids(flood_field, flood_scenario):
     assert flood_field.t_hours[-1] == pytest.approx(flood_scenario.t_total_hours)
     assert np.all(flood_field.h > 0.0)
     assert np.all(np.isfinite(flood_field.h)) and np.all(np.isfinite(flood_field.u))
+
+
+@pytest.mark.parametrize("output_dt_hours, n_times", [(0.4, 4), (0.3, 5), (0.35, 4), (0.05, 11)])
+def test_output_grid_ends_at_the_run_length(output_dt_hours, n_times):
+    """The grid steps by the output interval and its last time is clamped
+    to the run length, so a run that is not a whole number of output
+    steps is still solved and sampled to its end.  A whole number of
+    steps (0.5 h / 0.05 h is 10.000000000000002) keeps its grid."""
+    scenario = make_flood_wave_scenario(
+        4, 2.0, seed=3, t_total_hours=1.0 if output_dt_hours > 0.05 else 0.5,
+        output_dt_hours=output_dt_hours,
+    )
+    field = solve(scenario, SolverConfig(n_cells=40))
+    expected = output_dt_hours * np.arange(n_times)
+    expected[-1] = min(expected[-1], scenario.t_total_hours)
+    np.testing.assert_array_equal(field.t_hours, expected)
+    assert field.t_hours[-1] == scenario.t_total_hours
+    assert field.h.shape == (n_times, 4)
 
 
 def test_solve_is_deterministic(flood_scenario):
@@ -128,18 +146,80 @@ def test_flood_peak_travels_downstream(flood_scenario, flood_field):
 # bitwise agreement with the original two-sweep loop
 
 
-@pytest.mark.parametrize("n_cells", [100, 400])
-def test_fused_loop_matches_two_sweep_reference_bitwise(n_cells):
-    """Half an hour of a fast pulse: every boundary and source path is live."""
+@pytest.mark.parametrize("seed", [0, 11])
+def test_boundary_interpolant_is_np_interp_bitwise(seed):
+    """The step's boundary values are np.interp's bits at every knot,
+    between knots and at the end of the run."""
+    scenario = make_flood_wave_scenario(5, 3.0, seed=seed, t_total_hours=6.0)
+    rng = np.random.default_rng(seed)
+    for series in (scenario.boundaries.upstream_discharge_cfs,
+                   scenario.boundaries.downstream_stage_ft):
+        knots = series.t_hours
+        between = knots[:-1] + rng.uniform(0.0, 1.0, knots.size - 1) * np.diff(knots)
+        midpoints = 0.5 * (knots[:-1] + knots[1:])
+        times = np.concatenate([knots, between, midpoints, [scenario.t_total_hours]])
+        at = _interpolant(series)
+        for t in times.tolist():
+            assert at(t) == float(np.interp(t, knots, series.values)), t
+        assert at(float(knots[-1]) + 1.0) == float(np.interp(knots[-1] + 1.0, knots, series.values))
+
+
+@pytest.mark.parametrize(
+    "n_cells, cfl",
+    [(4, 0.9), (5, 0.9), (100, 0.9), (400, 0.9), (100, 0.5)],
+    ids=["4", "5", "100", "400", "100-cfl0.5"],
+)
+def test_fused_loop_matches_two_sweep_reference_bitwise(n_cells, cfl):
+    """Half an hour of a fast pulse: every boundary and source path is live.
+    At 4 and 5 cells the one-sided end differences are most of the stencil."""
     scenario = make_flood_wave_scenario(
         4, 3.0, seed=11, t_total_hours=0.5, output_dt_hours=0.05,
         pulse_center_hours=0.25, pulse_sigma_hours=0.1,
     )
-    field = solve(scenario, SolverConfig(n_cells=n_cells))
-    t_ref, h_ref, u_ref = reference_solve(scenario, n_cells)
+    field = solve(scenario, SolverConfig(n_cells=n_cells, cfl=cfl))
+    t_ref, h_ref, u_ref = reference_solve(scenario, n_cells, cfl)
     assert np.array_equal(field.t_hours, t_ref)
     assert np.array_equal(field.h, h_ref)
     assert np.array_equal(field.u, u_ref)
+
+
+def _wave_run(n=60):
+    """A hump that moves and reflects off walls, with a friction source."""
+    x = np.linspace(0.0, 1.0, n)
+    h = 3.0 + 0.4 * np.exp(-(((x - 0.3) / 0.1) ** 2))
+    u = 0.2 * np.sin(2 * np.pi * x)
+
+    def bc(h, u, t):
+        _wall_bc(h, u)
+        h[-1] = 2 * h[-2] - h[-3]
+
+    def friction(h, u):
+        return 1e-3 * u * np.abs(u) / h
+
+    return h, u, dict(dx_ft=100.0, t_end_s=120.0, bc_fn=bc, source_fn=friction, cfl=0.9)
+
+
+def test_run_owns_its_buffers():
+    """_run reads its input profiles without writing them, and the profiles
+    it returns share no memory with its work buffers: a second run does
+    not change the first one's result."""
+    h, u, run = _wave_run()
+    h_in, u_in = h.copy(), u.copy()
+    handed = []
+
+    def record(t0, t1, h0, u0, h1, u1):
+        handed.extend((h0, u0, h1, u1))
+
+    h1, u1 = _run(h, u, on_interval=record, **run)
+    assert np.array_equal(h, h_in) and np.array_equal(u, u_in)
+    assert not np.array_equal(h1, h_in)
+    assert not any(np.shares_memory(a, b) for a in (h1, u1) for b in handed + [h, u])
+    kept = h1.copy(), u1.copy()
+    h2, u2 = _run(h1, u1, on_interval=lambda *args: None, **run)
+    assert np.array_equal(h1, kept[0]) and np.array_equal(u1, kept[1])
+    assert not np.array_equal(h2, h1)
+    h3, u3 = _run(h_in, u_in, on_interval=lambda *args: None, **run)
+    assert np.array_equal(h3, kept[0]) and np.array_equal(u3, kept[1])
 
 
 # ---------------------------------------------------------------------------

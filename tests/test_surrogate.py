@@ -223,6 +223,24 @@ def test_extrapolation_warns_and_clamps():
     assert (h_out, u_out) == (h_edge, u_edge)
 
 
+@pytest.mark.parametrize("x, t", [(50.0, 10.0), (-1.0, 3.0), (5.0, -2.0), (5.0, 1e9), (5.0, 3.0)])
+def test_single_point_normalize_matches_the_batched_one(x, t):
+    """predict normalizes its one point in Python floats: the bits, the
+    clamp and the warning (text and attributed caller) are predict_batch's."""
+    model = _small_model()
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        one = predict(model, x, t)
+    with warnings.catch_warnings(record=True) as batch:
+        warnings.simplefilter("always")
+        h, u = predict_batch(model, np.array([[x, t]]))
+    assert one == (float(h[0]), float(u[0]))
+    assert [(str(w.message), w.category, w.filename) for w in single] == [
+        (str(w.message), w.category, w.filename) for w in batch
+    ]
+    assert all(w.filename == __file__ for w in single)
+
+
 def test_activation_choice_changes_output():
     a = _small_model(activation="tanh")
     b = _small_model(activation="relu")

@@ -191,6 +191,16 @@ class _Section:
         except ValueError as err:
             raise self._error(f"[{self.name}] {key}: {err}") from err
 
+    def build(self, cls, values: dict):
+        """``cls(**values)`` from this section's ``values``; a range error of
+        ``cls``, whose message starts with the key, names section and key."""
+        try:
+            return cls(**values)
+        except ValueError as err:
+            key, _, reason = str(err).partition(" ")
+            where = f"{key}: {reason}" if key in values else str(err)
+            raise self._error(f"[{self.name}] {where}") from err
+
     def close(self) -> None:
         """Reject any key that was not read."""
         if self._entries:
@@ -287,14 +297,17 @@ def parse_scenario(text: str) -> RiverScenario:
         text, err, "scenario", ("geometry", "boundaries", "stations", "run")
     )
 
-    geometry = ChannelGeometry(**{name: geo.float(name) for name in _GEOMETRY_KEYS})
+    geometry = geo.build(ChannelGeometry, {name: geo.float(name) for name in _GEOMETRY_KEYS})
     geo.close()
 
-    boundaries = BoundaryConditions(
-        initial_depth_ft=bounds.float("initial_depth_ft"),
-        initial_velocity_fps=bounds.float("initial_velocity_fps"),
-        upstream_discharge_cfs=bounds.series("upstream_discharge_cfs"),
-        downstream_stage_ft=bounds.series("downstream_stage_ft"),
+    boundaries = bounds.build(
+        BoundaryConditions,
+        dict(
+            initial_depth_ft=bounds.float("initial_depth_ft"),
+            initial_velocity_fps=bounds.float("initial_velocity_fps"),
+            upstream_discharge_cfs=bounds.series("upstream_discharge_cfs"),
+            downstream_stage_ft=bounds.series("downstream_stage_ft"),
+        ),
     )
     bounds.close()
 

@@ -40,13 +40,25 @@ MANNING_K = 1.486  # US-unit Manning coefficient; 1.486^2 = 2.208...
 STATION_SPACING_MILES = 0.74  # gauge spacing used by the synthetic scenarios
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    arr = arr.copy()
+def _read_only(values) -> np.ndarray:
+    """A float64 copy of ``values`` that no caller can write into."""
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values, name: str) -> np.ndarray:
+    arr = _read_only(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return arr
+
+
+# friction_slope's constant operands: a ufunc takes a read-only 0-d array
+# operand faster than a Python float, with the same bits
+_TWO = _read_only(2.0)
+_FOUR_THIRDS = _read_only(4.0 / 3.0)
+_MANNING_K_SQUARED = _read_only(MANNING_K**2)
 
 
 @dataclass(frozen=True)
@@ -181,23 +193,29 @@ def hydraulic_radius(width_ft: float, depth):
     return (depth * width_ft) / (depth * 2.0 + width_ft)
 
 
-def friction_slope(width_ft: float, manning_n: float, depth, velocity, out=None):
+def friction_slope(width_ft, manning_n: float, depth, velocity, out=None):
     """Manning friction slope S_f = n^2 u|u| / (2.208 R^(4/3)), US units.
 
-    ``out`` is optional scratch the caller owns: a float array of shape
-    ``(2,) + shape``.  The slope is written into ``out[0]`` and returned,
-    and ``out[1]`` holds intermediates, so the call allocates nothing;
-    without ``out`` each operation allocates its result.
+    Scalar and array ``depth`` and ``velocity`` both work.  ``out`` is
+    optional scratch the caller owns: a pair of float arrays (or one
+    array of shape ``(2,) + shape``).  The slope is written into
+    ``out[0]`` and returned, and ``out[1]`` holds intermediates, so the
+    call allocates nothing; without ``out`` each operation allocates its
+    result.  The constants 2, 4/3 and K^2 enter as read-only 0-d arrays
+    of this module, which a ufunc takes faster than a Python float, with
+    the same bits; a caller that evaluates one reach many times may pass
+    ``width_ft`` as one too.  n^2 is squared here in Python, as the
+    scalar callers square it.
     """
     slope, work = (None, None) if out is None else out
     # R = w h / (2 h + w), as hydraulic_radius, which stays plain Python
     # arithmetic for the scalar callers
-    radius = np.add(np.multiply(depth, 2.0, out=work), width_ft, out=work)
-    radius = np.divide(np.multiply(depth, width_ft, out=slope), radius, out=slope)
-    denominator = np.multiply(MANNING_K**2, np.power(radius, 4.0 / 3.0, out=slope), out=slope)
-    numerator = np.multiply(velocity, np.abs(velocity, out=work), out=work)
-    numerator = np.multiply(manning_n**2, numerator, out=work)
-    return np.divide(numerator, denominator, out=slope)
+    radius = np.add(np.multiply(depth, _TWO, work), width_ft, work)
+    radius = np.divide(np.multiply(depth, width_ft, slope), radius, slope)
+    denominator = np.multiply(_MANNING_K_SQUARED, np.power(radius, _FOUR_THIRDS, slope), slope)
+    numerator = np.multiply(velocity, np.abs(velocity, work), work)
+    numerator = np.multiply(manning_n**2, numerator, work)
+    return np.divide(numerator, denominator, slope)
 
 
 def manning_discharge(geometry: ChannelGeometry, depth: float) -> float:

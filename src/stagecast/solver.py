@@ -15,16 +15,22 @@ is symmetric to the last bit.  The time step adapts to the CFL limit.
 The state is one (2, N) ``[h; u]`` stack.  Both sweeps run as one fused
 pass over ``[variable, sweep, cell]`` stacks, so each step costs one set
 of array operations rather than two per variable and sweep; the scheme
-and its bits are those of two separate sweeps.  A solve allocates its
-work buffers once and every step writes into them: the one-sided
-differences of h and u come from one subtraction and one division into
-a padded buffer whose shifted windows are the forward and backward
-differences, and friction is computed into scratch the solve owns.  The
-boundary condition rewrites the same boundary cells on every call, so it
-runs on the two predicted profiles and on the averaged one, not on the
-corrected sweeps.  Boundary values are interpolated once per step time,
-and the per-cell state scan runs only when a cheap reduction flags bad
-state.
+and its bits are those of two separate sweeps.  A step costs about the
+same at 100 cells as at 400, so its cost is the number of numpy calls,
+not the cells: a solve prepares everything a step touches once, and a
+step pays for little but the ufuncs themselves.  The work buffers, every
+row and window view of them, and every scalar operand (g, dx, 1/2, the
+bed slope and the channel width, as read-only 0-d arrays, which a ufunc
+takes faster than a Python float) are made once per solve; dt is written
+into one 0-d buffer per step, and ufuncs take ``out`` positionally.  The
+one-sided differences of h and u come from one subtraction and one
+division into a padded buffer whose shifted windows are the forward and
+backward differences, and friction is computed into scratch the solve
+owns.  The boundary condition does its arithmetic in Python floats and
+rewrites the same boundary cells on every call, so it runs on the two
+predicted profiles and on the averaged one, not on the corrected sweeps.
+Boundary values are interpolated once per step time, and the per-cell
+state scan runs only when a cheap reduction flags bad state.
 """
 
 from __future__ import annotations
@@ -43,10 +49,15 @@ from .geometry import (
     MILE_FT,
     RiverScenario,
     TimeSeries,
+    _read_only,
     friction_slope,
 )
 
 __all__ = ["SolverConfig", "FlowField", "SolverError", "solve", "check_mass_balance"]
+
+# a ufunc takes a read-only 0-d array operand faster than a Python float
+_G = _read_only(G_FT_S2)
+_HALF = _read_only(0.5)
 
 
 class SolverError(RuntimeError):
@@ -120,14 +131,16 @@ def _difference_views(f, pad):
     """
     n = f.shape[-1]
     # the end columns 0 and n take columns 1 and n - 1
-    return f[..., 1:], f[..., :-1], pad[..., 1:n], pad[..., ::n], pad[..., 1 : n : n - 2]
+    return f[..., 1:], f[..., :-1], pad[..., 1:n], pad, pad[..., ::n], pad[..., 1 : n : n - 2]
 
 
 def _differentiate(views, dx):
-    ahead, behind, inner, ends, next_to_ends = views
-    np.subtract(ahead, behind, out=inner)
-    np.divide(inner, dx, out=inner)
-    np.copyto(ends, next_to_ends)
+    ahead, behind, inner, pad, ends, next_to_ends = views
+    np.subtract(ahead, behind, inner)
+    # the whole pad divides faster than its strided inner part; the end
+    # columns are overwritten next
+    np.divide(pad, dx, pad)
+    ends[...] = next_to_ends
 
 
 def _run(
@@ -160,12 +173,17 @@ def _run(
     Both MacCormack sweeps run in one pass over stacks indexed
     ``[variable, sweep, cell]``: sweep 0 predicts with forward differences
     and corrects with backward ones, sweep 1 the reverse, and the step is
-    the average of the two.  Every array the loop touches is allocated
-    here, once, and each step writes into the same buffers in the
-    operation order of two separate sweeps, so the bits are theirs.
+    the average of the two.  Everything the loop touches is made here,
+    once per solve: the work buffers, every row and window view of them,
+    and the scalar operands g, dx and 1/2 as read-only 0-d arrays.  dt is
+    written into one 0-d buffer per step.  Each step then only calls
+    ufuncs into those buffers, in the operation order of two separate
+    sweeps, so the bits are theirs.
     """
     n = h.size
-    g = G_FT_S2
+    dx = _read_only(dx_ft)
+    cfl_dx = cfl * dx_ft
+    dt_now = np.empty(())
     predicted = np.empty((2, 2, n))
     corrected = np.empty((2, 2, n))
     flux = np.empty((2, 2, n))
@@ -173,8 +191,9 @@ def _run(
     source = np.empty((2, n))
     speed = np.empty(n)
     speed_work = np.empty(n)
-    diff_state = np.empty((2, n + 1))
-    diff_predicted = np.empty((2, 2, n + 1))
+    # zeroed, so the end columns divided before their first write hold numbers
+    diff_state = np.zeros((2, n + 1))
+    diff_predicted = np.zeros((2, 2, n + 1))
     # predictor differences: sweep 0 reads the forward window, sweep 1 the backward one
     d_state = sliding_window_view(diff_state, n, axis=-1)[:, ::-1]
     # corrector differences: sweep s reads the window starting at column s
@@ -182,8 +201,15 @@ def _run(
     d_predicted = as_strided(
         diff_predicted, (2, 2, n), (s_var, s_sweep + s_cell, s_cell), writeable=False
     )
+    dh_state, du_state = d_state
+    dh_predicted, du_predicted = d_predicted
+    h_du, g_dh = flux_work
     predicted_diff_views = _difference_views(predicted, diff_predicted)
     hp, up = predicted
+    (hp0, hp1), (up0, up1) = hp, up
+    source0 = source[0]
+    corrected_u = corrected[1]
+    corrected0, corrected1 = corrected[:, 0], corrected[:, 1]
 
     def state_views(stack):
         return stack, stack[0], stack[1], stack[:, None], _difference_views(stack, diff_state)
@@ -198,53 +224,56 @@ def _run(
     while t < t_end_s:
         _, h, u, state_rows, state_diff_views = current
         # cheap reductions first; the per-cell scan runs only to name a bad cell
-        if not h.min() > 0.0:
+        if not np.minimum.reduce(h) > 0.0:
             _check_state(h, u, step, t)
-        np.abs(u, out=speed)
-        np.multiply(g, h, out=speed_work)
-        np.sqrt(speed_work, out=speed_work)
-        np.add(speed, speed_work, out=speed)
-        celerity_max = float(speed.max())
-        if not celerity_max < np.inf:
+        np.abs(u, speed)
+        np.multiply(_G, h, speed_work)
+        np.sqrt(speed_work, speed_work)
+        np.add(speed, speed_work, speed)
+        celerity_max = np.maximum.reduce(speed).item()
+        if not celerity_max < math.inf:
             _check_state(h, u, step, t)
-        dt = cfl * dx_ft / celerity_max
+        dt = cfl_dx / celerity_max
         if not math.isfinite(dt) or dt < dt_floor_s:
             raise SolverError(f"CFL collapse: dt={dt!r} s at step {step}, t={t:.3f} s")
         if step >= max_steps:
             raise SolverError(f"exceeded {max_steps} steps at t={t:.3f} s of {t_end_s:.3f} s")
         t_new = t + dt
+        dt_now[()] = dt
 
         # predictor: h - dt (u dh + h du), u - dt (u du + g dh) - dt S(h, u)
-        _differentiate(state_diff_views, dx_ft)
-        np.multiply(u, d_state, out=flux)
-        np.multiply(h, d_state[1], out=flux_work[0])
-        np.multiply(g, d_state[0], out=flux_work[1])
-        np.add(flux, flux_work, out=flux)
-        np.multiply(dt, flux, out=flux)
-        np.subtract(state_rows, flux, out=predicted)
-        np.multiply(dt, source_fn(h, u), out=source[0])
-        np.subtract(up, source[0], out=up)
-        bc_fn(hp[0], up[0], t_new)
-        bc_fn(hp[1], up[1], t_new)
+        _differentiate(state_diff_views, dx)
+        np.multiply(u, d_state, flux)
+        np.multiply(h, du_state, h_du)
+        np.multiply(_G, dh_state, g_dh)
+        np.add(flux, flux_work, flux)
+        np.multiply(dt_now, flux, flux)
+        np.subtract(state_rows, flux, predicted)
+        np.multiply(dt_now, source_fn(h, u), source0)
+        # row by row: contiguous operands skip the broadcast iterator
+        np.subtract(up0, source0, up0)
+        np.subtract(up1, source0, up1)
+        bc_fn(hp0, up0, t_new)
+        bc_fn(hp1, up1, t_new)
 
         # corrector: (h + hp - dt (up dhp + hp dup)) / 2,
         # (u + up - dt (up dup + g dhp) - dt S(hp, up)) / 2
-        _differentiate(predicted_diff_views, dx_ft)
-        np.add(state_rows, predicted, out=corrected)
-        np.multiply(up, d_predicted, out=flux)
-        np.multiply(hp, d_predicted[1], out=flux_work[0])
-        np.multiply(g, d_predicted[0], out=flux_work[1])
-        np.add(flux, flux_work, out=flux)
-        np.multiply(dt, flux, out=flux)
-        np.subtract(corrected, flux, out=corrected)
-        np.multiply(dt, source_fn(hp, up), out=source)
-        np.subtract(corrected[1], source, out=corrected[1])
-        np.multiply(0.5, corrected, out=corrected)
+        _differentiate(predicted_diff_views, dx)
+        np.add(state_rows, predicted, corrected)
+        np.multiply(up, d_predicted, flux)
+        np.multiply(hp, du_predicted, h_du)
+        np.multiply(_G, dh_predicted, g_dh)
+        np.add(flux, flux_work, flux)
+        np.multiply(dt_now, flux, flux)
+        np.subtract(corrected, flux, corrected)
+        np.multiply(dt_now, source_fn(hp, up), source)
+        np.subtract(corrected_u, source, corrected_u)
+        np.multiply(_HALF, corrected, corrected)
 
         # the step is the average of the two sweeps
-        successor, h_new, u_new = following[:3]
-        np.add(corrected[:, 0], corrected[:, 1], out=successor)
-        np.multiply(0.5, successor, out=successor)
+        successor, h_new, u_new, _, _ = following
+        np.add(corrected0, corrected1, successor)
+        np.multiply(_HALF, successor, successor)
         bc_fn(h_new, u_new, t_new)
 
         on_interval(t, t_new, h, u, h_new, u_new)
@@ -290,7 +319,6 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     started = time.perf_counter()
     geom = scenario.geometry
     bounds = scenario.boundaries
-    g = G_FT_S2
     length_ft = geom.length_miles * MILE_FT
     x_ft = np.linspace(0.0, length_ft, config.n_cells)
     dx = length_ft / (config.n_cells - 1)
@@ -302,16 +330,21 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
     t_out_s = t_out_h * HOUR_S
 
+    # the reach's operands of the source, made once per solve
+    width_ft = geom.width_ft
+    manning_n = geom.manning_n
+    width = _read_only(width_ft)
+    bed_slope = _read_only(geom.bed_slope)
     # friction scratch per profile shape: (N,) in the predictor, (2, N) in the corrector
     scratch = {}
 
     def source_fn(h, u):
         out = scratch.get(h.shape)
         if out is None:
-            out = scratch[h.shape] = np.empty((2,) + h.shape)
-        slope = friction_slope(geom.width_ft, geom.manning_n, h, u, out=out)
-        np.subtract(slope, geom.bed_slope, out=slope)
-        return np.multiply(g, slope, out=slope)
+            out = scratch[h.shape] = tuple(np.empty((2,) + h.shape))
+        slope = friction_slope(width, manning_n, h, u, out)
+        np.subtract(slope, bed_slope, slope)
+        return np.multiply(_G, slope, slope)
 
     discharge = bounds.upstream_discharge_cfs
     stage = bounds.downstream_stage_ft
@@ -327,18 +360,20 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     q_up = h_down = 0.0
 
     def bc_fn(h, u, t_s):
+        # Python-float arithmetic, the bits of numpy's scalar arithmetic
         nonlocal cached_t_s, q_up, h_down
         if t_s != cached_t_s:
             t_h = min(t_s / HOUR_S, scenario.t_total_hours)
             q_up = discharge_at(t_h)
             h_down = stage_at(t_h)
             cached_t_s = t_s
-        h[0] = 2.0 * h[1] - h[2]
-        if h[0] <= 0.0:
+        h_up = 2.0 * h.item(1) - h.item(2)
+        if h_up <= 0.0:
             raise SolverError(f"upstream depth extrapolated non-positive at t={t_s:.3f} s")
-        u[0] = q_up / (geom.width_ft * h[0])
+        h[0] = h_up
+        u[0] = q_up / (width_ft * h_up)
         h[-1] = h_down
-        u[-1] = 2.0 * u[-2] - u[-3]
+        u[-1] = 2.0 * u.item(-2) - u.item(-3)
 
     h = np.full(config.n_cells, bounds.initial_depth_ft, dtype=np.float64)
     u = np.full(config.n_cells, bounds.initial_velocity_fps, dtype=np.float64)
@@ -348,12 +383,13 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     u_out = np.empty((n_t, stations_ft.size))
     h_out[0] = np.interp(stations_ft, x_ft, h)
     u_out[0] = np.interp(stations_ft, x_ft, u)
+    t_out = t_out_s.tolist()
     cursor = 1
 
     def on_interval(t0, t1, h0, u0, h1, u1):
         nonlocal cursor
-        while cursor < n_t and t_out_s[cursor] <= t1 + 1e-9:
-            theta = (t_out_s[cursor] - t0) / (t1 - t0)
+        while cursor < n_t and t_out[cursor] <= t1 + 1e-9:
+            theta = (t_out[cursor] - t0) / (t1 - t0)
             h_mid = h0 + theta * (h1 - h0)
             u_mid = u0 + theta * (u1 - u0)
             h_out[cursor] = np.interp(stations_ft, x_ft, h_mid)
@@ -364,7 +400,7 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
         h,
         u,
         dx,
-        float(t_out_s[-1]),
+        t_out[-1],
         bc_fn,
         on_interval,
         source_fn=source_fn,

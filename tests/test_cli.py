@@ -227,6 +227,25 @@ def test_simulate_non_finite_scenario_number_exits_one_before_writing(capsys, tm
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("width_ft = -5.0", "[geometry] width_ft: must be positive"),
+        ("initial_depth_ft = -1.0", "[boundaries] initial_depth_ft: must be positive"),
+    ],
+    ids=["width", "depth"],
+)
+def test_simulate_out_of_range_scenario_number_names_its_key(line, message, capsys, tmp_path):
+    path = tmp_path / "scenario.txt"
+    write_scenario(lake_at_rest_scenario(t_total_hours=0.5), path)
+    key = line.split(" = ")[0]
+    path.write_text(re.sub(rf"(?m)^{key} = .*$", line, path.read_text()))
+    rc = main(["simulate", "--scenario", str(path), "--field-out", str(tmp_path / "f.txt")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
     "bad_flag", [["--cfl", "1.5"], ["--n-cells", "2"], ["--peak-factor", "0.5"]]
 )
 def test_simulate_bad_config_exits_one_before_writing(bad_flag, capsys, tmp_path):

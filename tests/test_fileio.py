@@ -184,6 +184,26 @@ def test_scenario_non_finite_number_rejected(word, old, new, where):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("width_ft = 100.3", "width_ft = -5.0", "[geometry] width_ft: must be positive"),
+        ("manning_n = 0.035", "manning_n = 0.0", "[geometry] manning_n: must be positive"),
+        ("bed_slope = 0.", "bed_slope = -0.", "[geometry] bed_slope: must be non-negative"),
+        ("initial_depth_ft = 6.000000000000001", "initial_depth_ft = -1.0",
+         "[boundaries] initial_depth_ft: must be positive"),
+    ],
+    ids=["width", "roughness", "slope", "depth"],
+)
+def test_scenario_out_of_range_number_names_its_key(old, new, message):
+    """A finite number out of its range is rejected naming its section and
+    key, like a non-finite one."""
+    text = serialize_scenario(_awkward_scenario())
+    assert old in text
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+        parse_scenario(text.replace(old, new, 1))
+
+
 def test_readme_scenario_example_parses():
     """The example in README.md's "File formats" section is a valid scenario."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

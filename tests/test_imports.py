@@ -1,9 +1,13 @@
-"""Every import in the package is used, every exported name is defined, and
-every private module-level name is referenced (stdlib-only lint checks)."""
+"""Every import in the package is used, every exported name is defined,
+every private module-level name is referenced (stdlib-only lint checks), and
+no module-level array can be written into."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stagecast"
@@ -111,3 +115,33 @@ def test_the_check_finds_an_unreferenced_private_name():
         "b.py": "from a import _helper\nvalue = _helper()\n",
     }
     assert _unreferenced_privates(sources) == ["a.py: _UNUSED", "a.py: _leftover"]
+
+
+def _writable_module_arrays(modules) -> list[str]:
+    """``module.name`` for each module-level numpy array of ``modules`` that
+    a caller could write into."""
+    return [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, np.ndarray) and value.flags.writeable
+    ]
+
+
+def test_module_arrays_are_read_only():
+    """A shared operand such as the solver's 0-d g is read-only, so no
+    caller can change the physics by writing into it."""
+    names = ["stagecast" if p.stem == "__init__" else f"stagecast.{p.stem}" for p in MODULES]
+    # __main__ runs the CLI when imported
+    modules = [importlib.import_module(name) for name in names if name != "stagecast.__main__"]
+    assert _writable_module_arrays(modules) == []
+
+
+def test_the_check_finds_a_writable_module_array():
+    module = types.ModuleType("fake")
+    module.FROZEN = np.array(2.0)
+    module.FROZEN.setflags(write=False)
+    module.OPEN = np.zeros(())
+    module.VIEW = module.FROZEN[...]
+    module.NUMBER = 2.0
+    assert _writable_module_arrays([module]) == ["fake.OPEN"]

@@ -1,6 +1,7 @@
 """Shallow-water solver: equilibria, conservation, convergence, and an
 independent-scheme cross check."""
 
+import dataclasses
 import re
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
+from stagecast.geometry import TimeSeries
 from stagecast.solver import _interpolant, _run
 
 from oracles import (
@@ -164,23 +166,49 @@ def test_boundary_interpolant_is_np_interp_bitwise(seed):
         assert at(float(knots[-1]) + 1.0) == float(np.interp(knots[-1] + 1.0, knots, series.values))
 
 
-@pytest.mark.parametrize(
-    "n_cells, cfl",
-    [(4, 0.9), (5, 0.9), (100, 0.9), (400, 0.9), (100, 0.5)],
-    ids=["4", "5", "100", "400", "100-cfl0.5"],
-)
-def test_fused_loop_matches_two_sweep_reference_bitwise(n_cells, cfl):
-    """Half an hour of a fast pulse: every boundary and source path is live.
-    At 4 and 5 cells the one-sided end differences are most of the stencil."""
-    scenario = make_flood_wave_scenario(
+def _fast_pulse():
+    return make_flood_wave_scenario(
         4, 3.0, seed=11, t_total_hours=0.5, output_dt_hours=0.05,
         pulse_center_hours=0.25, pulse_sigma_hours=0.1,
     )
+
+
+def _lake_filled_from_downstream():
+    """Still water on a flat bed (S0 = 0) whose downstream stage rises by a
+    foot: the flow runs upstream, so u < 0 and u|u| is negative."""
+    lake = lake_at_rest_scenario(t_total_hours=0.5)
+    rising = TimeSeries(np.array([0.0, 0.5]), np.array([10.0, 11.0]))
+    return dataclasses.replace(
+        lake, boundaries=dataclasses.replace(lake.boundaries, downstream_stage_ft=rising)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_scenario, n_cells, cfl",
+    [
+        (_fast_pulse, 4, 0.9),
+        (_fast_pulse, 5, 0.9),
+        (_fast_pulse, 100, 0.9),
+        (_fast_pulse, 400, 0.9),
+        (_fast_pulse, 100, 0.5),
+        (_lake_filled_from_downstream, 100, 0.9),
+        (lambda: uniform_flow_scenario(t_total_hours=1.0), 100, 0.9),
+    ],
+    ids=["4", "5", "100", "400", "100-cfl0.5", "lake-rising-stage", "uniform-flow"],
+)
+def test_fused_loop_matches_two_sweep_reference_bitwise(make_scenario, n_cells, cfl):
+    """Half an hour of a fast pulse: every boundary and source path is live.
+    At 4 and 5 cells the one-sided end differences are most of the stencil.
+    The lake runs with u < 0 on a bed slope of exactly 0, and uniform flow
+    holds S_f = S0, so both signs of the source are pinned."""
+    scenario = make_scenario()
     field = solve(scenario, SolverConfig(n_cells=n_cells, cfl=cfl))
     t_ref, h_ref, u_ref = reference_solve(scenario, n_cells, cfl)
     assert np.array_equal(field.t_hours, t_ref)
     assert np.array_equal(field.h, h_ref)
     assert np.array_equal(field.u, u_ref)
+    if make_scenario is _lake_filled_from_downstream:
+        assert scenario.geometry.bed_slope == 0.0 and field.u.min() < 0.0
 
 
 def _wave_run(n=60):

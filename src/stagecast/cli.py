@@ -67,6 +67,17 @@ def _check_hash(expected: str, actual: str, what: str) -> None:
         )
 
 
+def _load_checkpoint_for(path, scenario, digest: str):
+    """The checkpoint at ``path`` if it belongs to ``scenario``, whose hash is
+    ``digest``: by its recorded hash, if any, and by its normalization box."""
+    model, ckpt_digest = load_checkpoint(path)
+    if ckpt_digest is not None:
+        _check_hash(digest, ckpt_digest, "checkpoint")
+    if model.norm != box_for_scenario(scenario):
+        raise ConsistencyError("checkpoint normalization box does not match the scenario domain")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -162,13 +173,7 @@ def _cmd_eval(args) -> int:
     field, field_digest = read_field(Path(args.field))
     _check_hash(digest, field_digest, "field file")
 
-    model, ckpt_digest = load_checkpoint(Path(args.checkpoint))
-    if ckpt_digest is not None:
-        _check_hash(digest, ckpt_digest, "checkpoint")
-    if model.norm != box_for_scenario(scenario):
-        raise ConsistencyError(
-            "checkpoint normalization box does not match the scenario domain"
-        )
+    model = _load_checkpoint_for(Path(args.checkpoint), scenario, digest)
 
     report = evaluate(
         model,
@@ -192,9 +197,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     scenario = read_scenario(Path(args.scenario))
-    model, ckpt_digest = load_checkpoint(Path(args.checkpoint))
-    if ckpt_digest is not None:
-        _check_hash(scenario_hash(scenario), ckpt_digest, "checkpoint")
+    model = _load_checkpoint_for(Path(args.checkpoint), scenario, scenario_hash(scenario))
 
     result = run_benchmark(model, scenario, repetitions=args.repetitions, n_cells=args.n_cells)
     print(f"solver median:    {result.solver_median:.3f} s "

@@ -14,10 +14,15 @@ unindented line.  Scalar keys match the field names of the in-memory
 types.  An unknown or missing section is a hard error, and so is an
 unknown key, which is named with its line.  Floats are written with
 ``repr`` so every value survives a write/read round trip bit-for-bit.
+Every number must be finite; one table reader parses every numeric
+block and names its first row with a wrong column count, a non-number or
+a non-finite cell.
 
 Checkpoints are binary: a magic string, a JSON header (architecture,
 normalization box, seed, scenario hash, weight manifest), then the
 Fourier matrix and the flat weight vector as little-endian float64.
+The loader builds the model type from them, so a checkpoint is held to
+the model's own checks, and the stored manifest must be the model's.
 
 Tables (loss history, per-station error, error histogram, ablation
 curve) are CSV with a header line; reports, benchmark timings and the
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -51,7 +57,7 @@ from .geometry import (
     TimeSeries,
 )
 from .solver import FlowField
-from .surrogate import FourierEncoder, NormalizationBox, SurrogateModel, _manifest
+from .surrogate import FourierEncoder, NormalizationBox, SurrogateModel
 from .training import HistoryRow
 
 __all__ = [
@@ -142,7 +148,7 @@ class _Section:
         return value
 
     def _finite(self, text: str, where: str) -> float:
-        """``text`` as a float; nan and inf parse but are no scenario's numbers."""
+        """``text`` as a float; nan and inf parse but are no file's numbers."""
         try:
             value = float(text)
         except ValueError as err:
@@ -161,33 +167,33 @@ class _Section:
         except ValueError as err:
             raise self._error(f"[{self.name}] {key}: not an integer: {value!r}") from err
 
-    def rows(self, key: str) -> list[str]:
-        value = self._pop(key)
-        if not isinstance(value, list):
+    def table(self, key: str, columns: int) -> np.ndarray:
+        """An indented block of ``columns`` comma-separated numbers per row,
+        as a (rows, columns) array; every number must be finite."""
+        rows = self._pop(key)
+        if not isinstance(rows, list):
             raise self._error(f"[{self.name}] {key}: expected an indented block")
-        return value
-
-    def floats(self, key: str) -> np.ndarray:
-        """An indented block of one number per row."""
-        rows = self.rows(key)
-        return np.array([self._finite(row, f"{key} row {i}") for i, row in enumerate(rows, 1)])
+        if all(row.count(",") == columns - 1 for row in rows):
+            cells = itertools.chain.from_iterable(row.split(",") for row in rows)
+            try:
+                table = np.fromiter(map(float, cells), np.float64, len(rows) * columns)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(table).all():
+                    return table.reshape(len(rows), columns)
+        # the block is bad: name its first bad row
+        for i, row in enumerate(rows, 1):
+            parts = row.split(",")
+            if len(parts) != columns:
+                raise self._error(f"[{self.name}] {key} row {i}: expected {columns} columns, got {row!r}")
+            for cell in parts:
+                self._finite(cell, f"{key} row {i}")
 
     def series(self, key: str) -> TimeSeries:
-        ts, vs = [], []
-        for i, row in enumerate(self.rows(key)):
-            parts = row.split(",")
-            if len(parts) != 2:
-                raise self._error(f"[{self.name}] {key} row {i + 1}: expected 't,value', got {row!r}")
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except ValueError as err:
-                raise self._error(f"[{self.name}] {key} row {i + 1}: not numeric: {row!r}") from err
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise self._error(f"[{self.name}] {key} row {i + 1}: not finite: {row!r}")
-            ts.append(t)
-            vs.append(v)
+        t_hours, values = self.table(key, 2).T
         try:
-            return TimeSeries(np.array(ts), np.array(vs))
+            return TimeSeries(t_hours, values)
         except ValueError as err:
             raise self._error(f"[{self.name}] {key}: {err}") from err
 
@@ -311,7 +317,7 @@ def parse_scenario(text: str) -> RiverScenario:
     )
     bounds.close()
 
-    positions = tuple(stations.floats("positions_miles").tolist())
+    positions = tuple(stations.table("positions_miles", 1)[:, 0].tolist())
     stations.close()
 
     t_total = run.float("t_total_hours")
@@ -381,27 +387,18 @@ def read_field(path) -> tuple[FlowField, str]:
         raise err(f"unsupported unit system {units!r}")
     digest = head.text("scenario_hash")
     wall = head.float("wall_clock_seconds")
-    x = head.floats("x_miles")
-    t = head.floats("t_hours")
+    x = head.table("x_miles", 1)[:, 0]
+    t = head.table("t_hours", 1)[:, 0]
     head.close()
     if x.size != n_x:
         raise err(f"x_miles has {x.size} rows, header says {n_x}")
     if t.size != n_t:
         raise err(f"t_hours has {t.size} rows, header says {n_t}")
 
-    rows = data.rows("t_x_h_u")
+    table = data.table("t_x_h_u", 4)
     data.close()
-    if len(rows) != n_t * n_x:
-        raise err(f"[data] has {len(rows)} rows, expected n_times*n_stations = {n_t * n_x}")
-    table = np.empty((len(rows), 4))
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise err(f"[data] row {i + 1}: expected 4 columns, got {row!r}")
-        try:
-            table[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise err(f"[data] row {i + 1}: not numeric: {row!r}") from exc
+    if len(table) != n_t * n_x:
+        raise err(f"[data] has {len(table)} rows, expected n_times*n_stations = {n_t * n_x}")
     tt = table[:, 0].reshape(n_t, n_x)
     xx = table[:, 1].reshape(n_t, n_x)
     if not np.array_equal(tt, np.broadcast_to(t[:, None], (n_t, n_x))):
@@ -472,47 +469,40 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
 
     try:
         use_fourier = header["use_fourier"]
+        m = int(header["m"]) if use_fourier else 0
+        sigma = float(header["sigma"]) if use_fourier else None
         manifest = tuple((name, tuple(shape)) for name, shape in header["manifest"])
-        in_dim = 2 * header["m"] if use_fourier else 2
-        declared = _manifest(in_dim, header["width"], header["n_blocks"])
+        expected = sum(math.prod(shape) for _, shape in manifest)
         n_weights = header["n_weights"]
+        width = int(header["width"])
+        n_blocks = int(header["n_blocks"])
         activation = str(header["activation"])
         seed = int(header["seed"])
         norm = NormalizationBox(*[float(v) for v in header["norm"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: invalid header field: {exc}") from exc
-    if manifest != declared:
-        raise CheckpointFormatError(f"{path}: manifest disagrees with declared architecture")
-    expected = sum(int(np.prod(shape)) for _, shape in manifest)
     if n_weights != expected:
         raise CheckpointFormatError(f"{path}: weight count {n_weights} != manifest total {expected}")
 
     body = raw[offset:]
-    encoder = None
-    if use_fourier:
-        m = header["m"]
-        need = m * 2 * 8
-        if len(body) < need:
-            raise CheckpointFormatError(f"{path}: truncated Fourier matrix")
-        b = np.frombuffer(body[:need], dtype="<f8").astype(np.float64).reshape(m, 2)
-        encoder = FourierEncoder(b, float(header["sigma"]))
-        body = body[need:]
-    if len(body) != n_weights * 8:
-        raise CheckpointFormatError(
-            f"{path}: weight payload is {len(body)} bytes, expected {n_weights * 8}"
+    need = 8 * (2 * m + n_weights)  # the Fourier matrix, then the weights
+    if len(body) != need:
+        raise CheckpointFormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
+    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    try:
+        model = SurrogateModel(
+            encoder=FourierEncoder(values[: 2 * m].reshape(m, 2), sigma) if use_fourier else None,
+            weights=values[2 * m :],
+            width=width,
+            n_blocks=n_blocks,
+            activation=activation,
+            norm=norm,
+            seed=seed,
         )
-    weights = np.frombuffer(body, dtype="<f8").astype(np.float64)
-
-    model = SurrogateModel(
-        encoder=encoder,
-        weights=weights,
-        manifest=manifest,
-        width=int(header["width"]),
-        n_blocks=int(header["n_blocks"]),
-        activation=activation,
-        norm=norm,
-        seed=seed,
-    )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    if model.manifest != manifest:
+        raise CheckpointFormatError(f"{path}: manifest disagrees with declared architecture")
     return model, header.get("scenario_hash")
 
 

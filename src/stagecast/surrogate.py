@@ -8,12 +8,13 @@ head.  Depth passes through a softplus plus a small floor so predictions
 are always physically positive.
 
 One forward pass serves inference, input derivatives and training.  It
-takes value rows and, optionally, tangent rows -- the derivatives of the
-input rows along x and t (forward mode).  All rows are stacked, so each
-linear layer is one gemm; biases, activations and the softplus act on the
-value rows, and the tangent rows are scaled by the activation slope at
-their value rows.  The pass starts from the Fourier features, so training
-encodes its fixed samples once per run, and it always keeps the rows of
+takes value rows and a count ``c``, and adds the tangent rows of the last
+``c`` value rows: their derivatives along x (per foot) and t (per
+second), built from the normalization box (forward mode).  All rows are
+stacked, so each linear layer is one gemm; biases, activations and the
+softplus act on the value rows, and the tangent rows are scaled by the
+activation slope at their value rows.  The pass starts from the Fourier
+features, so training encodes its fixed samples once per run, and it always keeps the rows of
 every layer for the backward pass (an inference block holds 64 rows, so
 this costs little memory).  The backward pass is written out
 by hand for this one chain: two gemms per layer plus the slope terms, and,
@@ -26,6 +27,7 @@ work only the block's real rows; padding rows are zero and stay zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -102,6 +104,8 @@ class FourierEncoder:
         b = np.asarray(self.b_matrix, dtype=np.float64).copy()
         if b.ndim != 2 or b.shape[1] != 2:
             raise ValueError("b_matrix must have shape (m, 2)")
+        if b.shape[0] < 1:
+            raise ValueError("m must be positive")
         b.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
 
@@ -144,22 +148,38 @@ class SurrogateModel:
 
     encoder: FourierEncoder | None
     weights: np.ndarray
-    manifest: tuple[tuple[str, tuple[int, ...]], ...]
     width: int
     n_blocks: int
     activation: str
     norm: NormalizationBox
     seed: int
 
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        if self.width < 1:
+            raise ValueError("width must be positive")
+        if self.n_blocks < 0:
+            raise ValueError("n_blocks must be non-negative")
+        expected = _size(self.manifest)
+        if self.weights.shape != (expected,):
+            raise ValueError(f"weights have shape {self.weights.shape}, the manifest ({expected},)")
+
     @property
     def uses_fourier(self) -> bool:
         return self.encoder is not None
+
+    @property
+    def manifest(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        in_dim = self.encoder.output_dim if self.uses_fourier else 2
+        return _manifest(in_dim, self.width, self.n_blocks)
 
     @property
     def n_weights(self) -> int:
         return self.weights.size
 
 
+@functools.cache
 def _manifest(in_dim: int, width: int, n_blocks: int):
     entries = [("proj.W", (in_dim, width)), ("proj.b", (width,))]
     for k in range(n_blocks):
@@ -170,6 +190,10 @@ def _manifest(in_dim: int, width: int, n_blocks: int):
     entries.append(("head.W", (width, 2)))
     entries.append(("head.b", (2,)))
     return tuple(entries)
+
+
+def _size(manifest) -> int:
+    return sum(math.prod(shape) for _, shape in manifest)
 
 
 def _views(manifest, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -205,45 +229,29 @@ def init_model(
     the weights come from one seeded generator, so a seed pins the entire
     starting state.
     """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-    if width < 1:
-        raise ValueError("width must be positive")
-    if n_blocks < 0:
-        raise ValueError("n_blocks must be non-negative")
-    if use_fourier and m < 1:
-        raise ValueError("m must be positive")
     rng = np.random.default_rng(seed)
+    # a negative size draws and allocates nothing, so the encoder or the model
+    # names it; the weights are drawn once the model accepts its architecture
     encoder = None
     in_dim = 2
     if use_fourier:
-        encoder = FourierEncoder(rng.normal(0.0, sigma, size=(m, 2)), float(sigma))
+        encoder = FourierEncoder(rng.normal(0.0, sigma, size=(max(m, 0), 2)), float(sigma))
         in_dim = encoder.output_dim
-
-    manifest = _manifest(in_dim, width, n_blocks)
-    total = sum(int(np.prod(shape)) for _, shape in manifest)
-    flat = np.zeros(total, dtype=np.float64)
-    gain = 2.0 if activation == "relu" else 1.0
-    offset = 0
-    for name, shape in manifest:
-        size = int(np.prod(shape))
-        if name.endswith(".W") or name.endswith(".W1"):
-            fan_in = shape[0]
-            flat[offset : offset + size] = rng.normal(
-                0.0, np.sqrt(gain / fan_in), size=size
-            )
-        # biases and each block's closing layer stay zero
-        offset += size
-    return SurrogateModel(
+    model = SurrogateModel(
         encoder=encoder,
-        weights=flat,
-        manifest=manifest,
+        weights=np.zeros(max(_size(_manifest(in_dim, width, n_blocks)), 0)),
         width=width,
         n_blocks=n_blocks,
         activation=activation,
         norm=norm,
         seed=seed,
     )
+    gain = 2.0 if activation == "relu" else 1.0
+    for name, w in _views(model.manifest, model.weights).items():
+        if name.endswith((".W", ".W1")):
+            w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[0]), size=w.shape)
+        # biases and each block's closing layer stay zero
+    return model
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +264,8 @@ class _Pass(NamedTuple):
 
     h: np.ndarray  # (N,) depth at the value rows
     u: np.ndarray  # (N,) velocity at the value rows
-    h_tan: np.ndarray | None  # (K, C) depth tangents of the last C value rows
-    u_tan: np.ndarray | None  # (K, C) velocity tangents
+    h_tan: np.ndarray | None  # (2, C) x and t depth tangents of the last C value rows
+    u_tan: np.ndarray | None  # (2, C) velocity tangents
     inputs: list  # input rows of each linear layer: proj, (W1, W2) per block, head
     pre: list  # pre-activation rows of each block
     out: np.ndarray  # head output rows
@@ -290,25 +298,31 @@ def _features(model: SurrogateModel, v, n: int | None = None):
     return encode(model.encoder, v, n) if model.uses_fourier else v
 
 
-def _forward(model: SurrogateModel, views, x, seeds=None, n=None) -> _Pass:
+def _forward(model: SurrogateModel, views, x, c=0, n=None) -> _Pass:
     """The network on input-layer rows ``x`` (see :func:`_features`).
 
     Only the first ``n`` rows of ``x`` (all by default) are value rows; the
-    rest are zero padding that every layer leaves zero.  ``seeds`` (K, C, 2)
-    holds K input directions for each of the last C value rows of an
-    unpadded ``x``; rows are stacked as ``[values; direction 1; ...]``.
-    The pass holds every layer's rows for :func:`_backward`.
+    rest are zero padding that every layer leaves zero.  With ``c``, the
+    pass also carries the tangent rows of the last ``c`` value rows of an
+    unpadded ``x``: their derivatives along x (per foot), then along t (per
+    second), stacked as ``[values; d/dx rows; d/dt rows]``.  The pass holds
+    every layer's rows for :func:`_backward`.
     """
     n = x.shape[0] if n is None else n
-    tangents = seeds is not None
-    if tangents:
-        k, c = seeds.shape[:2]
-        x_tan = seeds.reshape(k * c, 2)
+    if c:
+        box = model.norm
+        # the input direction of one foot and of one second, in unit-square coordinates
+        steps = np.array([
+            1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT),
+            1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S),
+        ])
         if model.uses_fourier:
             m = model.encoder.m
-            arg = ((x_tan @ model.encoder.b_matrix.T) * (2.0 * np.pi)).reshape(k, c, m)
+            arg = ((steps[:, None] * model.encoder.b_matrix.T) * (2.0 * np.pi))[:, None, :]
             cos_c, sin_c = x[n - c :, :m], x[n - c :, m:]
-            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(k * c, 2 * m)
+            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(2 * c, 2 * m)
+        else:
+            x_tan = np.repeat(np.diag(steps), c, axis=0)
         x = np.concatenate((x, x_tan))
 
     inputs = [x]
@@ -321,9 +335,9 @@ def _forward(model: SurrogateModel, views, x, seeds=None, n=None) -> _Pass:
             np.maximum(p[:n], 0.0, out=a[:n])
         else:
             np.tanh(p[:n], out=a[:n])
-        if tangents:
+        if c:
             slope = _slope(model.activation, a[n - c : n])
-            np.multiply(p[n:].reshape(k, c, -1), slope, out=a[n:].reshape(k, c, -1))
+            np.multiply(p[n:].reshape(2, c, -1), slope, out=a[n:].reshape(2, c, -1))
         elif n < a.shape[0]:
             a[n:] = 0.0  # padding rows
         inputs += [z, a]
@@ -333,8 +347,8 @@ def _forward(model: SurrogateModel, views, x, seeds=None, n=None) -> _Pass:
     out = _affine(z, views["head.W"], views["head.b"], n)
     h = np.logaddexp(0.0, out[:n, 0]) + DEPTH_FLOOR_FT
     h_tan = u_tan = None
-    if tangents:
-        out_tan = out[n:].reshape(k, c, 2)
+    if c:
+        out_tan = out[n:].reshape(2, c, 2)
         h_tan = _sigmoid(out[n - c : n, 0]) * out_tan[..., 0]
         u_tan = out_tan[..., 1]
     return _Pass(h, out[:n, 1], h_tan, u_tan, inputs, pre, out)
@@ -344,7 +358,7 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
     """Flat weight gradient of a scalar, given its adjoints at the outputs.
 
     ``g_h``/``g_u`` (N,) are the adjoints of depth and velocity at the value
-    rows, ``g_h_tan``/``g_u_tan`` (K, C) those of the tangents, when the
+    rows, ``g_h_tan``/``g_u_tan`` (2, C) those of the tangents, when the
     forward pass carried tangent rows.
     """
     n = fwd.h.size
@@ -363,13 +377,13 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
     g[:n, 1] = g_u
     tangents = g_h_tan is not None
     if tangents:
-        k, c = g_h_tan.shape
+        c = g_h_tan.shape[1]
         sig_c = sig[n - c :]
-        g_tan = g[n:].reshape(k, c, 2)
+        g_tan = g[n:].reshape(2, c, 2)
         g_tan[..., 0] = g_h_tan * sig_c
         g_tan[..., 1] = g_u_tan
         # h_tan = sigmoid(out) * out_tan also moves with the value row
-        g[n - c : n, 0] += sig_c * (1.0 - sig_c) * (g_h_tan * out[n:, 0].reshape(k, c)).sum(axis=0)
+        g[n - c : n, 0] += sig_c * (1.0 - sig_c) * (g_h_tan * out[n:, 0].reshape(2, c)).sum(axis=0)
 
     g_z = affine(fwd.inputs[-1], g, "head.W", "head.b")
     for b in reversed(range(model.n_blocks)):
@@ -379,11 +393,11 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
         g_p = np.empty_like(g_a)
         np.multiply(g_a[:n], slope, out=g_p[:n])
         if tangents:
-            g_a_tan = g_a[n:].reshape(k, c, -1)
-            np.multiply(g_a_tan, slope[n - c :], out=g_p[n:].reshape(k, c, -1))
+            g_a_tan = g_a[n:].reshape(2, c, -1)
+            np.multiply(g_a_tan, slope[n - c :], out=g_p[n:].reshape(2, c, -1))
             if model.activation == "tanh":
                 # a_tan = (1 - a^2) p_tan; d(1 - a^2)/dp = -2 a (1 - a^2); relu's is 0
-                p_tan = fwd.pre[b][n:].reshape(k, c, -1)
+                p_tan = fwd.pre[b][n:].reshape(2, c, -1)
                 curvature = -2.0 * a[n - c : n] * slope[n - c :]
                 g_p[n - c : n] += curvature * (p_tan * g_a_tan).sum(axis=0)
         g_z = g_z + affine(z_in, g_p, f"block{b}.W1", f"block{b}.b1")
@@ -441,16 +455,6 @@ def _warn_outside(count: int) -> None:
         ExtrapolationWarning,
         stacklevel=4,
     )
-
-
-def _collocation_rows(model: SurrogateModel, x_miles, t_hours):
-    """Value rows and their (2, C, 2) tangent seeds: d/dx per foot, d/dt per second."""
-    v = _normalize(model, x_miles, t_hours, clamp=False)
-    box = model.norm
-    seeds = np.zeros((2,) + v.shape)
-    seeds[0, :, 0] = 1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT)
-    seeds[1, :, 1] = 1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S)
-    return v, seeds
 
 
 _INFERENCE_BLOCK = 64
@@ -512,11 +516,11 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
     n = np.size(x_miles)
     rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
     # whole blocks, padded with repeats of the given points; padding is dropped
-    v, seeds = _collocation_rows(model, np.resize(x_miles, rows), np.resize(t_hours, rows))
+    v = _normalize(model, np.resize(x_miles, rows), np.resize(t_hours, rows), clamp=False)
     views = weight_views(model)
     out = np.empty((6, rows))
     for start in range(0, rows, _INFERENCE_BLOCK):
         block = slice(start, start + _INFERENCE_BLOCK)
-        fwd = _forward(model, views, _features(model, v[block]), seeds[:, block])
+        fwd = _forward(model, views, _features(model, v[block]), _INFERENCE_BLOCK)
         out[:, block] = np.vstack((fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan))
     return Dual(*out[:3, :n]), Dual(*out[3:, :n])

@@ -4,9 +4,10 @@ The loss is ``L = L_data + lambda * L_physics``: a mean-squared data misfit
 on solver samples plus the mean-squared residual of the shallow-water
 equations at freshly drawn collocation points: continuity, and momentum
 without a source term (no friction, no bed slope).  Each iteration runs
-the network once over the data rows and the collocation rows with their
-x and t tangent rows (:func:`forward_loss`), then hands the adjoints of
-the two residuals to the network's hand-written backward pass
+the network once over the data rows followed by the collocation rows
+(:func:`forward_loss`); given the count of collocation rows, the network
+adds their x and t tangent rows itself.  The adjoints of the two
+residuals then go to the network's hand-written backward pass
 (:func:`loss_gradient`).  The samples are fixed, so :func:`train` encodes
 them once per run and gathers each batch's rows; only the fresh
 collocation points are encoded per iteration.  The optimizer is Adam with
@@ -30,7 +31,6 @@ from .surrogate import (
     NormalizationBox,
     SurrogateModel,
     _backward,
-    _collocation_rows,
     _features,
     _forward,
     _normalize,
@@ -207,23 +207,23 @@ def forward_loss(
     """
     x, t, h_true, u_true = batch
     v = _normalize(model, np.atleast_1d(x), np.atleast_1d(t), clamp=False)
-    seeds = None
+    c = 0
     if collocation is not None:
-        v_c, seeds = _collocation_rows(model, collocation[:, 0], collocation[:, 1])
-        v = np.concatenate((v, v_c))
-    return _loss_pass(model, _features(model, v), h_true, u_true, seeds, lambda_physics)
+        c = len(collocation)
+        v = np.concatenate((v, _normalize(model, collocation[:, 0], collocation[:, 1], clamp=False)))
+    return _loss_pass(model, _features(model, v), h_true, u_true, c, lambda_physics)
 
 
-def _loss_pass(model, x, h_true, u_true, seeds=None, lambda_physics=0.0) -> LossPass:
+def _loss_pass(model, x, h_true, u_true, c=0, lambda_physics=0.0) -> LossPass:
     """:func:`forward_loss` from the Fourier features ``x`` of the data rows
-    and then of the collocation rows, whose tangent ``seeds`` are given."""
-    n_data = x.shape[0] - (0 if seeds is None else seeds.shape[1])
+    and then of the ``c`` collocation rows."""
+    n_data = x.shape[0] - c
     views = weight_views(model)
-    net = _forward(model, views, x, seeds)
+    net = _forward(model, views, x, c)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
-    if seeds is None:
+    if not c:
         return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, 0.0)
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
@@ -401,13 +401,13 @@ def train(
         current = dataclasses.replace(model, weights=weights)
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
-        x, seeds = features[idx], None
+        x, c = features[idx], 0
         if config.lambda_physics > 0.0:
-            x_c = rng_colloc.uniform(box.x_min_miles, box.x_max_miles, config.collocation_count)
-            t_c = rng_colloc.uniform(box.t_min_hours, box.t_max_hours, config.collocation_count)
-            v_c, seeds = _collocation_rows(current, x_c, t_c)
-            x = np.concatenate((x, _features(current, v_c)))
-        lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], seeds, config.lambda_physics)
+            c = config.collocation_count
+            x_c = rng_colloc.uniform(box.x_min_miles, box.x_max_miles, c)
+            t_c = rng_colloc.uniform(box.t_min_hours, box.t_max_hours, c)
+            x = np.concatenate((x, _features(current, _normalize(current, x_c, t_c, clamp=False))))
+        lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
         row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, _learning_rate(config, i))
 
         if initial_total is None:

@@ -13,6 +13,7 @@ from stagecast.fileio import (
     read_field,
     read_history,
     read_scenario,
+    save_checkpoint,
     write_scenario,
 )
 from stagecast.geometry import (
@@ -22,7 +23,7 @@ from stagecast.geometry import (
     TimeSeries,
 )
 from stagecast.solver import SolverConfig, solve
-from stagecast.surrogate import box_for_scenario, init_model
+from stagecast.surrogate import NormalizationBox, box_for_scenario, init_model
 
 TINY_TRAIN = [
     "--iterations", "40",
@@ -393,6 +394,27 @@ def test_train_non_integer_field_count_exits_one_before_writing(
     assert not (tmp_path / "run").exists()
 
 
+def test_train_non_finite_field_cell_exits_one_before_writing(workspace, capsys, tmp_path):
+    """A nan depth in the field would otherwise be trained on, or, in the
+    validation split, leave the checkpoint at its initial weights."""
+    lines = (workspace / "field.txt").read_text().splitlines()
+    at = lines.index("t_x_h_u:") + 1
+    t, x, h, u = lines[at].split(",")
+    lines[at] = ",".join([t, x, "nan", u])
+    field = tmp_path / "field.txt"
+    field.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "train",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--field", str(field),
+        "--out-dir", str(tmp_path / "run"),
+        *TINY_TRAIN,
+    ])
+    assert rc == 1
+    assert "[data] t_x_h_u row 1: not finite: 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_the_lambda_physics_spelling(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main([
@@ -450,6 +472,43 @@ def test_eval_checkpoint_from_other_scenario_exits_three(workspace, capsys, tmp_
     assert "mismatch" in capsys.readouterr().err
 
 
+def _rewrite_checkpoint_header(src, dst, edit):
+    """Copy the checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON header."""
+    raw = src.read_bytes()
+    length = int.from_bytes(raw[14:18], "little")
+    header = json.loads(raw[18 : 18 + length])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:14] + len(blob).to_bytes(4, "little") + blob + raw[18 + length :])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda header: header.update(activation="gelu"), "activation must be one of"),
+        (lambda header: header.pop("sigma"), "invalid header field: 'sigma'"),
+    ],
+    ids=["unknown-activation", "missing-sigma"],
+)
+def test_eval_checkpoint_header_the_model_refuses_exits_one(
+    workspace, edit, message, capsys, tmp_path
+):
+    """The loader holds a checkpoint to the model type's own checks: an
+    unknown activation does not run as tanh, and a missing key is named."""
+    checkpoint = tmp_path / "checkpoint.bin"
+    _rewrite_checkpoint_header(workspace / "run" / "checkpoint.bin", checkpoint, edit)
+    rc = main([
+        "eval",
+        "--checkpoint", str(checkpoint),
+        "--field", str(workspace / "field.txt"),
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "report"),
+    ])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_eval_field_scenario_mismatch_exits_three(workspace, capsys, tmp_path):
     rc = main([
         "simulate",
@@ -490,6 +549,24 @@ def test_benchmark_prints_speedup_and_writes_json(workspace, capsys, tmp_path):
     blob = json.loads((tmp_path / "bench.json").read_text())
     assert blob["timing"]["speedup"] > 0
     assert len(blob["timing"]["solver_seconds"]) == 3
+
+
+def test_benchmark_checkpoint_from_other_domain_exits_three(workspace, capsys, tmp_path):
+    """A checkpoint saved without a scenario hash is still checked against
+    the scenario's normalization box, as eval checks it."""
+    model = init_model(NormalizationBox(0.0, 99.0, 0.0, 99.0), n_blocks=1, width=16, m=8)
+    save_checkpoint(model, tmp_path / "other.bin")
+    rc = main([
+        "benchmark",
+        "--checkpoint", str(tmp_path / "other.bin"),
+        "--scenario", str(workspace / "scenario.txt"),
+        "--repetitions", "3",
+        "--n-cells", "60",
+        "--json-out", str(tmp_path / "bench.json"),
+    ])
+    assert rc == 3
+    assert "normalization box" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
 
 
 def test_benchmark_rejects_bad_repetitions(workspace, capsys, tmp_path):

@@ -301,6 +301,25 @@ def test_field_non_numeric_grid_row_names_its_row(tmp_path, solved, key):
         read_field(path)
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [2, 3], ids=["depth", "velocity"])
+def test_field_non_finite_cell_rejected(tmp_path, solved, word, column):
+    """nan and inf parse as floats but are no field's numbers: a [data]
+    cell holding one is rejected naming its row, as the grid rows are."""
+    _, field = solved
+    path = tmp_path / "field.txt"
+    write_field(field, "0" * 64, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("t_x_h_u:") + 3  # data row 3
+    cells = lines[at].split(",")
+    cells[column] = word
+    lines[at] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError,
+                       match=r"\[data\] t_x_h_u row 3: not finite: '" + re.escape(word) + "'"):
+        read_field(path)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -1,6 +1,7 @@
 """Every import in the package is used, every exported name is defined,
-every private module-level name is referenced (stdlib-only lint checks), and
-no module-level array can be written into."""
+every private module-level name is referenced, a module reads another
+module's private names only where the list below allows it (stdlib-only
+lint checks), and no module-level array can be written into."""
 
 import ast
 import importlib
@@ -115,6 +116,45 @@ def test_the_check_finds_an_unreferenced_private_name():
         "b.py": "from a import _helper\nvalue = _helper()\n",
     }
     assert _unreferenced_privates(sources) == ["a.py: _UNUSED", "a.py: _leftover"]
+
+
+# The only private names one module of the package may read from another:
+# the network's forward and backward pass, which the training loss runs on
+# stacked data and collocation rows, and the read-only array maker the
+# solver shares with geometry.
+PRIVATE_READS = [
+    "solver.py: geometry._read_only",
+    "training.py: surrogate._backward",
+    "training.py: surrogate._features",
+    "training.py: surrogate._forward",
+    "training.py: surrogate._normalize",
+]
+
+
+def _private_reads(sources: dict) -> list[str]:
+    """``module: other._name`` for each private name that a module of
+    ``sources`` (name -> text) imports from a sibling module."""
+    return sorted(
+        f"{module}: {node.module}.{alias.name}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_private_names_cross_modules_only_where_listed():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _private_reads(sources) == PRIVATE_READS
+
+
+def test_the_check_finds_an_unlisted_private_read():
+    sources = {
+        "a.py": "from .b import _hidden, shown\nfrom . import __version__\nfrom numpy import _x\n",
+        "b.py": "def f():\n    from .a import _late as late\n    return late\n",
+    }
+    assert _private_reads(sources) == ["a.py: b._hidden", "b.py: a._late"]
 
 
 def _writable_module_arrays(modules) -> list[str]:

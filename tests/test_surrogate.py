@@ -1,5 +1,6 @@
 """Fourier encoder and residual network behavior."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -247,6 +248,23 @@ def test_activation_choice_changes_output():
     assert predict(a, 5.0, 20.0) != predict(b, 5.0, 20.0)
     with pytest.raises(ValueError):
         _small_model(activation="sigmoid")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"weights": np.zeros(3)}, {"activation": "gelu"}, {"width": 0}, {"n_blocks": -1}],
+    ids=["weights", "activation", "width", "blocks"],
+)
+def test_model_rejects_a_bad_architecture_however_built(change):
+    """The model type checks its own architecture, so a model built by
+    ``dataclasses.replace`` or a loader is held to what init_model is."""
+    with pytest.raises(ValueError):
+        dataclasses.replace(_small_model(), **change)
+
+
+def test_encoder_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="m must be positive"):
+        FourierEncoder(np.zeros((0, 2)), 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ Five subcommands cover the full workflow:
     stagecast benchmark  -- time solver vs. surrogate on one scenario
     stagecast ablate     -- run the three-configuration comparison
 
+Each flag's ``dest`` names the parameter it feeds, and a flag left out is
+not set, so the library function or config it feeds supplies the default.
+Only ``--peak-factor``, ``--budget`` and ``ablate --seed``, whose
+parameters have no default, carry one here.
+
 Exit codes: 0 success, 1 file/parse errors and invalid values (including
 bad command lines), 2 solver failures, 3 cross-input consistency errors,
 4 training divergence (partial history is still written).
@@ -60,11 +65,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that the user set, keyed by the parameter
+    they feed; the rest take the library's defaults."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _check_hash(expected: str, actual: str, what: str) -> None:
     if expected != actual:
         raise ConsistencyError(
             f"{what}: scenario hash mismatch (expected {expected[:12]}..., got {actual[:12]}...)"
         )
+
+
+def _scenario_and_field(args):
+    """The ``--scenario``, its hash, and the ``--field`` solved from it."""
+    scenario = read_scenario(args.scenario)
+    digest = scenario_hash(scenario)
+    field, field_digest = read_field(args.field)
+    _check_hash(digest, field_digest, "field file")
+    return scenario, digest, field
 
 
 def _load_checkpoint_for(path, scenario, digest: str):
@@ -83,20 +103,19 @@ def _load_checkpoint_for(path, scenario, digest: str):
 
 
 def _cmd_simulate(args) -> int:
-    scenario_path = Path(args.scenario)
-    config = SolverConfig(n_cells=args.n_cells, cfl=args.cfl)  # reject bad knobs before writing
-    if args.synthetic_stations is not None:
+    config = SolverConfig(**_given(args, "n_cells", "cfl"))  # reject bad knobs before writing
+    if "synthetic_stations" in args:
         scenario = make_flood_wave_scenario(
-            args.synthetic_stations, args.peak_factor, seed=args.seed
+            args.synthetic_stations, args.peak_factor, **_given(args, "seed")
         )
-        write_scenario(scenario, scenario_path)
-        print(f"wrote synthetic scenario ({args.synthetic_stations} stations) to {scenario_path}")
+        write_scenario(scenario, args.scenario)
+        print(f"wrote synthetic scenario ({args.synthetic_stations} stations) to {args.scenario}")
     else:
-        scenario = read_scenario(scenario_path)
+        scenario = read_scenario(args.scenario)
 
     field = solve(scenario, config)
     digest = scenario_hash(scenario)
-    write_field(field, digest, Path(args.field_out))
+    write_field(field, digest, args.field_out)
 
     balance = check_mass_balance(field, scenario)
     print(f"solved {len(field.x_miles)} stations x {len(field.t_hours)} times "
@@ -111,34 +130,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    scenario = read_scenario(Path(args.scenario))
-    digest = scenario_hash(scenario)
-    field, field_digest = read_field(Path(args.field))
-    _check_hash(digest, field_digest, "field file")
-
+    scenario, digest, field = _scenario_and_field(args)
     training_set = build_training_set(field, scenario)
-    model = init_model(
-        training_set.norm,
-        n_blocks=args.blocks,
-        width=args.width,
-        m=args.fourier_size,
-        sigma=args.sigma,
-        activation=args.activation,
-        seed=args.seed,
-        use_fourier=not args.no_fourier,
-    )
-    config = TrainConfig(
-        lambda_physics=args.lambda_physics,
-        sigma=args.sigma,
-        batch_size=args.batch_size,
-        collocation_per_batch=args.collocation,
-        lr_initial=args.lr,
-        lr_decay_rate=args.lr_decay_rate,
-        lr_decay_every=args.lr_decay_every,
-        max_iterations=args.iterations,
-        seed=args.seed,
-        record_every=args.record_every,
-    )
+    model = init_model(training_set.norm, **_given(
+        args, "n_blocks", "width", "m", "sigma", "activation", "seed", "use_fourier"
+    ))
+    config = TrainConfig(**_given(
+        args, "lambda_physics", "sigma", "batch_size", "collocation_per_batch", "lr_initial",
+        "lr_decay_rate", "lr_decay_every", "max_iterations", "seed", "record_every",
+    ))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,10 +154,9 @@ def _cmd_train(args) -> int:
     write_history(history, history_path)
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(trained, ckpt_path, scenario_digest=digest)
-    final = history[-1] if history else None
-    if final is not None:
+    if history:
         print(f"trained {config.max_iterations} iterations; final data loss "
-              f"{final.data_loss:.6e}, physics loss {final.physics_loss:.6e}")
+              f"{history[-1].data_loss:.6e}, physics loss {history[-1].physics_loss:.6e}")
     print(f"checkpoint written to {ckpt_path}")
     print(f"history written to {history_path}")
     return EXIT_OK
@@ -168,21 +167,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scenario = read_scenario(Path(args.scenario))
-    digest = scenario_hash(scenario)
-    field, field_digest = read_field(Path(args.field))
-    _check_hash(digest, field_digest, "field file")
+    scenario, digest, field = _scenario_and_field(args)
+    model = _load_checkpoint_for(args.checkpoint, scenario, digest)
 
-    model = _load_checkpoint_for(Path(args.checkpoint), scenario, digest)
-
-    report = evaluate(
-        model,
-        field,
-        scenario,
-        datum=args.datum,
-        collocation_seed=args.collocation_seed,
-    )
-    write_report(report, Path(args.out_dir))
+    report = evaluate(model, field, scenario, **_given(args, "datum", "collocation_seed"))
+    write_report(report, args.out_dir)
     print(f"overall stage MRAE:    {report.overall_stage_mrae:.4f}")
     print(f"overall velocity MRAE: {report.overall_velocity_mrae:.4f}")
     print(f"max stage abs error:   {report.max_stage_abs_error_ft:.4f} ft")
@@ -196,17 +185,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    scenario = read_scenario(Path(args.scenario))
-    model = _load_checkpoint_for(Path(args.checkpoint), scenario, scenario_hash(scenario))
+    scenario = read_scenario(args.scenario)
+    model = _load_checkpoint_for(args.checkpoint, scenario, scenario_hash(scenario))
 
-    result = run_benchmark(model, scenario, repetitions=args.repetitions, n_cells=args.n_cells)
+    result = run_benchmark(model, scenario, **_given(args, "repetitions", "n_cells"))
     print(f"solver median:    {result.solver_median:.3f} s "
           f"({result.repetitions} repetitions)")
     print(f"surrogate median: {result.surrogate_median:.6f} s "
           f"({result.n_points} points)")
     print(f"speedup:          {result.speedup:.3g}x")
-    if args.json_out is not None:
-        write_benchmark(result, Path(args.json_out))
+    if "json_out" in args:
+        write_benchmark(result, args.json_out)
         print(f"benchmark written to {args.json_out}")
     return EXIT_OK
 
@@ -216,20 +205,11 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    scenario = read_scenario(Path(args.scenario))
-    result = run_ablation(
-        scenario,
-        args.budget,
-        args.seed,
-        sigma=args.sigma,
-        lambda_full=args.lambda_full,
-        width=args.width,
-        n_blocks=args.blocks,
-        m=args.fourier_size,
-        activation=args.activation,
-        batch_size=args.batch_size,
-        n_cells=args.n_cells,
-    )
+    scenario = read_scenario(args.scenario)
+    result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
+        args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
+        "n_cells",
+    ))
 
     out_dir = Path(args.out_dir)
     write_ablation(result, out_dir)
@@ -251,6 +231,13 @@ def _cmd_ablate(args) -> int:
 # parser
 
 
+def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """A subcommand whose flags, when left out, are not set at all."""
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stagecast",
@@ -259,87 +246,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"stagecast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", help="run the shallow-water solver and save the field")
+    p = _command(sub, "simulate", _cmd_simulate, "run the shallow-water solver and save the field")
     p.add_argument("--scenario", required=True,
                    help="scenario file to read (or to write, with --synthetic-stations)")
     p.add_argument("--field-out", required=True, help="output path for the simulated field")
-    p.add_argument("--n-cells", type=int, default=400, help="interior grid resolution")
-    p.add_argument("--cfl", type=float, default=0.9, help="CFL number for adaptive stepping")
-    p.add_argument("--synthetic-stations", type=int, default=None, metavar="N",
+    p.add_argument("--n-cells", type=int, help="interior grid resolution")
+    p.add_argument("--cfl", type=float, help="CFL number for adaptive stepping")
+    p.add_argument("--synthetic-stations", type=int, metavar="N",
                    help="generate an N-station flood-wave scenario, write it to "
                         "--scenario, then solve it")
     p.add_argument("--peak-factor", type=float, default=3.0,
                    help="flood peak / baseflow ratio for synthetic scenarios")
-    p.add_argument("--seed", type=int, default=0, help="seed for synthetic scenario jitter")
-    p.set_defaults(func=_cmd_simulate)
+    p.add_argument("--seed", type=int, help="seed for synthetic scenario jitter")
 
-    p = sub.add_parser("train", help="fit a surrogate to a saved field")
+    p = _command(sub, "train", _cmd_train, "fit a surrogate to a saved field")
     p.add_argument("--scenario", required=True, help="scenario file the field was solved from")
     p.add_argument("--field", required=True, help="field file with the training data")
     p.add_argument("--out-dir", required=True, help="directory for checkpoint.bin and history.csv")
-    p.add_argument("--lambda", dest="lambda_physics", type=float,
-                   default=0.1, metavar="LAMBDA",
+    p.add_argument("--lambda", dest="lambda_physics", type=float, metavar="LAMBDA",
                    help="weight on the physics residual loss (0 disables collocation)")
-    p.add_argument("--sigma", type=float, default=4.0, help="Fourier feature bandwidth")
-    p.add_argument("--iterations", type=int, default=100000, help="training iterations")
-    p.add_argument("--batch-size", type=int, default=1024, help="supervised points per iteration")
-    p.add_argument("--collocation", type=int, default=None,
+    p.add_argument("--sigma", type=float, help="Fourier feature bandwidth")
+    p.add_argument("--iterations", dest="max_iterations", type=int, metavar="ITERATIONS",
+                   help="training iterations")
+    p.add_argument("--batch-size", type=int, help="supervised points per iteration")
+    p.add_argument("--collocation", dest="collocation_per_batch", type=int,
+                   metavar="COLLOCATION",
                    help="collocation points per iteration (default: batch size)")
-    p.add_argument("--lr", type=float, default=1e-3, help="initial learning rate")
-    p.add_argument("--lr-decay-rate", type=float, default=0.5,
-                   help="multiplicative decay factor")
-    p.add_argument("--lr-decay-every", type=int, default=20000,
-                   help="iterations per decay factor")
-    p.add_argument("--seed", type=int, default=0, help="seed for init, batching, collocation")
-    p.add_argument("--record-every", type=int, default=100, help="history record cadence")
-    p.add_argument("--width", type=int, default=512, help="hidden layer width")
-    p.add_argument("--blocks", type=int, default=6, help="number of residual blocks")
-    p.add_argument("--fourier-size", type=int, default=128,
+    p.add_argument("--lr", dest="lr_initial", type=float, metavar="LR",
+                   help="initial learning rate")
+    p.add_argument("--lr-decay-rate", type=float, help="multiplicative decay factor")
+    p.add_argument("--lr-decay-every", type=int, help="iterations per decay factor")
+    p.add_argument("--seed", type=int, help="seed for init, batching, collocation")
+    p.add_argument("--record-every", type=int, help="history record cadence")
+    p.add_argument("--width", type=int, help="hidden layer width")
+    p.add_argument("--blocks", dest="n_blocks", type=int, metavar="BLOCKS",
+                   help="number of residual blocks")
+    p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
                    help="number of Fourier feature rows")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="relu",
-                   help="hidden activation")
-    p.add_argument("--no-fourier", action="store_true",
+    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
+    p.add_argument("--no-fourier", dest="use_fourier", action="store_false",
                    help="feed raw normalized coordinates instead of Fourier features")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint against a saved field")
+    p = _command(sub, "eval", _cmd_eval, "score a checkpoint against a saved field")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     p.add_argument("--field", required=True, help="reference field file")
     p.add_argument("--scenario", required=True, help="scenario both inputs must match")
     p.add_argument("--out-dir", required=True,
                    help="directory for report.json and the CSV side files")
-    p.add_argument("--datum", choices=("depth", "elevation"), default="depth",
+    p.add_argument("--datum", choices=("depth", "elevation"),
                    help="compare water depth or water-surface elevation")
-    p.add_argument("--collocation-seed", type=int, default=0,
-                   help="seed for the physics-residual sample")
-    p.set_defaults(func=_cmd_eval)
+    p.add_argument("--collocation-seed", type=int, help="seed for the physics-residual sample")
 
-    p = sub.add_parser("benchmark", help="time the solver against the surrogate")
+    p = _command(sub, "benchmark", _cmd_benchmark, "time the solver against the surrogate")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     p.add_argument("--scenario", required=True, help="scenario to solve and predict")
-    p.add_argument("--repetitions", type=int, default=3, help="timing repetitions (>= 3)")
-    p.add_argument("--n-cells", type=int, default=400, help="solver grid resolution")
-    p.add_argument("--json-out", default=None, help="optional path for the timing JSON")
-    p.set_defaults(func=_cmd_benchmark)
+    p.add_argument("--repetitions", type=int, help="timing repetitions (>= 3)")
+    p.add_argument("--n-cells", type=int, help="solver grid resolution")
+    p.add_argument("--json-out", help="optional path for the timing JSON")
 
-    p = sub.add_parser("ablate", help="train base / fourier_only / full and compare")
+    p = _command(sub, "ablate", _cmd_ablate, "train base / fourier_only / full and compare")
     p.add_argument("--scenario", required=True, help="scenario file to solve and fit")
     p.add_argument("--out-dir", required=True, help="directory for per-config results")
-    p.add_argument("--budget", type=int, default=5000, help="iterations per configuration")
+    p.add_argument("--budget", dest="budget_iters", type=int, default=5000, metavar="BUDGET",
+                   help="iterations per configuration")
     p.add_argument("--seed", type=int, default=0, help="shared seed for all three runs")
-    p.add_argument("--sigma", type=float, default=4.0, help="Fourier bandwidth for the "
+    p.add_argument("--sigma", type=float, help="Fourier bandwidth for the "
                    "fourier_only and full configurations")
-    p.add_argument("--lambda-full", type=float, default=0.1,
-                   help="physics weight for the full configuration")
-    p.add_argument("--width", type=int, default=64, help="hidden layer width")
-    p.add_argument("--blocks", type=int, default=2, help="number of residual blocks")
-    p.add_argument("--fourier-size", type=int, default=32, help="Fourier feature rows")
-    p.add_argument("--activation", choices=("relu", "tanh"), default="tanh",
-                   help="hidden activation")
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="supervised points per iteration")
-    p.add_argument("--n-cells", type=int, default=400, help="solver grid resolution")
-    p.set_defaults(func=_cmd_ablate)
+    p.add_argument("--lambda-full", type=float, help="physics weight for the full configuration")
+    p.add_argument("--width", type=int, help="hidden layer width")
+    p.add_argument("--blocks", dest="n_blocks", type=int, metavar="BLOCKS",
+                   help="number of residual blocks")
+    p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
+                   help="Fourier feature rows")
+    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
+    p.add_argument("--batch-size", type=int, help="supervised points per iteration")
+    p.add_argument("--n-cells", type=int, help="solver grid resolution")
 
     return parser
 

@@ -32,7 +32,6 @@ __all__ = [
     "EvalReport",
     "BenchmarkReport",
     "AblationResult",
-    "ABLATION_CONFIGS",
     "mrae",
     "error_histogram",
     "evaluate",
@@ -184,7 +183,7 @@ def benchmark(
     scenario: RiverScenario,
     repetitions: int = 3,
     *,
-    n_cells: int = 400,
+    n_cells: int = SolverConfig.n_cells,
 ) -> BenchmarkReport:
     """Time the reference solver against surrogate inference.
 
@@ -226,9 +225,6 @@ def benchmark(
     )
 
 
-ABLATION_CONFIGS = ("base", "fourier_only", "full")
-
-
 @dataclass
 class AblationResult:
     """Three matched runs: no encoder, encoder only, encoder plus physics."""
@@ -243,7 +239,7 @@ class AblationResult:
     curve_t_hours: np.ndarray
     curve_truth_h: np.ndarray
     curves: dict
-    settings: dict  # name -> {"use_fourier", "lambda_physics"}, in ABLATION_CONFIGS order
+    settings: dict  # name -> {"use_fourier", "lambda_physics"}: base, fourier_only, full
     field: FlowField = field(repr=False, default=None)
 
 
@@ -259,7 +255,7 @@ def run_ablation(
     m: int = 32,
     activation: str = "tanh",
     batch_size: int = 256,
-    n_cells: int = 400,
+    n_cells: int = SolverConfig.n_cells,
 ) -> AblationResult:
     """Train base / fourier_only / full under one seed and budget.
 

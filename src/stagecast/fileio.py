@@ -21,8 +21,10 @@ a non-finite cell.
 Checkpoints are binary: a magic string, a JSON header (architecture,
 normalization box, seed, scenario hash, weight manifest), then the
 Fourier matrix and the flat weight vector as little-endian float64.
-The loader builds the model type from them, so a checkpoint is held to
-the model's own checks, and the stored manifest must be the model's.
+Every header key is required, with its JSON type (a bool is no integer
+and a string no number), and an unknown key is an error.  The loader
+builds the model type from them, so a checkpoint is held to the model's
+own checks, and the stored manifest must be the model's.
 
 Tables (loss history, per-station error, error histogram, ablation
 curve) are CSV with a header line; reports, benchmark timings and the
@@ -420,6 +422,14 @@ def read_field(path) -> tuple[FlowField, str]:
 # --------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"STAGECASTCKPT\x00"
+_NULL = type(None)
+# every header key, with the JSON types its value may have
+_CKPT_HEADER = {
+    "format_version": (int,), "use_fourier": (bool,), "m": (int, _NULL),
+    "sigma": (int, float, _NULL), "width": (int,), "n_blocks": (int,), "activation": (str,),
+    "seed": (int,), "norm": (list,), "scenario_hash": (str, _NULL), "manifest": (list,),
+    "n_weights": (int,),
+}
 
 
 def save_checkpoint(model: SurrogateModel, path, scenario_digest: str | None = None) -> None:
@@ -432,12 +442,7 @@ def save_checkpoint(model: SurrogateModel, path, scenario_digest: str | None = N
         "n_blocks": model.n_blocks,
         "activation": model.activation,
         "seed": model.seed,
-        "norm": [
-            model.norm.x_min_miles,
-            model.norm.x_max_miles,
-            model.norm.t_min_hours,
-            model.norm.t_max_hours,
-        ],
+        "norm": list(dataclasses.astuple(model.norm)),
         "scenario_hash": scenario_digest,
         "manifest": [[name, list(shape)] for name, shape in model.manifest],
         "n_weights": int(model.weights.size),
@@ -464,23 +469,29 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt JSON header") from exc
     offset += header_len
-    if header.get("format_version") != 1:
-        raise CheckpointFormatError(f"{path}: unsupported format version {header.get('format_version')}")
-
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+    for key in sorted(header.keys() ^ _CKPT_HEADER.keys()):  # the first unknown or missing key
+        state = "unknown" if key in header else "missing"
+        raise CheckpointFormatError(f"{path}: invalid header field: {key!r} is {state}")
+    for key, kinds in _CKPT_HEADER.items():
+        if type(header[key]) not in kinds:  # exact: a bool is no int, a string no number
+            raise CheckpointFormatError(f"{path}: invalid header field: {key!r} is {header[key]!r}")
+    if header["format_version"] != 1:
+        raise CheckpointFormatError(f"{path}: unsupported format version {header['format_version']}")
+    use_fourier, m, sigma, norm = (header[k] for k in ("use_fourier", "m", "sigma", "norm"))
+    if (m is None) == use_fourier or (sigma is None) == use_fourier:
+        what = "'m' and 'sigma' must be null exactly when 'use_fourier' is false"
+        raise CheckpointFormatError(f"{path}: invalid header field: {what}")
+    if len(norm) != 4 or not all(type(v) in (int, float) for v in norm):
+        raise CheckpointFormatError(f"{path}: invalid header field: 'norm' is {norm!r}")
     try:
-        use_fourier = header["use_fourier"]
-        m = int(header["m"]) if use_fourier else 0
-        sigma = float(header["sigma"]) if use_fourier else None
         manifest = tuple((name, tuple(shape)) for name, shape in header["manifest"])
         expected = sum(math.prod(shape) for _, shape in manifest)
-        n_weights = header["n_weights"]
-        width = int(header["width"])
-        n_blocks = int(header["n_blocks"])
-        activation = str(header["activation"])
-        seed = int(header["seed"])
-        norm = NormalizationBox(*[float(v) for v in header["norm"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: invalid header field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: invalid header field: 'manifest': {exc}") from exc
+    n_weights = header["n_weights"]
+    m = m or 0  # a model without an encoder stores no Fourier rows
     if n_weights != expected:
         raise CheckpointFormatError(f"{path}: weight count {n_weights} != manifest total {expected}")
 
@@ -491,19 +502,21 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:
         model = SurrogateModel(
-            encoder=FourierEncoder(values[: 2 * m].reshape(m, 2), sigma) if use_fourier else None,
+            encoder=(
+                FourierEncoder(values[: 2 * m].reshape(m, 2), float(sigma)) if use_fourier else None
+            ),
             weights=values[2 * m :],
-            width=width,
-            n_blocks=n_blocks,
-            activation=activation,
-            norm=norm,
-            seed=seed,
+            width=header["width"],
+            n_blocks=header["n_blocks"],
+            activation=header["activation"],
+            norm=NormalizationBox(*map(float, norm)),
+            seed=header["seed"],
         )
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     if model.manifest != manifest:
         raise CheckpointFormatError(f"{path}: manifest disagrees with declared architecture")
-    return model, header.get("scenario_hash")
+    return model, header["scenario_hash"]
 
 
 # --------------------------------------------------------------------------

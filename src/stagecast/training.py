@@ -378,6 +378,8 @@ def train(
     :class:`TrainingDiverged` (history attached) if the total loss exceeds
     a million times its initial value or stops being finite.
     """
+    if training_set.norm != model.norm:  # collocation is drawn in one box, normalized by the other
+        raise ValueError("training set box does not match the model's normalization box")
     ss = np.random.SeedSequence(config.seed)
     batch_seed, colloc_seed = ss.spawn(2)
     rng_batch = np.random.default_rng(batch_seed)

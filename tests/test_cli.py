@@ -473,28 +473,54 @@ def test_eval_checkpoint_from_other_scenario_exits_three(workspace, capsys, tmp_
 
 
 def _rewrite_checkpoint_header(src, dst, edit):
-    """Copy the checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON header."""
+    """Copy the checkpoint ``src`` to ``dst`` with its JSON header replaced by
+    ``edit(header)``."""
     raw = src.read_bytes()
     length = int.from_bytes(raw[14:18], "little")
-    header = json.loads(raw[18 : 18 + length])
-    edit(header)
-    blob = json.dumps(header, sort_keys=True).encode()
+    blob = json.dumps(edit(json.loads(raw[18 : 18 + length])), sort_keys=True).encode()
     dst.write_bytes(raw[:14] + len(blob).to_bytes(4, "little") + blob + raw[18 + length :])
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _with(**changes):
+    return lambda header: {**header, **changes}
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda header: header.update(activation="gelu"), "activation must be one of"),
-        (lambda header: header.pop("sigma"), "invalid header field: 'sigma'"),
+        (_with(activation="gelu"), "activation must be one of"),
+        (_without("sigma"), "invalid header field: 'sigma' is missing"),
+        (lambda header: [1, 2], "header is not a JSON object"),
+        (_with(scenario_hash=5), "invalid header field: 'scenario_hash' is 5"),
+        (_with(seed=7.9), "invalid header field: 'seed' is 7.9"),
+        (_with(seed="7"), "invalid header field: 'seed' is '7'"),
+        (_with(seed=True), "invalid header field: 'seed' is True"),
+        (_with(width=64.0), "invalid header field: 'width' is 64.0"),
+        (_with(format_version=True), "invalid header field: 'format_version' is True"),
+        (_with(use_fourier="false"), "invalid header field: 'use_fourier' is 'false'"),
+        (_with(sigma="4.0"), "invalid header field: 'sigma' is '4.0'"),
+        (_with(norm=[0.0, "8", 0.0, 6.0]), "invalid header field: 'norm'"),
+        (_with(norm=[0.0, 8.0, 6.0]), "invalid header field: 'norm'"),
+        (_with(use_fourier=False), "invalid header field: 'm' and 'sigma'"),
+        (_with(comment="hand-edited"), "invalid header field: 'comment' is unknown"),
     ],
-    ids=["unknown-activation", "missing-sigma"],
+    ids=[
+        "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "float-seed",
+        "string-seed", "bool-seed", "float-width", "bool-version", "string-use-fourier",
+        "string-sigma", "string-in-norm", "short-norm", "sizes-without-encoder", "unknown-key",
+    ],
 )
 def test_eval_checkpoint_header_the_model_refuses_exits_one(
     workspace, edit, message, capsys, tmp_path
 ):
-    """The loader holds a checkpoint to the model type's own checks: an
-    unknown activation does not run as tanh, and a missing key is named."""
+    """Every header key is read once, with its JSON type, and the loader
+    holds a checkpoint to the model type's own checks: an unknown
+    activation does not run as tanh, a number in a string or a float seed
+    is not coerced, and a missing or unknown key is named."""
     checkpoint = tmp_path / "checkpoint.bin"
     _rewrite_checkpoint_header(workspace / "run" / "checkpoint.bin", checkpoint, edit)
     rc = main([
@@ -527,6 +553,59 @@ def test_eval_field_scenario_mismatch_exits_three(workspace, capsys, tmp_path):
         "--out-dir", str(tmp_path / "report"),
     ])
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# defaults
+
+
+class _Stop(Exception):
+    """Ends a command once the library call it is tested for has been seen."""
+
+
+def test_flags_left_out_reach_no_library_call(workspace, monkeypatch, tmp_path):
+    """Each subcommand run with only its required flags passes no optional
+    keyword on, so every default is the library's own."""
+    import stagecast.cli as cli
+
+    calls = []
+
+    def record(name, stop):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs))
+            if stop:
+                raise _Stop
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("SolverConfig", "init_model"):
+        record(name, stop=False)
+    for name in ("solve", "TrainConfig", "evaluate", "run_benchmark", "run_ablation"):
+        record(name, stop=True)
+    field = str(workspace / "field.txt")
+    checkpoint = str(workspace / "run" / "checkpoint.bin")
+    for argv in (
+        ["simulate", "--field-out", str(tmp_path / "field.txt")],
+        ["train", "--field", field, "--out-dir", str(tmp_path / "run")],
+        ["eval", "--checkpoint", checkpoint, "--field", field, "--out-dir", str(tmp_path / "r")],
+        ["benchmark", "--checkpoint", checkpoint],
+        ["ablate", "--out-dir", str(tmp_path / "ablation")],
+    ):
+        with pytest.raises(_Stop):
+            main([*argv, "--scenario", str(workspace / "scenario.txt")])
+    assert calls == [
+        ("SolverConfig", {}),
+        ("solve", {}),
+        ("init_model", {}),
+        ("TrainConfig", {}),
+        ("evaluate", {}),
+        ("run_benchmark", {}),
+        ("run_ablation", {}),
+    ]
+    assert list(tmp_path.iterdir()) == []  # every command stopped before writing
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every import in the package is used, every exported name is defined,
 every private module-level name is referenced, a module reads another
-module's private names only where the list below allows it (stdlib-only
-lint checks), and no module-level array can be written into."""
+module's private names only where the list below allows it, the command
+line gives a flag a default only where the parameter it feeds has none
+(stdlib-only lint checks), and no module-level array can be written into."""
 
 import ast
 import importlib
@@ -155,6 +156,49 @@ def test_the_check_finds_an_unlisted_private_read():
         "b.py": "def f():\n    from .a import _late as late\n    return late\n",
     }
     assert _private_reads(sources) == ["a.py: b._hidden", "b.py: a._late"]
+
+
+# The only flags that carry a default of their own: each feeds a parameter
+# that has none.  Every other flag, left out, is not forwarded, so the
+# library function or config it feeds supplies the default.
+FLAG_DEFAULTS = ["ablate --budget", "ablate --seed", "simulate --peak-factor"]
+
+
+def _flag_defaults(source: str) -> list[str]:
+    """``command --flag`` for each ``add_argument`` call that passes
+    ``default=``, under the last ``_command(sub, "command", ...)`` above it."""
+    calls = sorted(
+        (
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        ),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+    found, command = [], None
+    for call in calls:
+        name = call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+        if name == "_command":
+            command = call.args[1].value
+        elif name == "add_argument" and any(kw.arg == "default" for kw in call.keywords):
+            found.append(f"{command} {call.args[0].value}")
+    return sorted(found)
+
+
+def test_cli_defaults_live_in_the_library():
+    assert _flag_defaults((PACKAGE / "cli.py").read_text()) == FLAG_DEFAULTS
+
+
+def test_the_check_finds_a_flag_default():
+    source = (
+        'p = _command(sub, "run", f, "help")\n'
+        'p.add_argument("--size", type=int, default=3)\n'
+        'p.add_argument("--name", help="text")\n'
+        'p = _command(sub, "stop", g, "help")\n'
+        'p.add_argument("--force", action="store_true", default=False)\n'
+        'parser.add_argument("--version", action="version", version="1")\n'
+    )
+    assert _flag_defaults(source) == ["run --size", "stop --force"]
 
 
 def _writable_module_arrays(modules) -> list[str]:

@@ -316,6 +316,14 @@ def test_zero_iterations_returns_initial_model():
     np.testing.assert_array_equal(trained.weights, model.weights)
 
 
+def test_train_rejects_a_training_set_in_another_box():
+    """Collocation points are drawn over the training set's box and
+    normalized by the model's, so the two must be one box."""
+    model = init_model(NormalizationBox(0.0, 16.0, 0.0, 30.0), n_blocks=1, width=8, m=4)
+    with pytest.raises(ValueError, match="box"):
+        train(model, _constant_training_set(), TrainConfig(max_iterations=1, batch_size=32))
+
+
 def test_training_fits_constant_field():
     model = _model(seed=1)
     ts = _constant_training_set()

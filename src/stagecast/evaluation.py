@@ -63,12 +63,6 @@ def mrae(pred, truth) -> float:
     return float(np.sum(np.abs(p - y)) / denom)
 
 
-def _grid_points(field: FlowField) -> np.ndarray:
-    """The (x_miles, t_hours) points of a field's station-time grid, time-major."""
-    xx, tt = np.meshgrid(field.x_miles, field.t_hours)
-    return np.column_stack([xx.ravel(), tt.ravel()])
-
-
 def error_histogram(per_station_error: np.ndarray):
     """Counts of per-station errors in 20 bins over [0, max]; returns (edges, counts)."""
     errs = np.asarray(per_station_error, dtype=np.float64)
@@ -116,7 +110,7 @@ def evaluate(
     if datum not in ("depth", "elevation"):
         raise ValueError("datum must be 'depth' or 'elevation'")
 
-    points = _grid_points(field)
+    points = field.points
     started = time.perf_counter()
     h_flat, u_flat = predict_batch(model, points)
     surrogate_seconds = time.perf_counter() - started
@@ -137,13 +131,7 @@ def evaluate(
     overall_velocity = mrae(np.abs(u_pred).ravel(), np.abs(field.u).ravel())
 
     box = box_for_scenario(scenario)
-    rng = np.random.default_rng(collocation_seed)
-    colloc = np.column_stack(
-        [
-            rng.uniform(box.x_min_miles, box.x_max_miles, _N_COLLOCATION),
-            rng.uniform(box.t_min_hours, box.t_max_hours, _N_COLLOCATION),
-        ]
-    )
+    colloc = box.sample(np.random.default_rng(collocation_seed), _N_COLLOCATION)
 
     solver_seconds = field.wall_clock_seconds
     return EvalReport(
@@ -197,7 +185,7 @@ def benchmark(
         raise ValueError("need at least 3 repetitions for a stable median")
     config = SolverConfig(n_cells=n_cells)
 
-    points = _grid_points(solve(scenario, config))  # warm-up; only its grid is kept
+    points = solve(scenario, config).points  # warm-up; only its grid is kept
     predict_batch(model, points)  # warm-up, discarded
 
     solver_times = []

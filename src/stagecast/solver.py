@@ -99,6 +99,13 @@ class FlowField:
     u: np.ndarray
     wall_clock_seconds: float
 
+    @property
+    def points(self) -> np.ndarray:
+        """The (x_miles, t_hours) rows of the station-time grid, time-major
+        (x varies fastest) as ``h.ravel()``."""
+        xx, tt = np.meshgrid(self.x_miles, self.t_hours)
+        return np.column_stack((xx.ravel(), tt.ravel()))
+
     def __eq__(self, other):
         if not isinstance(other, FlowField):
             return NotImplemented

@@ -22,7 +22,7 @@ for the tangent rows, the second derivatives of the activations
 (forward-over-reverse).  Inference runs the same pass without tangent
 rows on fixed 64-row blocks: every gemm sees 64 rows, the elementwise
 work only the block's real rows; padding rows are zero and stay zero.
-``physics_duals`` runs on fixed blocks of 64 points too.
+``physics_duals`` runs on the same blocks, with every row's tangents.
 """
 
 from __future__ import annotations
@@ -79,10 +79,21 @@ class NormalizationBox:
     t_max_hours: float
 
     def __post_init__(self):
-        if not self.x_max_miles > self.x_min_miles:
-            raise ValueError("normalization box is degenerate in x")
-        if not self.t_max_hours > self.t_min_hours:
-            raise ValueError("normalization box is degenerate in t")
+        for axis, lo, hi in (
+            ("x", self.x_min_miles, self.x_max_miles),
+            ("t", self.t_min_hours, self.t_max_hours),
+        ):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"normalization box is not finite in {axis}")
+            if not hi > lo:
+                raise ValueError(f"normalization box is degenerate in {axis}")
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` uniform (x_miles, t_hours) rows: all x draws, then all t draws."""
+        return np.column_stack((
+            rng.uniform(self.x_min_miles, self.x_max_miles, n),
+            rng.uniform(self.t_min_hours, self.t_max_hours, n),
+        ))
 
 
 def box_for_scenario(scenario: RiverScenario) -> NormalizationBox:
@@ -411,25 +422,17 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
 # --------------------------------------------------------------------------
 
 
-def _normalize(model: SurrogateModel, x_miles, t_hours, clamp: bool) -> np.ndarray:
-    """Physical coordinates -> (N, 2) rows of unit-square coordinates."""
+def _normalize(model: SurrogateModel, points, clamp: bool) -> np.ndarray:
+    """(N, 2) rows of (x_miles, t_hours) -> rows of unit-square coordinates."""
     box = model.norm
-    x = np.asarray(x_miles, dtype=np.float64)
-    t = np.asarray(t_hours, dtype=np.float64)
+    lo = np.array([box.x_min_miles, box.t_min_hours])
+    hi = np.array([box.x_max_miles, box.t_max_hours])
     if clamp:
-        outside = (
-            (x < box.x_min_miles)
-            | (x > box.x_max_miles)
-            | (t < box.t_min_hours)
-            | (t > box.t_max_hours)
-        )
-        if np.any(outside):
-            _warn_outside(int(np.count_nonzero(outside)))
-            x = np.clip(x, box.x_min_miles, box.x_max_miles)
-            t = np.clip(t, box.t_min_hours, box.t_max_hours)
-    xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
-    that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
-    return np.column_stack([xhat, that])
+        outside = np.count_nonzero(((points < lo) | (points > hi)).any(axis=1))
+        if outside:
+            _warn_outside(outside)
+            points = np.clip(points, lo, hi)
+    return (points - lo) / (hi - lo)
 
 
 def _normalize_point(model: SurrogateModel, x: float, t: float) -> np.ndarray:
@@ -460,28 +463,33 @@ def _warn_outside(count: int) -> None:
 _INFERENCE_BLOCK = 64
 
 
-def _forward_plain(model: SurrogateModel, v: np.ndarray):
+def _forward_blocks(model: SurrogateModel, v: np.ndarray, c: int = 0) -> np.ndarray:
+    """The network on normalized rows ``v``, block by block.
+
+    Without ``c`` the result holds the rows (h, u).  With ``c`` equal to
+    the block size every row of a block carries its tangents, and the
+    result holds (h, h_x, h_t, u, u_x, u_t).
+    """
     # BLAS picks different gemm kernels for different row counts and their
     # rounding can disagree in the last ulp, which would break the contract
     # that a batched prediction equals the same points predicted one at a
     # time.  Rows within a fixed-shape gemm are position-independent, so
-    # every inference gemm runs on exactly _INFERENCE_BLOCK rows: the input
-    # is zero-padded to whole blocks and processed block by block, and only
-    # a block's real rows get the elementwise work.
+    # every gemm runs on exactly _INFERENCE_BLOCK rows: the input is
+    # zero-padded to whole blocks and processed block by block.  Without
+    # tangents only a block's real rows get the elementwise work; with
+    # them the padding rows are computed too and dropped.
     n = v.shape[0]
     views = weight_views(model)
-    rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
-    padded = np.zeros((rows, v.shape[1]))
+    padded = np.zeros((-(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK, 2))
     padded[:n] = v
-    h = np.empty(n)
-    u = np.empty(n)
+    out = np.empty((6 if c else 2, padded.shape[0]))
     for start in range(0, n, _INFERENCE_BLOCK):
-        real = min(n - start, _INFERENCE_BLOCK)
+        real = c or min(n - start, _INFERENCE_BLOCK)
         x = _features(model, padded[start : start + _INFERENCE_BLOCK], real)
-        # taking the outputs in one statement frees the pass's layer rows
-        # before the next block allocates its own
-        h[start : start + real], u[start : start + real] = _forward(model, views, x, n=real)[:2]
-    return h, u
+        fwd = _forward(model, views, x, c, real)
+        out[:, start : start + real] = (fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan) if c else fwd[:2]
+        del fwd  # frees the pass's layer rows before the next block allocates its own
+    return out[:, :n]
 
 
 def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[float, float]:
@@ -490,8 +498,8 @@ def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[floa
     Points outside the normalization box are clamped onto it, with an
     :class:`ExtrapolationWarning`.
     """
-    h, u = _forward_plain(model, _normalize_point(model, float(x_miles), float(t_hours)))
-    return float(h[0]), float(u[0])
+    out = _forward_blocks(model, _normalize_point(model, float(x_miles), float(t_hours)))
+    return float(out[0, 0]), float(out[1, 0])
 
 
 def predict_batch(model: SurrogateModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -499,9 +507,8 @@ def predict_batch(model: SurrogateModel, points) -> tuple[np.ndarray, np.ndarray
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (N, 2)")
-    if pts.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
-    return _forward_plain(model, _normalize(model, pts[:, 0], pts[:, 1], clamp=True))
+    h, u = _forward_blocks(model, _normalize(model, pts, clamp=True))
+    return h, u
 
 
 def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
@@ -509,18 +516,12 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
 
     Returns ``(h, u)`` as :class:`Dual` values whose ``dx`` components are
     derivatives with respect to feet and ``dt`` with respect to seconds --
-    the units the governing equations are written in.  The points run in
-    blocks of ``_INFERENCE_BLOCK``, as in inference, so that a point's
-    duals are the same bits in a batch of any size or order.
+    the units the governing equations are written in.  ``x_miles`` and
+    ``t_hours`` pair up by numpy broadcasting, and the result is flat.  The
+    points run in the blocks of inference, so that a point's duals are the
+    same bits in a batch of any size or order.
     """
-    n = np.size(x_miles)
-    rows = -(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK
-    # whole blocks, padded with repeats of the given points; padding is dropped
-    v = _normalize(model, np.resize(x_miles, rows), np.resize(t_hours, rows), clamp=False)
-    views = weight_views(model)
-    out = np.empty((6, rows))
-    for start in range(0, rows, _INFERENCE_BLOCK):
-        block = slice(start, start + _INFERENCE_BLOCK)
-        fwd = _forward(model, views, _features(model, v[block]), _INFERENCE_BLOCK)
-        out[:, block] = np.vstack((fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan))
-    return Dual(*out[:3, :n]), Dual(*out[3:, :n])
+    x, t = np.broadcast_arrays(np.asarray(x_miles, np.float64), np.asarray(t_hours, np.float64))
+    v = _normalize(model, np.column_stack((x.ravel(), t.ravel())), clamp=False)
+    out = _forward_blocks(model, v, _INFERENCE_BLOCK)
+    return Dual(*out[:3]), Dual(*out[3:])

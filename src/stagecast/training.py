@@ -126,35 +126,28 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Flattened solver samples plus the normalization box they live in."""
+    """Solver samples: (x_miles, t_hours) rows with their depth and velocity,
+    plus the normalization box they live in."""
 
-    x_miles: np.ndarray
-    t_hours: np.ndarray
+    points: np.ndarray
     h_ft: np.ndarray
     u_fps: np.ndarray
     norm: NormalizationBox
 
     def __post_init__(self):
-        n = self.x_miles.size
-        if not (self.t_hours.size == n and self.h_ft.size == n and self.u_fps.size == n):
+        n = self.h_ft.size
+        if self.points.shape != (n, 2) or self.u_fps.size != n:
             raise ValueError("training set columns differ in length")
         if n < 2:
             raise ValueError("training set needs at least two samples")
 
     def __len__(self) -> int:
-        return self.x_miles.size
+        return self.h_ft.size
 
 
 def build_training_set(field: FlowField, scenario: RiverScenario) -> TrainingSet:
     """Flatten a solved field into (x, t, h, u) samples."""
-    xx, tt = np.meshgrid(field.x_miles, field.t_hours)
-    return TrainingSet(
-        x_miles=xx.ravel(),
-        t_hours=tt.ravel(),
-        h_ft=field.h.ravel(),
-        u_fps=field.u.ravel(),
-        norm=box_for_scenario(scenario),
-    )
+    return TrainingSet(field.points, field.h.ravel(), field.u.ravel(), box_for_scenario(scenario))
 
 
 class HistoryRow(NamedTuple):
@@ -206,11 +199,12 @@ def forward_loss(
     purely supervised pass.  The data rows come first in the stacked pass.
     """
     x, t, h_true, u_true = batch
-    v = _normalize(model, np.atleast_1d(x), np.atleast_1d(t), clamp=False)
+    points = np.column_stack((np.atleast_1d(x), np.atleast_1d(t)))
     c = 0
     if collocation is not None:
         c = len(collocation)
-        v = np.concatenate((v, _normalize(model, collocation[:, 0], collocation[:, 1], clamp=False)))
+        points = np.concatenate((points, collocation))
+    v = _normalize(model, points, clamp=False)
     return _loss_pass(model, _features(model, v), h_true, u_true, c, lambda_physics)
 
 
@@ -387,9 +381,8 @@ def train(
     train_idx, val_idx = _split_indices(len(training_set), config.seed)
 
     ts = training_set
-    box = ts.norm
     # the samples are fixed: normalize and encode them once, gather per batch
-    features = _features(model, _normalize(model, ts.x_miles, ts.t_hours, clamp=False))
+    features = _features(model, _normalize(model, ts.points, clamp=False))
     val_rows = (features[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
@@ -406,11 +399,11 @@ def train(
         x, c = features[idx], 0
         if config.lambda_physics > 0.0:
             c = config.collocation_count
-            x_c = rng_colloc.uniform(box.x_min_miles, box.x_max_miles, c)
-            t_c = rng_colloc.uniform(box.t_min_hours, box.t_max_hours, c)
-            x = np.concatenate((x, _features(current, _normalize(current, x_c, t_c, clamp=False))))
+            colloc = _normalize(current, ts.norm.sample(rng_colloc, c), clamp=False)
+            x = np.concatenate((x, _features(current, colloc)))
         lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
-        row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, _learning_rate(config, i))
+        lr = _learning_rate(config, i)
+        row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, lr)
 
         if initial_total is None:
             initial_total = lp.total
@@ -427,7 +420,7 @@ def train(
 
         grads = loss_gradient(lp)
         try:
-            weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
+            weights, state = adam_step(weights, grads, state, lr)
         except NonFiniteGradient as err:
             raise ValueError(
                 f"non-finite gradient in parameter {_param_name_at(current.manifest, err.index)!r} "
@@ -442,6 +435,4 @@ def train(
                 best_val = val
                 best_weights = weights.copy()
 
-    if config.max_iterations == 0:
-        best_weights = weights
     return dataclasses.replace(model, weights=best_weights), history

@@ -132,6 +132,27 @@ def test_dual_array_payloads_elementwise():
             assert batched[i] == pytest.approx(single[0], rel=1e-9, abs=1e-15)
 
 
+def test_duals_pair_points_by_broadcasting():
+    """A scalar or a length-1 array pairs with every point of the other
+    coordinate; lengths that cannot broadcast are refused, not recycled."""
+    model = _model(seed=6)
+    x, t = np.array([1.0, 2.5, 6.0]), np.array([4.0, 9.0, 21.0])
+    cases = [
+        ((x, t), list(zip(x, t))),
+        ((x, t[:1]), [(xi, 4.0) for xi in x]),
+        ((2.5, t), [(2.5, ti) for ti in t]),
+    ]
+    for (xs, ts), pairs in cases:
+        h, u = physics_duals(model, xs, ts)
+        assert h.value.shape == (len(pairs),)
+        for i, (xi, ti) in enumerate(pairs):
+            h1, u1 = physics_duals(model, xi, ti)
+            for batched, single in zip((*h, *u), (*h1, *u1)):
+                assert batched[i] == single[0]
+    with pytest.raises(ValueError):
+        physics_duals(model, [1.0, 2.0, 3.0], [5.0, 6.0])
+
+
 def test_forward_dual_matches_central_differences():
     """relu and tanh, with and without the encoder, at random points."""
     rng = np.random.default_rng(42)
@@ -283,7 +304,8 @@ def test_non_finite_loss_aborts_before_backward(monkeypatch):
     n = 64
     h = np.full(n, 5.0)
     h[::2] = np.nan
-    ts = TrainingSet(rng.uniform(0, 8, n), rng.uniform(0, 30, n), h, np.full(n, 1.0), BOX)
+    points = np.column_stack((rng.uniform(0, 8, n), rng.uniform(0, 30, n)))
+    ts = TrainingSet(points=points, h_ft=h, u_fps=np.full(n, 1.0), norm=BOX)
     with pytest.raises(TrainingDiverged) as info:
         train(_model(), ts, TrainConfig(lambda_physics=0.1, batch_size=16, max_iterations=3))
     assert info.value.iteration == 0

@@ -505,13 +505,15 @@ def _with(**changes):
         (_with(sigma="4.0"), "invalid header field: 'sigma' is '4.0'"),
         (_with(norm=[0.0, "8", 0.0, 6.0]), "invalid header field: 'norm'"),
         (_with(norm=[0.0, 8.0, 6.0]), "invalid header field: 'norm'"),
+        (_with(norm=[0.0, 8.0, 0.0, float("inf")]), "normalization box is not finite in t"),
         (_with(use_fourier=False), "invalid header field: 'm' and 'sigma'"),
         (_with(comment="hand-edited"), "invalid header field: 'comment' is unknown"),
     ],
     ids=[
         "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "float-seed",
         "string-seed", "bool-seed", "float-width", "bool-version", "string-use-fourier",
-        "string-sigma", "string-in-norm", "short-norm", "sizes-without-encoder", "unknown-key",
+        "string-sigma", "string-in-norm", "short-norm", "infinite-norm", "sizes-without-encoder",
+        "unknown-key",
     ],
 )
 def test_eval_checkpoint_header_the_model_refuses_exits_one(

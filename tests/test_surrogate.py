@@ -305,3 +305,24 @@ def test_physics_duals_value_matches_predict():
 def test_degenerate_box_rejected():
     with pytest.raises(ValueError):
         NormalizationBox(x_min_miles=1.0, x_max_miles=1.0, t_min_hours=0.0, t_max_hours=2.0)
+
+
+@pytest.mark.parametrize("bounds, axis", [
+    ((0.0, 8.0, 0.0, np.inf), "t"),
+    ((-np.inf, 8.0, 0.0, 30.0), "x"),
+    ((0.0, np.nan, 0.0, 30.0), "x"),
+])
+def test_non_finite_box_rejected(bounds, axis):
+    """An infinite bound would normalize every coordinate on its axis to 0."""
+    with pytest.raises(ValueError, match=f"not finite in {axis}"):
+        NormalizationBox(*bounds)
+
+
+def test_box_sample_is_all_x_draws_then_all_t_draws():
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    rows = BOX.sample(rng_a, 50)
+    x = rng_b.uniform(BOX.x_min_miles, BOX.x_max_miles, 50)
+    t = rng_b.uniform(BOX.t_min_hours, BOX.t_max_hours, 50)
+    assert rows.shape == (50, 2)
+    np.testing.assert_array_equal(rows, np.column_stack((x, t)))
+    assert rng_a.random() == rng_b.random()  # the stream is left at the same place

@@ -37,7 +37,8 @@ def _constant_training_set(n=512, h=5.0, u=1.0):
     rng = np.random.default_rng(7)
     x = rng.uniform(BOX.x_min_miles, BOX.x_max_miles, n)
     t = rng.uniform(BOX.t_min_hours, BOX.t_max_hours, n)
-    return TrainingSet(x_miles=x, t_hours=t, h_ft=np.full(n, h), u_fps=np.full(n, u), norm=BOX)
+    points = np.column_stack((x, t))
+    return TrainingSet(points=points, h_ft=np.full(n, h), u_fps=np.full(n, u), norm=BOX)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def _internal_prediction(model, x, t):
     """The (h, u) values data_loss sees for a raw batch, bit for bit."""
     from stagecast.surrogate import _features, _forward, _normalize
 
-    v = _normalize(model, np.asarray(x), np.asarray(t), clamp=False)
+    v = _normalize(model, np.column_stack((x, t)), clamp=False)
     fwd = _forward(model, weight_views(model), _features(model, v))
     return fwd.h, fwd.u
 
@@ -276,32 +277,27 @@ def test_build_training_set_layout(flood_scenario, flood_field):
     nx = flood_field.x_miles.size
     nt = flood_field.t_hours.size
     assert len(ts) == nx * nt
-    # x varies fastest: the first nx samples are the t=0 snapshot
-    np.testing.assert_array_equal(ts.x_miles[:nx], flood_field.x_miles)
-    np.testing.assert_array_equal(ts.t_hours[:nx], np.full(nx, flood_field.t_hours[0]))
-    np.testing.assert_array_equal(ts.h_ft[:nx], flood_field.h[0])
-    np.testing.assert_array_equal(ts.u_fps[:nx], flood_field.u[0])
+    # x varies fastest: row k of the field's grid is station k % nx at time
+    # k // nx, the sample that h.ravel()[k] and u.ravel()[k] hold
+    points = flood_field.points
+    np.testing.assert_array_equal(points[:, 0], np.tile(flood_field.x_miles, nt))
+    np.testing.assert_array_equal(points[:, 1], np.repeat(flood_field.t_hours, nx))
+    np.testing.assert_array_equal(ts.points, points)
+    np.testing.assert_array_equal(ts.h_ft, flood_field.h.ravel())
+    np.testing.assert_array_equal(ts.u_fps, flood_field.u.ravel())
     assert ts.norm.x_max_miles == pytest.approx(flood_scenario.geometry.length_miles)
     assert ts.norm.t_max_hours == pytest.approx(flood_scenario.t_total_hours)
 
 
 def test_training_set_validation():
     with pytest.raises(ValueError):
-        TrainingSet(
-            x_miles=np.zeros(3),
-            t_hours=np.zeros(2),
-            h_ft=np.zeros(3),
-            u_fps=np.zeros(3),
-            norm=BOX,
-        )
+        TrainingSet(points=np.zeros((3, 2)), h_ft=np.zeros(3), u_fps=np.zeros(2), norm=BOX)
     with pytest.raises(ValueError):
-        TrainingSet(
-            x_miles=np.zeros(1),
-            t_hours=np.zeros(1),
-            h_ft=np.zeros(1),
-            u_fps=np.zeros(1),
-            norm=BOX,
-        )
+        TrainingSet(points=np.zeros((2, 2)), h_ft=np.zeros(3), u_fps=np.zeros(3), norm=BOX)
+    with pytest.raises(ValueError):  # rows of (x, t), not a flat column
+        TrainingSet(points=np.zeros(6), h_ft=np.zeros(3), u_fps=np.zeros(3), norm=BOX)
+    with pytest.raises(ValueError):
+        TrainingSet(points=np.zeros((1, 2)), h_ft=np.zeros(1), u_fps=np.zeros(1), norm=BOX)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +363,7 @@ def test_supervised_run_replicated_by_hand():
     batch_seed, _colloc_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng_batch = np.random.default_rng(batch_seed)
     train_idx, val_idx = _split_indices(len(ts), config.seed)
-    val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
+    val_batch = (*ts.points[val_idx].T, ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
     state = init_adam(weights.size)
@@ -376,7 +372,7 @@ def test_supervised_run_replicated_by_hand():
         current = dataclasses.replace(model, weights=weights)
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
-        lp = forward_loss(current, (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx]))
+        lp = forward_loss(current, (*ts.points[idx].T, ts.h_ft[idx], ts.u_fps[idx]))
         assert lp.data_loss == history[i].data_loss  # bitwise trajectory match
         grads = loss_gradient(lp)
         weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
@@ -404,7 +400,7 @@ def test_physics_run_replicated_by_hand():
     rng_batch = np.random.default_rng(batch_seed)
     rng_colloc = np.random.default_rng(colloc_seed)
     train_idx, val_idx = _split_indices(len(ts), config.seed)
-    val_batch = (ts.x_miles[val_idx], ts.t_hours[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
+    val_batch = (*ts.points[val_idx].T, ts.h_ft[val_idx], ts.u_fps[val_idx])
 
     weights = model.weights.copy()
     state = init_adam(weights.size)
@@ -417,7 +413,7 @@ def test_physics_run_replicated_by_hand():
             rng_colloc.uniform(BOX.x_min_miles, BOX.x_max_miles, 24),
             rng_colloc.uniform(BOX.t_min_hours, BOX.t_max_hours, 24),
         ])
-        batch = (ts.x_miles[idx], ts.t_hours[idx], ts.h_ft[idx], ts.u_fps[idx])
+        batch = (*ts.points[idx].T, ts.h_ft[idx], ts.u_fps[idx])
         lp = forward_loss(current, batch, colloc, lambda_physics=config.lambda_physics)
         lr = _learning_rate(config, i)
         weights, state = adam_step(weights, loss_gradient(lp), state, lr)

@@ -24,7 +24,8 @@ Fourier matrix and the flat weight vector as little-endian float64.
 Every header key is required, with its JSON type (a bool is no integer
 and a string no number), and an unknown key is an error.  The loader
 builds the model type from them, so a checkpoint is held to the model's
-own checks, and the stored manifest must be the model's.
+own checks, the stored manifest must be the model's, and every weight
+finite.
 
 Tables (loss history, per-station error, error histogram, ablation
 curve) are CSV with a header line; reports, benchmark timings and the
@@ -500,6 +501,11 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
     if len(body) != need:
         raise CheckpointFormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    # checked here, not by the model type, which training builds anew every
+    # iteration; the encoder checks its own matrix
+    bad = ~np.isfinite(values[2 * m :])
+    if bad.any():
+        raise CheckpointFormatError(f"{path}: weight {int(np.argmax(bad))} is not finite")
     try:
         model = SurrogateModel(
             encoder=(

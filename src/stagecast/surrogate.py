@@ -23,6 +23,10 @@ for the tangent rows, the second derivatives of the activations
 rows on fixed 64-row blocks: every gemm sees 64 rows, the elementwise
 work only the block's real rows; padding rows are zero and stay zero.
 ``physics_duals`` runs on the same blocks, with every row's tangents.
+
+A model makes its weight views once, and every pass reads them.  Every
+query, one point or a batch, is normalized by one function, which
+rejects a non-finite coordinate and clamps a point outside the box.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "SurrogateModel",
     "init_model",
     "encode",
-    "weight_views",
     "predict",
     "predict_batch",
     "physics_duals",
@@ -117,6 +120,10 @@ class FourierEncoder:
             raise ValueError("b_matrix must have shape (m, 2)")
         if b.shape[0] < 1:
             raise ValueError("m must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
+        if not np.isfinite(b).all():
+            raise ValueError("b_matrix must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "b_matrix", b)
 
@@ -146,15 +153,17 @@ def encode(encoder: FourierEncoder, v, n: int | None = None):
     return feats
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurrogateModel:
     """The trainable surrogate: encoder, weights, and normalization.
 
     ``weights`` is one flat float64 vector; ``manifest`` records the layer
-    name and shape of each contiguous segment, in storage order.  Residual
-    blocks hold two affine layers with the activation between them and an
-    identity skip; each block's second layer starts at zero, so a freshly
-    initialized network is near-identity around its input projection.
+    name and shape of each contiguous segment, in storage order, and
+    ``views`` a view of each; the model is frozen, so they cannot go stale.
+    Residual blocks hold two affine layers with the activation between
+    them and an identity skip; each block's second layer starts at zero,
+    so a freshly initialized network is near-identity around its input
+    projection.
     """
 
     encoder: FourierEncoder | None
@@ -189,6 +198,11 @@ class SurrogateModel:
     def n_weights(self) -> int:
         return self.weights.size
 
+    @functools.cached_property
+    def views(self) -> dict[str, np.ndarray]:
+        """Name -> array view into the flat weight vector, made once per model."""
+        return _views(self.manifest, self.weights)
+
 
 @functools.cache
 def _manifest(in_dim: int, width: int, n_blocks: int):
@@ -215,11 +229,6 @@ def _views(manifest, flat: np.ndarray) -> dict[str, np.ndarray]:
         views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     return views
-
-
-def weight_views(model: SurrogateModel) -> dict[str, np.ndarray]:
-    """Name -> array view into the flat weight vector (shared memory)."""
-    return _views(model.manifest, model.weights)
 
 
 def init_model(
@@ -258,7 +267,7 @@ def init_model(
         seed=seed,
     )
     gain = 2.0 if activation == "relu" else 1.0
-    for name, w in _views(model.manifest, model.weights).items():
+    for name, w in model.views.items():
         if name.endswith((".W", ".W1")):
             w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[0]), size=w.shape)
         # biases and each block's closing layer stay zero
@@ -309,7 +318,7 @@ def _features(model: SurrogateModel, v, n: int | None = None):
     return encode(model.encoder, v, n) if model.uses_fourier else v
 
 
-def _forward(model: SurrogateModel, views, x, c=0, n=None) -> _Pass:
+def _forward(model: SurrogateModel, x, c=0, n=None) -> _Pass:
     """The network on input-layer rows ``x`` (see :func:`_features`).
 
     Only the first ``n`` rows of ``x`` (all by default) are value rows; the
@@ -320,6 +329,7 @@ def _forward(model: SurrogateModel, views, x, c=0, n=None) -> _Pass:
     every layer's rows for :func:`_backward`.
     """
     n = x.shape[0] if n is None else n
+    views = model.views
     if c:
         box = model.norm
         # the input direction of one foot and of one second, in unit-square coordinates
@@ -365,7 +375,7 @@ def _forward(model: SurrogateModel, views, x, c=0, n=None) -> _Pass:
     return _Pass(h, out[:n, 1], h_tan, u_tan, inputs, pre, out)
 
 
-def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, g_u_tan=None):
+def _backward(model: SurrogateModel, fwd: _Pass, g_h, g_u, g_h_tan=None, g_u_tan=None):
     """Flat weight gradient of a scalar, given its adjoints at the outputs.
 
     ``g_h``/``g_u`` (N,) are the adjoints of depth and velocity at the value
@@ -374,6 +384,7 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
     """
     n = fwd.h.size
     out = fwd.out
+    views = model.views
     grad = np.empty(model.n_weights)
     grads = _views(model.manifest, grad)
 
@@ -423,41 +434,23 @@ def _backward(model: SurrogateModel, views, fwd: _Pass, g_h, g_u, g_h_tan=None, 
 
 
 def _normalize(model: SurrogateModel, points, clamp: bool) -> np.ndarray:
-    """(N, 2) rows of (x_miles, t_hours) -> rows of unit-square coordinates."""
+    """(N, 2) rows of (x_miles, t_hours) -> rows of unit-square coordinates;
+    with ``clamp``, rows outside the box are clamped onto it, with a warning."""
+    if not np.isfinite(points).all():
+        raise ValueError("query points must be finite")
     box = model.norm
     lo = np.array([box.x_min_miles, box.t_min_hours])
     hi = np.array([box.x_max_miles, box.t_max_hours])
     if clamp:
         outside = np.count_nonzero(((points < lo) | (points > hi)).any(axis=1))
         if outside:
-            _warn_outside(outside)
+            warnings.warn(  # attributed to the caller of predict / predict_batch
+                f"{outside} query point(s) outside the normalization box; clamping to the box",
+                ExtrapolationWarning,
+                stacklevel=3,
+            )
             points = np.clip(points, lo, hi)
     return (points - lo) / (hi - lo)
-
-
-def _normalize_point(model: SurrogateModel, x: float, t: float) -> np.ndarray:
-    """:func:`_normalize` with clamping for one point, in Python floats.
-
-    The same IEEE operations in the same order, so the same bits, without
-    setting up a dozen 0-d arrays for one row.
-    """
-    box = model.norm
-    if x < box.x_min_miles or x > box.x_max_miles or t < box.t_min_hours or t > box.t_max_hours:
-        _warn_outside(1)
-        x = min(max(x, box.x_min_miles), box.x_max_miles)
-        t = min(max(t, box.t_min_hours), box.t_max_hours)
-    xhat = (x - box.x_min_miles) / (box.x_max_miles - box.x_min_miles)
-    that = (t - box.t_min_hours) / (box.t_max_hours - box.t_min_hours)
-    return np.array([[xhat, that]])
-
-
-def _warn_outside(count: int) -> None:
-    # attributed to the caller of predict / predict_batch
-    warnings.warn(
-        f"{count} query point(s) outside the normalization box; clamping to the box",
-        ExtrapolationWarning,
-        stacklevel=4,
-    )
 
 
 _INFERENCE_BLOCK = 64
@@ -479,14 +472,13 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, c: int = 0) -> np.ndar
     # tangents only a block's real rows get the elementwise work; with
     # them the padding rows are computed too and dropped.
     n = v.shape[0]
-    views = weight_views(model)
     padded = np.zeros((-(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK, 2))
     padded[:n] = v
     out = np.empty((6 if c else 2, padded.shape[0]))
     for start in range(0, n, _INFERENCE_BLOCK):
         real = c or min(n - start, _INFERENCE_BLOCK)
         x = _features(model, padded[start : start + _INFERENCE_BLOCK], real)
-        fwd = _forward(model, views, x, c, real)
+        fwd = _forward(model, x, c, real)
         out[:, start : start + real] = (fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan) if c else fwd[:2]
         del fwd  # frees the pass's layer rows before the next block allocates its own
     return out[:, :n]
@@ -496,9 +488,11 @@ def predict(model: SurrogateModel, x_miles: float, t_hours: float) -> tuple[floa
     """Depth (ft) and velocity (ft/s) at one point.
 
     Points outside the normalization box are clamped onto it, with an
-    :class:`ExtrapolationWarning`.
+    :class:`ExtrapolationWarning`; a non-finite coordinate raises
+    ``ValueError``.
     """
-    out = _forward_blocks(model, _normalize_point(model, float(x_miles), float(t_hours)))
+    row = np.array([[float(x_miles), float(t_hours)]])
+    out = _forward_blocks(model, _normalize(model, row, clamp=True))
     return float(out[0, 0]), float(out[1, 0])
 
 

@@ -36,7 +36,6 @@ from .surrogate import (
     _normalize,
     box_for_scenario,
     physics_duals,
-    weight_views,
 )
 
 __all__ = [
@@ -102,14 +101,14 @@ class TrainConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.lambda_physics < 0:
-            raise ValueError("lambda_physics must be non-negative")
+        if not 0.0 <= self.lambda_physics < np.inf:
+            raise ValueError("lambda_physics must be finite and non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.collocation_per_batch is not None and self.collocation_per_batch < 1:
             raise ValueError("collocation_per_batch must be positive")
-        if not self.lr_initial > 0.0:
-            raise ValueError("lr_initial must be positive")
+        if not 0.0 < self.lr_initial < np.inf:
+            raise ValueError("lr_initial must be finite and positive")
         if not 0.0 < self.lr_decay_rate <= 1.0:
             raise ValueError("lr_decay_rate must be in (0, 1]")
         if self.lr_decay_every < 1:
@@ -177,7 +176,6 @@ class LossPass(NamedTuple):
     physics_loss: float
     total: float
     model: SurrogateModel
-    views: dict
     net: tuple  # the network's forward pass over [data; collocation; tangent] rows
     data_error: tuple  # (h_hat - h, u_hat - u) on the data rows
     duals: tuple | None  # (h, u) duals at the collocation rows
@@ -212,20 +210,19 @@ def _loss_pass(model, x, h_true, u_true, c=0, lambda_physics=0.0) -> LossPass:
     """:func:`forward_loss` from the Fourier features ``x`` of the data rows
     and then of the ``c`` collocation rows."""
     n_data = x.shape[0] - c
-    views = weight_views(model)
-    net = _forward(model, views, x, c)
+    net = _forward(model, x, c)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
     if not c:
-        return LossPass(data, 0.0, data, model, views, net, (err_h, err_u), None, None, 0.0)
+        return LossPass(data, 0.0, data, model, net, (err_h, err_u), None, None, 0.0)
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
     r_c, r_m = _residuals(h, u)
     physics = float(np.mean(r_c * r_c + r_m * r_m))
     total = data + lambda_physics * physics
     return LossPass(
-        data, physics, total, model, views, net, (err_h, err_u), (h, u), (r_c, r_m), lambda_physics
+        data, physics, total, model, net, (err_h, err_u), (h, u), (r_c, r_m), lambda_physics
     )
 
 
@@ -239,7 +236,7 @@ def loss_gradient(lp: LossPass) -> np.ndarray:
     g_h[:n_data] = (2.0 / n_data) * err_h
     g_u[:n_data] = (2.0 / n_data) * err_u
     if lp.residuals is None:
-        return _backward(lp.model, lp.views, lp.net, g_h, g_u)
+        return _backward(lp.model, lp.net, g_h, g_u)
     h, u = lp.duals
     r_c, r_m = lp.residuals
     scale = lp.lambda_physics * 2.0 / r_c.size
@@ -250,7 +247,7 @@ def loss_gradient(lp: LossPass) -> np.ndarray:
     g_u[n_data:] = a_c * h.dx + a_m * u.dx
     g_h_tan = np.stack((a_c * u.value + G_FT_S2 * a_m, a_c))
     g_u_tan = np.stack((a_c * h.value + a_m * u.value, a_m))
-    return _backward(lp.model, lp.views, lp.net, g_h, g_u, g_h_tan, g_u_tan)
+    return _backward(lp.model, lp.net, g_h, g_u, g_h_tan, g_u_tan)
 
 
 def data_loss(model: SurrogateModel, batch) -> float:

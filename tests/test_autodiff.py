@@ -18,7 +18,6 @@ from stagecast.surrogate import (
     init_model,
     physics_duals,
     predict,
-    weight_views,
 )
 from stagecast.training import (
     TrainConfig,
@@ -53,7 +52,7 @@ def _colloc(rng, n=16):
 def _linear_model(w, b):
     """No encoder, no blocks: out = v @ w + b on the unit-square coordinates."""
     model = init_model(BOX, n_blocks=0, width=2, activation="tanh", use_fourier=False)
-    views = weight_views(model)
+    views = model.views
     views["proj.W"][:] = np.eye(2)
     views["head.W"][:] = w
     views["head.b"][:] = b
@@ -77,7 +76,7 @@ def test_sin_example():
     """u = sin(2 pi xhat) through the encoder: u_x = 2 pi cos(2 pi xhat) / L."""
     model = init_model(BOX, n_blocks=0, width=2, m=1, activation="tanh")
     model = dataclasses.replace(model, encoder=FourierEncoder(np.array([[1.0, 0.0]]), 1.0))
-    views = weight_views(model)
+    views = model.views
     views["proj.W"][:] = np.eye(2)  # z = [cos, sin]
     views["head.W"][:] = np.array([[0.0, 0.0], [0.0, 1.0]])  # u = sin
     _, u = physics_duals(model, 0.0, 17.5)
@@ -268,7 +267,7 @@ def test_relu_subgradient_at_zero_is_zero_in_both_modes():
     under relu; tanh, with slope 1 there, passes both."""
     for activation, blocked in (("relu", True), ("tanh", False)):
         model = init_model(BOX, n_blocks=1, width=2, activation=activation, use_fourier=False)
-        views = weight_views(model)
+        views = model.views
         for name in ("proj.W", "block0.W1", "block0.W2", "head.W"):
             views[name][:] = np.eye(2)  # pre-activations = the coordinates, (0, 0) here
         origin = np.zeros(1)

@@ -355,6 +355,8 @@ def test_train_divergence_exits_four(workspace, capsys, tmp_path):
 @pytest.mark.parametrize("bad_flag", [
     ["--record-every", "0"], ["--record-every", "-5"], ["--width", "0"], ["--blocks", "-1"],
     ["--fourier-size", "0"], ["--collocation", "0"], ["--lr", "-1"],
+    ["--lambda", "nan"], ["--lambda", "inf"], ["--lr", "inf"], ["--sigma", "nan"],
+    ["--sigma", "inf"],
 ])
 def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
     rc = main([
@@ -503,6 +505,7 @@ def _with(**changes):
         (_with(format_version=True), "invalid header field: 'format_version' is True"),
         (_with(use_fourier="false"), "invalid header field: 'use_fourier' is 'false'"),
         (_with(sigma="4.0"), "invalid header field: 'sigma' is '4.0'"),
+        (_with(sigma=float("nan")), "sigma must be finite"),
         (_with(norm=[0.0, "8", 0.0, 6.0]), "invalid header field: 'norm'"),
         (_with(norm=[0.0, 8.0, 6.0]), "invalid header field: 'norm'"),
         (_with(norm=[0.0, 8.0, 0.0, float("inf")]), "normalization box is not finite in t"),
@@ -512,8 +515,8 @@ def _with(**changes):
     ids=[
         "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "float-seed",
         "string-seed", "bool-seed", "float-width", "bool-version", "string-use-fourier",
-        "string-sigma", "string-in-norm", "short-norm", "infinite-norm", "sizes-without-encoder",
-        "unknown-key",
+        "string-sigma", "nan-sigma", "string-in-norm", "short-norm", "infinite-norm",
+        "sizes-without-encoder", "unknown-key",
     ],
 )
 def test_eval_checkpoint_header_the_model_refuses_exits_one(
@@ -700,7 +703,10 @@ def test_ablate_writes_three_report_directories(workspace, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_flag", [["--width", "0"], ["--blocks", "-1"], ["--fourier-size", "0"]]
+    "bad_flag", [
+        ["--width", "0"], ["--blocks", "-1"], ["--fourier-size", "0"], ["--lambda-full", "nan"],
+        ["--sigma", "inf"],
+    ]
 )
 def test_ablate_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
     rc = main([

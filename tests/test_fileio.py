@@ -408,6 +408,24 @@ def test_checkpoint_corrupt_header(tmp_path, solved):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("index", [3, -1], ids=["fourier-entry", "last-weight"])
+def test_checkpoint_non_finite_number_rejected(tmp_path, solved, index):
+    """A NaN weight would load, and eval would score it as a report of NaNs."""
+    scenario, _ = solved
+    model = _model(scenario)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    size = 8 * (model.encoder.b_matrix.size + model.n_weights)  # the Fourier matrix, the weights
+    values = np.frombuffer(raw[-size:], dtype="<f8").copy()
+    values[index] = np.nan
+    path.write_bytes(raw[:-size] + values.tobytes())
+    last = f"weight {model.n_weights - 1} is not finite"
+    message = "b_matrix must be finite" if index >= 0 else last
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 def test_checkpoint_weight_count_must_match_manifest(tmp_path, solved):
     scenario, _ = solved
     model = _model(scenario)

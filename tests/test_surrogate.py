@@ -18,7 +18,6 @@ from stagecast.surrogate import (
     physics_duals,
     predict,
     predict_batch,
-    weight_views,
 )
 
 BOX = NormalizationBox(x_min_miles=0.0, x_max_miles=10.0, t_min_hours=0.0, t_max_hours=48.0)
@@ -107,7 +106,7 @@ def test_initial_blocks_are_identity():
     model = _small_model(seed=2)
     h0, u0 = predict(model, 3.0, 10.0)
 
-    views = weight_views(model)
+    views = model.views
     assert np.all(views["block0.W2"] == 0.0)
     assert np.all(views["block0.b2"] == 0.0)
     views["block0.W1"][:] = 7.7  # opening layer feeds a zeroed closing layer
@@ -183,33 +182,46 @@ def test_padding_rows_stay_zero_through_the_pass(activation):
     the zero padding rows pass every layer as zeros."""
     model = _small_model(seed=5, activation=activation)
     model.weights[:] = np.random.default_rng(5).normal(0.0, 0.5, model.n_weights)
-    views = weight_views(model)
     block = np.zeros((64, 2))
     block[:3] = [[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]]
-    fwd = surrogate._forward(model, views, surrogate._features(model, block, 3), n=3)
+    fwd = surrogate._forward(model, surrogate._features(model, block, 3), n=3)
     assert fwd.h.shape == fwd.u.shape == (3,)
     assert not fwd.out[3:].any()
-    full = surrogate._forward(model, views, surrogate._features(model, block))
+    full = surrogate._forward(model, surrogate._features(model, block))
     assert np.array_equal(fwd.h, full.h[:3]) and np.array_equal(fwd.u, full.u[:3])
 
 
 def test_predict_batch_builds_weight_views_once(monkeypatch):
+    """A model makes its weight views once, however many blocks and
+    queries read them."""
     calls = []
+    make_views = surrogate._views
 
-    def counted(model):
+    def counted(manifest, flat):
         calls.append(1)
-        return weight_views(model)
+        return make_views(manifest, flat)
 
-    monkeypatch.setattr(surrogate, "weight_views", counted)
+    monkeypatch.setattr(surrogate, "_views", counted)
     model = _small_model()
     points = np.column_stack([np.linspace(0, 10, 1940), np.linspace(0, 48, 1940)])
+    predict_batch(model, points)
     predict_batch(model, points)
     assert len(calls) == 1
 
 
+def test_weights_cannot_be_swapped_under_the_views():
+    """The model is frozen, so its cached views always see its weights;
+    a new weight vector makes a new model."""
+    model = _small_model()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.weights = np.zeros(model.n_weights)
+    other = dataclasses.replace(model, weights=np.zeros(model.n_weights))
+    assert not other.views["proj.W"].any() and model.views["proj.W"].any()
+
+
 def test_weight_views_share_storage():
     model = _small_model()
-    views = weight_views(model)
+    views = model.views
     total = sum(v.size for v in views.values())
     assert total == model.weights.size == model.n_weights
     views["head.b"][0] = 123.0
@@ -226,7 +238,7 @@ def test_extrapolation_warns_and_clamps():
 
 @pytest.mark.parametrize("x, t", [(50.0, 10.0), (-1.0, 3.0), (5.0, -2.0), (5.0, 1e9), (5.0, 3.0)])
 def test_single_point_normalize_matches_the_batched_one(x, t):
-    """predict normalizes its one point in Python floats: the bits, the
+    """predict normalizes its one point as a one-row batch: the bits, the
     clamp and the warning (text and attributed caller) are predict_batch's."""
     model = _small_model()
     with warnings.catch_warnings(record=True) as single:
@@ -240,6 +252,18 @@ def test_single_point_normalize_matches_the_batched_one(x, t):
         (str(w.message), w.category, w.filename) for w in batch
     ]
     assert all(w.filename == __file__ for w in single)
+
+
+@pytest.mark.parametrize("x, t", [(np.nan, 1.0), (2.0, np.inf), (-np.inf, np.nan)])
+def test_non_finite_query_point_raises(x, t):
+    """No query computes on a NaN or infinite coordinate, single or batched."""
+    model = _small_model()
+    with pytest.raises(ValueError, match="query points must be finite"):
+        predict(model, x, t)
+    with pytest.raises(ValueError, match="query points must be finite"):
+        predict_batch(model, [[1.0, 2.0], [x, t]])
+    with pytest.raises(ValueError, match="query points must be finite"):
+        physics_duals(model, x, t)
 
 
 def test_activation_choice_changes_output():
@@ -265,6 +289,19 @@ def test_model_rejects_a_bad_architecture_however_built(change):
 def test_encoder_rejects_an_empty_matrix():
     with pytest.raises(ValueError, match="m must be positive"):
         FourierEncoder(np.zeros((0, 2)), 4.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_encoder_rejects_non_finite_numbers(bad):
+    """A non-finite bandwidth would build an all-NaN encoder."""
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        init_model(BOX, n_blocks=1, width=4, m=8, sigma=bad)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        FourierEncoder(np.ones((8, 2)), bad)
+    b = np.ones((8, 2))
+    b[3, 1] = bad
+    with pytest.raises(ValueError, match="b_matrix must be finite"):
+        FourierEncoder(b, 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import adam_first_step, loop_mse, reference_adam_step
 from stagecast.geometry import G_FT_S2
-from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch, weight_views
+from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch
 from stagecast.training import (
     AdamState,
     NonFiniteGradient,
@@ -50,7 +50,7 @@ def _internal_prediction(model, x, t):
     from stagecast.surrogate import _features, _forward, _normalize
 
     v = _normalize(model, np.column_stack((x, t)), clamp=False)
-    fwd = _forward(model, weight_views(model), _features(model, v))
+    fwd = _forward(model, _features(model, v))
     return fwd.h, fwd.u
 
 
@@ -261,6 +261,11 @@ def test_config_validation():
         TrainConfig(collocation_per_batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_initial=-1.0)
+    for value in (np.nan, np.inf):  # nan passes a < 0 check and would train as supervised
+        with pytest.raises(ValueError, match="lambda_physics must be finite"):
+            TrainConfig(lambda_physics=value)
+        with pytest.raises(ValueError, match="lr_initial must be finite"):
+            TrainConfig(lr_initial=value)
 
 
 def test_collocation_count_defaults_to_batch_size():

@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     except ConsistencyError as err:
         print(f"consistency error: {err}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (FileNotFoundError, ValueError) as err:  # ValueError covers FormatError
+    except (OSError, ValueError) as err:  # ValueError covers FormatError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
 

@@ -251,6 +251,8 @@ def run_ablation(
     supervised batch stream; they differ only in the encoder and the
     physics weight.  A diverged run is marked and skipped, never fatal.
     """
+    if budget_iters < 1:
+        raise ValueError("budget_iters must be at least 1")
     settings = {
         "base": {"use_fourier": False, "lambda_physics": 0.0},
         "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
@@ -291,12 +293,12 @@ def run_ablation(
             diverged[name] = True
             histories[name] = err.history
             reports[name] = None
-            final_losses[name] = float("inf")
+            final_losses[name] = None
             curves[name] = None
             continue
         diverged[name] = False
         histories[name] = history
-        final_losses[name] = history[-1].data_loss if history else float("nan")
+        final_losses[name] = history[-1].data_loss
         reports[name] = evaluate(trained, field_, scenario)
         h_curve, _ = predict_batch(trained, curve_points)
         curves[name] = h_curve

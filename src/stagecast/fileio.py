@@ -543,7 +543,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_plain, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 _HISTORY_HEADER = ",".join(HistoryRow._fields)

@@ -122,14 +122,16 @@ class ChannelGeometry:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.length_miles > 0:
-            raise ValueError("length_miles must be positive")
-        if not self.width_ft > 0:
-            raise ValueError("width_ft must be positive")
-        if not self.bed_slope >= 0:
-            raise ValueError("bed_slope must be non-negative")
-        if not self.manning_n > 0:
-            raise ValueError("manning_n must be positive")
+        if not 0 < self.length_miles < math.inf:
+            raise ValueError("length_miles must be positive and finite")
+        if not 0 < self.width_ft < math.inf:
+            raise ValueError("width_ft must be positive and finite")
+        if not 0 <= self.bed_slope < math.inf:
+            raise ValueError("bed_slope must be non-negative and finite")
+        if not 0 < self.manning_n < math.inf:
+            raise ValueError("manning_n must be positive and finite")
+        if not math.isfinite(self.bed_elevation_upstream_ft):
+            raise ValueError("bed_elevation_upstream_ft must be finite")
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ class BoundaryConditions:
     downstream_stage_ft: TimeSeries
 
     def __post_init__(self):
-        if not self.initial_depth_ft > 0:
-            raise ValueError("initial_depth_ft must be positive")
+        if not 0 < self.initial_depth_ft < math.inf:
+            raise ValueError("initial_depth_ft must be positive and finite")
         if not math.isfinite(self.initial_velocity_fps):
             raise ValueError("initial_velocity_fps must be finite")
 

@@ -59,6 +59,9 @@ __all__ = ["SolverConfig", "FlowField", "SolverError", "solve", "check_mass_bala
 _G = _read_only(G_FT_S2)
 _HALF = _read_only(0.5)
 
+_DT_FLOOR_S = 1e-9  # a step below this is a CFL collapse
+_MAX_STEPS = 2_000_000
+
 
 class SolverError(RuntimeError):
     """Raised when a run goes physically or numerically bad; the message
@@ -160,8 +163,6 @@ def _run(
     *,
     source_fn,
     cfl,
-    dt_floor_s=1e-9,
-    max_steps=2_000_000,
 ):
     """Advance (h, u) to ``t_end_s``, reporting each accepted step.
 
@@ -188,6 +189,7 @@ def _run(
     sweeps, so the bits are theirs.
     """
     n = h.size
+    dt_floor_s, max_steps = _DT_FLOOR_S, _MAX_STEPS
     dx = _read_only(dx_ft)
     cfl_dx = cfl * dx_ft
     dt_now = np.empty(())

@@ -14,15 +14,14 @@ second), built from the normalization box (forward mode).  All rows are
 stacked, so each linear layer is one gemm; biases, activations and the
 softplus act on the value rows, and the tangent rows are scaled by the
 activation slope at their value rows.  The pass starts from the Fourier
-features, so training encodes its fixed samples once per run, and it always keeps the rows of
-every layer for the backward pass (an inference block holds 64 rows, so
-this costs little memory).  The backward pass is written out
-by hand for this one chain: two gemms per layer plus the slope terms, and,
-for the tangent rows, the second derivatives of the activations
-(forward-over-reverse).  Inference runs the same pass without tangent
-rows on fixed 64-row blocks: every gemm sees 64 rows, the elementwise
-work only the block's real rows; padding rows are zero and stay zero.
-``physics_duals`` runs on the same blocks, with every row's tangents.
+features, so training encodes its fixed samples once per run, and it
+always keeps the rows of every layer for the backward pass (an inference
+block holds at most 64 rows, so this costs little memory).  The backward
+pass is written out by hand for this one chain: two gemms per layer plus
+the slope terms, and, for the tangent rows, the second derivatives of the
+activations (forward-over-reverse).  Inference runs the same pass on the
+query rows, zero-padded to whole 4-row tiles, in blocks of at most 64
+rows; ``physics_duals`` runs on the same blocks, with every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -136,21 +135,14 @@ class FourierEncoder:
         return 2 * self.m
 
 
-def encode(encoder: FourierEncoder, v, n: int | None = None):
+def encode(encoder: FourierEncoder, v):
     """Encode normalized coordinates ``v`` of shape (..., 2) to (..., 2m).
 
-    The cosine block comes first, then the sine block.  With ``n``, the
-    rows of ``v`` from ``n`` on are padding: they are projected with the
-    rest (gemm rounding depends on the row count) but encode to zeros.
+    The cosine block comes first, then the sine block.
     """
     arg = v @ encoder.b_matrix.T
-    real = arg[:n]  # every row when n is None
-    real *= 2.0 * np.pi
-    feats = np.concatenate((np.cos(real), np.sin(real)), axis=-1)
-    pad = 0 if n is None else arg.shape[0] - n
-    if pad:
-        feats = np.concatenate((feats, np.zeros((pad, feats.shape[1]))))
-    return feats
+    arg *= 2.0 * np.pi
+    return np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -312,23 +304,22 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _features(model: SurrogateModel, v, n: int | None = None):
+def _features(model: SurrogateModel, v):
     """Input-layer rows of normalized coordinates ``v``: their Fourier
-    features, or ``v`` itself without an encoder (``n`` as in :func:`encode`)."""
-    return encode(model.encoder, v, n) if model.uses_fourier else v
+    features, or ``v`` itself without an encoder."""
+    return encode(model.encoder, v) if model.uses_fourier else v
 
 
-def _forward(model: SurrogateModel, x, c=0, n=None) -> _Pass:
+def _forward(model: SurrogateModel, x, c=0) -> _Pass:
     """The network on input-layer rows ``x`` (see :func:`_features`).
 
-    Only the first ``n`` rows of ``x`` (all by default) are value rows; the
-    rest are zero padding that every layer leaves zero.  With ``c``, the
-    pass also carries the tangent rows of the last ``c`` value rows of an
-    unpadded ``x``: their derivatives along x (per foot), then along t (per
-    second), stacked as ``[values; d/dx rows; d/dt rows]``.  The pass holds
-    every layer's rows for :func:`_backward`.
+    Every row of ``x`` is a value row.  With ``c``, the pass also carries
+    the tangent rows of the last ``c`` value rows: their derivatives along
+    x (per foot), then along t (per second), stacked as ``[values; d/dx
+    rows; d/dt rows]``.  The pass holds every layer's rows for
+    :func:`_backward`.
     """
-    n = x.shape[0] if n is None else n
+    n = x.shape[0]
     views = model.views
     if c:
         box = model.norm
@@ -359,8 +350,6 @@ def _forward(model: SurrogateModel, x, c=0, n=None) -> _Pass:
         if c:
             slope = _slope(model.activation, a[n - c : n])
             np.multiply(p[n:].reshape(2, c, -1), slope, out=a[n:].reshape(2, c, -1))
-        elif n < a.shape[0]:
-            a[n:] = 0.0  # padding rows
         inputs += [z, a]
         pre.append(p)
         z = z + _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n)
@@ -453,33 +442,33 @@ def _normalize(model: SurrogateModel, points, clamp: bool) -> np.ndarray:
     return (points - lo) / (hi - lo)
 
 
-_INFERENCE_BLOCK = 64
+_TILE = 4
+_BLOCK = 64
 
 
-def _forward_blocks(model: SurrogateModel, v: np.ndarray, c: int = 0) -> np.ndarray:
+def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -> np.ndarray:
     """The network on normalized rows ``v``, block by block.
 
-    Without ``c`` the result holds the rows (h, u).  With ``c`` equal to
-    the block size every row of a block carries its tangents, and the
-    result holds (h, h_x, h_t, u, u_x, u_t).
+    The result holds the rows (h, u), or with ``duals`` every row's
+    tangents too: (h, h_x, h_t, u, u_x, u_t).
     """
-    # BLAS picks different gemm kernels for different row counts and their
-    # rounding can disagree in the last ulp, which would break the contract
-    # that a batched prediction equals the same points predicted one at a
-    # time.  Rows within a fixed-shape gemm are position-independent, so
-    # every gemm runs on exactly _INFERENCE_BLOCK rows: the input is
-    # zero-padded to whole blocks and processed block by block.  Without
-    # tangents only a block's real rows get the elementwise work; with
-    # them the padding rows are computed too and dropped.
+    # A point must get the same bits alone as in any batch.  Measured on
+    # OpenBLAS 0.3.31 with its Haswell dgemm kernel, at 1 and 2 threads: a
+    # row's bits stop depending on the row count once the count is a
+    # multiple of 4, while one row goes to gemv and 2 or 3 rows round the
+    # 2-column head differently.  So the rows are zero-padded to whole
+    # _TILE-row tiles, and run in blocks of at most _BLOCK rows, which bound
+    # the memory of a large batch.  Another dgemm kernel may need 8 or 16
+    # rows; the child interpreters of tests/test_batch_invariance.py, at 1
+    # and 2 BLAS threads, guard the assumption.
     n = v.shape[0]
-    padded = np.zeros((-(-n // _INFERENCE_BLOCK) * _INFERENCE_BLOCK, 2))
+    padded = np.zeros((-(-n // _TILE) * _TILE, 2))
     padded[:n] = v
-    out = np.empty((6 if c else 2, padded.shape[0]))
-    for start in range(0, n, _INFERENCE_BLOCK):
-        real = c or min(n - start, _INFERENCE_BLOCK)
-        x = _features(model, padded[start : start + _INFERENCE_BLOCK], real)
-        fwd = _forward(model, x, c, real)
-        out[:, start : start + real] = (fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan) if c else fwd[:2]
+    out = np.empty((6 if duals else 2, padded.shape[0]))
+    for start in range(0, n, _BLOCK):
+        rows = padded[start : start + _BLOCK]
+        fwd = _forward(model, _features(model, rows), len(rows) if duals else 0)
+        out[:, start : start + len(rows)] = (fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan) if duals else fwd[:2]
         del fwd  # frees the pass's layer rows before the next block allocates its own
     return out[:, :n]
 
@@ -517,5 +506,5 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
     """
     x, t = np.broadcast_arrays(np.asarray(x_miles, np.float64), np.asarray(t_hours, np.float64))
     v = _normalize(model, np.column_stack((x.ravel(), t.ravel())), clamp=False)
-    out = _forward_blocks(model, v, _INFERENCE_BLOCK)
+    out = _forward_blocks(model, v, duals=True)
     return Dual(*out[:3]), Dual(*out[3:])

@@ -372,6 +372,25 @@ def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["scenario-is-a-directory", "out-dir-is-a-file"])
+def test_train_file_system_errors_exit_one(workspace, case, capsys, tmp_path):
+    """Any OSError, not only a missing file, ends in one error line."""
+    (tmp_path / "file").write_text("")
+    scenario = tmp_path if case == "scenario-is-a-directory" else workspace / "scenario.txt"
+    out_dir = tmp_path / ("file" if case == "out-dir-is-a-file" else "run")
+    rc = main([
+        "train",
+        "--scenario", str(scenario),
+        "--field", str(workspace / "field.txt"),
+        "--out-dir", str(out_dir),
+        *TINY_TRAIN,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_stations", "inf"), ("n_stations", "nan"), ("n_stations", "2.5"), ("n_times", "1e3"),
 ])
@@ -719,6 +738,18 @@ def test_ablate_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys,
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_zero_budget_exits_one_before_writing(workspace, capsys, tmp_path):
+    rc = main([
+        "ablate",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "ablation"),
+        "--budget", "0",
+    ])
+    assert rc == 1
+    assert "error: budget_iters" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

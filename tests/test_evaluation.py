@@ -1,5 +1,6 @@
 """Metrics, reports, timing comparison, and the ablation harness."""
 
+import json
 import warnings
 
 import numpy as np
@@ -15,10 +16,11 @@ from stagecast.evaluation import (
     mrae,
     run_ablation,
 )
+from stagecast.fileio import _write_json, write_ablation
 from stagecast.geometry import make_flood_wave_scenario
 from stagecast.solver import SolverConfig, solve
 from stagecast.surrogate import ExtrapolationWarning, box_for_scenario, init_model, predict_batch
-from stagecast.training import physics_loss
+from stagecast.training import TrainingDiverged, physics_loss
 
 
 def _tiny_scenario():
@@ -302,3 +304,39 @@ def test_ablation_reruns_bitwise(small_ablation):
         assert again.training_data_loss[name] == small_ablation.training_data_loss[name]
         assert again.reports[name].overall_stage_mrae == small_ablation.reports[name].overall_stage_mrae
         np.testing.assert_array_equal(again.curves[name], small_ablation.curves[name])
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, as RFC 8259 does."""
+
+    def refuse(token):
+        raise ValueError(f"not a JSON number: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_diverged_ablation_writes_strict_json(monkeypatch, tmp_path):
+    """A diverged configuration has no data loss: null, not Infinity."""
+    real = ev.train
+
+    def diverge_with_physics(model, ts, config):
+        if config.lambda_physics > 0.0:
+            raise TrainingDiverged("loss exploded", [], 1)
+        return real(model, ts, config)
+
+    monkeypatch.setattr(ev, "train", diverge_with_physics)
+    result = run_ablation(
+        _tiny_scenario(), budget_iters=5, seed=5, width=8, n_blocks=1, m=4, batch_size=32,
+        n_cells=40,
+    )
+    assert result.diverged == {"base": False, "fourier_only": False, "full": True}
+    write_ablation(result, tmp_path)
+    configs = _strict_json((tmp_path / "summary.json").read_text())["configs"]
+    assert configs["full"] == {"diverged": True, "training_data_loss": None}
+    assert configs["base"]["training_data_loss"] == result.training_data_loss["base"]
+
+
+def test_json_writer_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "out.json", {"loss": float("nan")})
+    assert list(tmp_path.iterdir()) == []

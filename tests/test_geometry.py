@@ -169,6 +169,32 @@ def test_channel_geometry_rejects_nan(field):
         ChannelGeometry(**{**_GEOMETRY, field: float("nan")})
 
 
+def _boundaries_with_depth(depth):
+    b = make_flood_wave_scenario(5, 2.0, seed=1, t_total_hours=2.0).boundaries
+    return BoundaryConditions(depth, b.initial_velocity_fps, b.upstream_discharge_cfs,
+                              b.downstream_stage_ft)
+
+
+@pytest.mark.parametrize("key, build", [
+    *[pytest.param(field, lambda field=field: ChannelGeometry(**{**_GEOMETRY, field: np.inf}),
+                   id=f"{field}-inf")
+      for field in ("length_miles", "width_ft", "bed_slope", "manning_n")],
+    *[pytest.param("bed_elevation_upstream_ft",
+                   lambda value=value: ChannelGeometry(
+                       **{**_GEOMETRY, "bed_elevation_upstream_ft": value}),
+                   id=f"bed_elevation_upstream_ft-{value}")
+      for value in (np.nan, np.inf, -np.inf)],
+    pytest.param("initial_depth_ft", lambda: _boundaries_with_depth(np.inf),
+                 id="initial_depth_ft-inf"),
+    pytest.param("bed_slope", lambda: make_flood_wave_scenario(5, 3.0, bed_slope=np.inf),
+                 id="flood-wave-bed_slope-inf"),
+])
+def test_geometry_and_initial_state_reject_non_finite_numbers(key, build):
+    """Each message starts with its key, which the scenario reader names."""
+    with pytest.raises(ValueError, match=f"^{key} must be .*finite"):
+        build()
+
+
 def test_scenario_checks_reject_nan():
     base = make_flood_wave_scenario(5, 2.0, seed=1, t_total_hours=2.0)
     nan = float("nan")

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import stagecast.solver as solver
 from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
 from stagecast.geometry import TimeSeries
 from stagecast.solver import _interpolant, _run
@@ -326,16 +327,18 @@ def _diagnosis(run, bc_fn):
     return str(info.value)
 
 
-def test_cfl_collapse_is_diagnosed():
+def test_cfl_collapse_is_diagnosed(monkeypatch):
+    monkeypatch.setattr(solver, "_DT_FLOOR_S", 1e9)
     with pytest.raises(SolverError, match="CFL"):
         _run(np.full(50, 2.0), np.zeros(50), 100.0, 3600.0, lambda h, u, t: _wall_bc(h, u),
-             lambda *args: None, source_fn=_no_source, cfl=0.9, dt_floor_s=1e9)
+             lambda *args: None, source_fn=_no_source, cfl=0.9)
 
 
-def test_step_budget_is_enforced():
+def test_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_STEPS", 10)
     with pytest.raises(SolverError, match="steps"):
         _run(np.full(50, 2.0), np.zeros(50), 100.0, 3600.0, lambda h, u, t: _wall_bc(h, u),
-             lambda *args: None, source_fn=_no_source, cfl=0.9, max_steps=10)
+             lambda *args: None, source_fn=_no_source, cfl=0.9)
 
 
 def test_negative_depth_diagnosis_is_silent_and_unchanged():

@@ -70,18 +70,6 @@ def test_encode_bounded():
     assert out.min() >= -1.0 and out.max() <= 1.0
 
 
-def test_encode_of_a_padded_block():
-    """With n, rows from n on are padding: zero out, real rows as encoded
-    in a block of the same row count."""
-    enc = init_encoder(m=8, sigma=4.0, seed=2)
-    block = np.zeros((64, 2))
-    block[:5] = np.random.default_rng(3).uniform(0, 1, (5, 2))
-    out = encode(enc, block, 5)
-    assert out.shape == (64, 16)
-    assert np.array_equal(out[:5], encode(enc, block)[:5])
-    assert not out[5:].any()
-
-
 def test_encoder_is_frozen():
     enc = init_encoder(m=4, sigma=4.0, seed=0)
     with pytest.raises(ValueError):
@@ -162,7 +150,7 @@ def test_no_fourier_model_uses_raw_coordinates():
     assert np.isfinite(h) and np.isfinite(u) and h > 0
 
 
-@pytest.mark.parametrize("n_points", [1, 64, 65, 1940])
+@pytest.mark.parametrize("n_points", [1, 2, 3, 4, 5, 64, 65, 67, 1940])
 @pytest.mark.parametrize("use_fourier", [True, False])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_predict_batch_equals_reference_forward_bitwise(activation, use_fourier, n_points):
@@ -176,19 +164,30 @@ def test_predict_batch_equals_reference_forward_bitwise(activation, use_fourier,
     assert np.array_equal(u, u_ref)
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_padding_rows_stay_zero_through_the_pass(activation):
-    """An inference block gets its elementwise work on its real rows only;
-    the zero padding rows pass every layer as zeros."""
-    model = _small_model(seed=5, activation=activation)
-    model.weights[:] = np.random.default_rng(5).normal(0.0, 0.5, model.n_weights)
-    block = np.zeros((64, 2))
-    block[:3] = [[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]]
-    fwd = surrogate._forward(model, surrogate._features(model, block, 3), n=3)
-    assert fwd.h.shape == fwd.u.shape == (3,)
-    assert not fwd.out[3:].any()
-    full = surrogate._forward(model, surrogate._features(model, block))
-    assert np.array_equal(fwd.h, full.h[:3]) and np.array_equal(fwd.u, full.u[:3])
+def test_inference_passes_whole_tiles_of_at_most_one_block(monkeypatch):
+    """Every query reaches the network as a multiple of 4 value rows, at
+    most 64: a gemm's rows keep their bits at any such row count."""
+    seen = []
+    forward = surrogate._forward
+
+    def counted(model, x, c=0):
+        seen.append(x.shape[0])
+        return forward(model, x, c)
+
+    monkeypatch.setattr(surrogate, "_forward", counted)
+    model = _small_model()
+    rng = np.random.default_rng(0)
+
+    def points(n):
+        return np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 48, n)])
+
+    predict(model, 2.0, 3.0)
+    for n in [*range(1, 10), *range(63, 68), 130]:
+        predict_batch(model, points(n))
+    for n in [*range(1, 6), 70]:
+        physics_duals(model, *points(n).T)
+    assert seen and all(rows % 4 == 0 and 0 < rows <= 64 for rows in seen)
+    assert seen[0] == 4 and 64 in seen
 
 
 def test_predict_batch_builds_weight_views_once(monkeypatch):

@@ -439,9 +439,9 @@ def test_training_encodes_its_samples_once(monkeypatch):
 
     calls = []
 
-    def counted(encoder, v, n=None):
+    def counted(encoder, v):
         calls.append(v.shape[0])
-        return encode(encoder, v, n)
+        return encode(encoder, v)
 
     encode = surrogate.encode
     monkeypatch.setattr(surrogate, "encode", counted)

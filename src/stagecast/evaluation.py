@@ -228,7 +228,6 @@ class AblationResult:
     curve_truth_h: np.ndarray
     curves: dict
     settings: dict  # name -> {"use_fourier", "lambda_physics"}: base, fourier_only, full
-    field: FlowField = field(repr=False, default=None)
 
 
 def run_ablation(
@@ -315,5 +314,4 @@ def run_ablation(
         curve_truth_h=field_.h[:, mid].copy(),
         curves=curves,
         settings=settings,
-        field=field_,
     )

@@ -286,8 +286,8 @@ def make_flood_wave_scenario(
     """
     if n_stations < 4:
         raise ValueError("need at least 4 stations for a usable reach")
-    if peak_factor < 1.0:
-        raise ValueError("peak_factor below 1 would invert the pulse")
+    if not 1.0 <= peak_factor < math.inf:
+        raise ValueError("peak_factor must be finite and at least 1 (below 1 inverts the pulse)")
 
     rng = np.random.default_rng(seed)
     baseflow = baseflow_cfs * rng.uniform(0.9, 1.1)

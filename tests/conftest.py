@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from stagecast import SolverConfig, build_training_set, make_flood_wave_scenario, solve
+from stagecast.geometry import make_flood_wave_scenario
+from stagecast.solver import SolverConfig, solve
+from stagecast.training import build_training_set
 
 
 @pytest.fixture(scope="session")

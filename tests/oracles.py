@@ -266,7 +266,7 @@ def _reference_diff(f, dx, forward):
 
 
 def _reference_check_state(h, u, step, t_s):
-    from stagecast import SolverError
+    from stagecast.solver import SolverError
 
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
         bad = int(np.argmax(~(np.isfinite(h) & np.isfinite(u))))
@@ -294,7 +294,7 @@ def _reference_sweep(h, u, dt, dx, g, source_fn, bc_fn, t_new, predictor_forward
 def reference_run(h, u, dx_ft, t_end_s, bc_fn, on_interval, *, source_fn, cfl,
                   g=G, dt_floor_s=1e-9, max_steps=2_000_000):
     """The original step loop: the same contract as ``stagecast.solver._run``."""
-    from stagecast import SolverError
+    from stagecast.solver import SolverError
 
     t = 0.0
     step = 0
@@ -327,7 +327,7 @@ def reference_solve(scenario, n_cells=400, cfl=0.9):
 
     Returns (t_hours, h, u) sampled like ``FlowField``.
     """
-    from stagecast import SolverError
+    from stagecast.solver import SolverError
     from stagecast.geometry import friction_slope
 
     geom = scenario.geometry

@@ -4,7 +4,7 @@
 point the bits ``predict`` gives it alone and the bits of the frozen
 inference pass in ``oracles.reference_forward``.  The BLAS thread count is
 fixed when numpy is first imported, so the property is also run in child
-interpreters started with ``STAGECAST_THREADS=1`` and ``=2``.
+interpreters whose BLAS thread variables are set to 1 and to 2.
 ``physics_duals`` must likewise give each point the same bits in a batch of
 any size, one included, and in any order.
 """
@@ -64,18 +64,11 @@ def test_batch_rows_equal_single_predictions_and_reference(activation, use_fouri
 def test_batch_invariance_at_each_blas_thread_count(threads):
     """The property above, in a child interpreter whose BLAS pool has ``threads``."""
     src = Path(stagecast.__file__).resolve().parents[1]
-    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
-    env["STAGECAST_THREADS"] = threads
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    # stagecast is imported before numpy, so its thread cap reaches the BLAS pool
-    child = (
-        "import os, sys, stagecast, pytest\n"
-        f"assert os.environ['OPENBLAS_NUM_THREADS'] == {threads!r}\n"
-        "sys.exit(pytest.main(sys.argv[1:]))\n"
-    )
     node = f"{Path(__file__).resolve()}::test_batch_rows_equal_single_predictions_and_reference"
     result = subprocess.run(
-        [sys.executable, "-c", child, "-q", "-p", "no:cacheprovider", node],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
         cwd=src.parent,
         env=env,
         capture_output=True,

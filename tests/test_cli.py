@@ -247,9 +247,17 @@ def test_simulate_out_of_range_scenario_number_names_its_key(line, message, caps
 
 
 @pytest.mark.parametrize(
-    "bad_flag", [["--cfl", "1.5"], ["--n-cells", "2"], ["--peak-factor", "0.5"]]
+    "bad_flag",
+    [
+        ["--cfl", "1.5"],
+        ["--n-cells", "2"],
+        ["--peak-factor", "0.5"],
+        ["--peak-factor", "nan"],
+        ["--peak-factor", "inf"],
+    ],
 )
 def test_simulate_bad_config_exits_one_before_writing(bad_flag, capsys, tmp_path):
+    """The error line names the setting's key, a non-finite one included."""
     rc = main([
         "simulate",
         "--scenario", str(tmp_path / "scenario.txt"),
@@ -258,7 +266,8 @@ def test_simulate_bad_config_exits_one_before_writing(bad_flag, capsys, tmp_path
         *bad_flag,
     ])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and bad_flag[0][2:].replace("-", "_") in err
     assert list(tmp_path.iterdir()) == []
 
 

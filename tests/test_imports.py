@@ -1,8 +1,9 @@
 """Every import in the package is used, every exported name is defined,
 every private module-level name is referenced, a module reads another
 module's private names only where the list below allows it, the command
-line gives a flag a default only where the parameter it feeds has none
-(stdlib-only lint checks), and no module-level array can be written into."""
+line gives a flag a default only where the parameter it feeds has none, the
+package module binds only ``__version__`` (stdlib-only lint checks), and no
+module-level array can be written into."""
 
 import ast
 import importlib
@@ -117,6 +118,38 @@ def test_the_check_finds_an_unreferenced_private_name():
         "b.py": "from a import _helper\nvalue = _helper()\n",
     }
     assert _unreferenced_privates(sources) == ["a.py: _UNUSED", "a.py: _leftover"]
+
+
+def _package_bindings(source: str) -> list[str]:
+    """``line n: name`` for each import in a package ``__init__`` and each
+    name it binds other than ``__version__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append((node.lineno, "import"))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id != "__version__":
+                found.append((node.lineno, node.id))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_package_binds_only_its_version():
+    """Each public name is imported from its own module and listed once, in
+    that module's ``__all__``; importing the package changes no state."""
+    assert _package_bindings((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_the_check_finds_a_package_binding():
+    source = (
+        '"""Doc."""\nimport os as _os\n__version__ = "1"\nfrom .solver import solve\n'
+        '__all__ = ["solve"]\nfor _var in ("A",):\n    _os.environ.setdefault(_var, "1")\n'
+        "class Shape: pass\n"
+    )
+    assert _package_bindings(source) == [
+        "line 2: import", "line 4: import", "line 5: __all__", "line 6: _var", "line 8: Shape",
+    ]
 
 
 # The only private names one module of the package may read from another:

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import stagecast.solver as solver
-from stagecast import SolverConfig, SolverError, check_mass_balance, make_flood_wave_scenario, solve
-from stagecast.geometry import TimeSeries
-from stagecast.solver import _interpolant, _run
+from stagecast.geometry import TimeSeries, make_flood_wave_scenario
+from stagecast.solver import SolverConfig, SolverError, _interpolant, _run, check_mass_balance, solve
 
 from oracles import (
     lake_at_rest_scenario,

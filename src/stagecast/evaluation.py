@@ -109,6 +109,8 @@ def evaluate(
     """
     if datum not in ("depth", "elevation"):
         raise ValueError("datum must be 'depth' or 'elevation'")
+    if collocation_seed < 0:
+        raise ValueError("collocation_seed must be non-negative")
 
     points = field.points
     started = time.perf_counter()

@@ -16,7 +16,8 @@ unknown key, which is named with its line.  Floats are written with
 ``repr`` so every value survives a write/read round trip bit-for-bit.
 Every number must be finite; one table reader parses every numeric
 block and names its first row with a wrong column count, a non-number or
-a non-finite cell.
+a non-finite cell.  Every reader raises one error type,
+:class:`FormatError`, whose message starts with the path of the file.
 
 Checkpoints are binary: a magic string, a JSON header (architecture,
 normalization box, seed, scenario hash, weight manifest), then the
@@ -41,6 +42,7 @@ file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -65,9 +67,6 @@ from .training import HistoryRow
 
 __all__ = [
     "FormatError",
-    "ScenarioFormatError",
-    "FieldFormatError",
-    "CheckpointFormatError",
     "serialize_scenario",
     "parse_scenario",
     "write_scenario",
@@ -89,19 +88,7 @@ __all__ = [
 
 
 class FormatError(ValueError):
-    """Base for structured file-format violations."""
-
-
-class ScenarioFormatError(FormatError):
-    pass
-
-
-class FieldFormatError(FormatError):
-    pass
-
-
-class CheckpointFormatError(FormatError):
-    pass
+    """Input that breaks its format; read from a file, the message starts with its path."""
 
 
 # --------------------------------------------------------------------------
@@ -131,23 +118,23 @@ def atomic_write_bytes(path, data: bytes) -> None:
 class _Section:
     """One parsed ``[section]``: typed reads by key, each key read once.
 
-    Every error names the section and raises the format's error class.
+    Every error is a :class:`FormatError` that names the section; the
+    file reader puts the path in front.
     """
 
-    def __init__(self, name: str, entries: dict, error_cls):
+    def __init__(self, name: str, entries: dict):
         self.name = name
         self._entries = entries  # key -> (lineno, scalar string or list of block rows)
-        self._error = error_cls
 
     def _pop(self, key: str):
         if key not in self._entries:
-            raise self._error(f"[{self.name}] is missing required key {key!r}")
+            raise FormatError(f"[{self.name}] is missing required key {key!r}")
         return self._entries.pop(key)[1]
 
     def text(self, key: str) -> str:
         value = self._pop(key)
         if isinstance(value, list):
-            raise self._error(f"[{self.name}] {key}: expected a scalar, found a block")
+            raise FormatError(f"[{self.name}] {key}: expected a scalar, found a block")
         return value
 
     def _finite(self, text: str, where: str) -> float:
@@ -155,9 +142,9 @@ class _Section:
         try:
             value = float(text)
         except ValueError as err:
-            raise self._error(f"[{self.name}] {where}: not a number: {text!r}") from err
+            raise FormatError(f"[{self.name}] {where}: not a number: {text!r}") from err
         if not math.isfinite(value):
-            raise self._error(f"[{self.name}] {where}: not finite: {text!r}")
+            raise FormatError(f"[{self.name}] {where}: not finite: {text!r}")
         return value
 
     def float(self, key: str) -> float:
@@ -168,14 +155,14 @@ class _Section:
         try:
             return int(value)
         except ValueError as err:
-            raise self._error(f"[{self.name}] {key}: not an integer: {value!r}") from err
+            raise FormatError(f"[{self.name}] {key}: not an integer: {value!r}") from err
 
     def table(self, key: str, columns: int) -> np.ndarray:
         """An indented block of ``columns`` comma-separated numbers per row,
         as a (rows, columns) array; every number must be finite."""
         rows = self._pop(key)
         if not isinstance(rows, list):
-            raise self._error(f"[{self.name}] {key}: expected an indented block")
+            raise FormatError(f"[{self.name}] {key}: expected an indented block")
         if all(row.count(",") == columns - 1 for row in rows):
             cells = itertools.chain.from_iterable(row.split(",") for row in rows)
             try:
@@ -189,7 +176,7 @@ class _Section:
         for i, row in enumerate(rows, 1):
             parts = row.split(",")
             if len(parts) != columns:
-                raise self._error(f"[{self.name}] {key} row {i}: expected {columns} columns, got {row!r}")
+                raise FormatError(f"[{self.name}] {key} row {i}: expected {columns} columns, got {row!r}")
             for cell in parts:
                 self._finite(cell, f"{key} row {i}")
 
@@ -198,7 +185,7 @@ class _Section:
         try:
             return TimeSeries(t_hours, values)
         except ValueError as err:
-            raise self._error(f"[{self.name}] {key}: {err}") from err
+            raise FormatError(f"[{self.name}] {key}: {err}") from err
 
     def build(self, cls, values: dict):
         """``cls(**values)`` from this section's ``values``; a range error of
@@ -208,16 +195,16 @@ class _Section:
         except ValueError as err:
             key, _, reason = str(err).partition(" ")
             where = f"{key}: {reason}" if key in values else str(err)
-            raise self._error(f"[{self.name}] {where}") from err
+            raise FormatError(f"[{self.name}] {where}") from err
 
     def close(self) -> None:
         """Reject any key that was not read."""
         if self._entries:
             key, (lineno, _) = next(iter(self._entries.items()))
-            raise self._error(f"line {lineno}: unknown key {key!r} in [{self.name}]")
+            raise FormatError(f"line {lineno}: unknown key {key!r} in [{self.name}]")
 
 
-def _parse_sections(text: str, error_cls, kind: str, names: tuple[str, ...]) -> list[_Section]:
+def _parse_sections(text: str, kind: str, names: tuple[str, ...]) -> list[_Section]:
     """Parse the shared grammar; return the sections ``names``, in that order.
 
     An unknown, missing or duplicated section is an error, and so is a
@@ -237,19 +224,19 @@ def _parse_sections(text: str, error_cls, kind: str, names: tuple[str, ...]) -> 
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise error_cls(f"line {lineno}: malformed section header {raw!r}")
+                raise FormatError(f"line {lineno}: malformed section header {raw!r}")
             name = line[1:-1].strip()
             if name in sections:
-                raise error_cls(f"line {lineno}: duplicate section [{name}]")
+                raise FormatError(f"line {lineno}: duplicate section [{name}]")
             sections[name] = {}
             current = name
             continue
         if current is None:
-            raise error_cls(f"line {lineno}: content before any [section]")
+            raise FormatError(f"line {lineno}: content before any [section]")
         if line.endswith(":") and "=" not in line:
             key = line[:-1].strip()
             if key in sections[current]:
-                raise error_cls(f"line {lineno}: duplicate key {key!r} in [{current}]")
+                raise FormatError(f"line {lineno}: duplicate key {key!r} in [{current}]")
             block = []
             sections[current][key] = (lineno, block)
             continue
@@ -257,17 +244,17 @@ def _parse_sections(text: str, error_cls, kind: str, names: tuple[str, ...]) -> 
             key, _, value = line.partition("=")
             key = key.strip()
             if key in sections[current]:
-                raise error_cls(f"line {lineno}: duplicate key {key!r} in [{current}]")
+                raise FormatError(f"line {lineno}: duplicate key {key!r} in [{current}]")
             sections[current][key] = (lineno, value.strip())
             continue
-        raise error_cls(f"line {lineno}: cannot parse {raw!r}")
+        raise FormatError(f"line {lineno}: cannot parse {raw!r}")
     for name in sections:
         if name not in names:
-            raise error_cls(f"unknown {kind} section [{name}]")
+            raise FormatError(f"unknown {kind} section [{name}]")
     for name in names:
         if name not in sections:
-            raise error_cls(f"missing required section [{name}]")
-    return [_Section(name, sections[name], error_cls) for name in names]
+            raise FormatError(f"missing required section [{name}]")
+    return [_Section(name, sections[name]) for name in names]
 
 
 def _series_rows(series: TimeSeries) -> list[str]:
@@ -301,9 +288,8 @@ def serialize_scenario(scenario: RiverScenario) -> str:
 
 
 def parse_scenario(text: str) -> RiverScenario:
-    err = ScenarioFormatError
     geo, bounds, stations, run = _parse_sections(
-        text, err, "scenario", ("geometry", "boundaries", "stations", "run")
+        text, "scenario", ("geometry", "boundaries", "stations", "run")
     )
 
     geometry = geo.build(ChannelGeometry, {name: geo.float(name) for name in _GEOMETRY_KEYS})
@@ -336,15 +322,25 @@ def parse_scenario(text: str) -> RiverScenario:
             output_dt_hours=output_dt,
         )
     except ValueError as exc:
-        raise err(f"scenario is internally inconsistent: {exc}") from exc
+        raise FormatError(f"scenario is internally inconsistent: {exc}") from exc
 
 
 def write_scenario(scenario: RiverScenario, path) -> None:
     atomic_write_text(path, serialize_scenario(scenario))
 
 
+@contextlib.contextmanager
+def _in_file(path):
+    """Prefix ``path`` to the message of a format error raised inside."""
+    try:
+        yield
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from err
+
+
 def read_scenario(path) -> RiverScenario:
-    return parse_scenario(Path(path).read_text())
+    with _in_file(path):
+        return parse_scenario(Path(path).read_text())
 
 
 def scenario_hash(scenario: RiverScenario) -> str:
@@ -380,34 +376,34 @@ def write_field(field: FlowField, scenario_digest: str, path) -> None:
 
 
 def read_field(path) -> tuple[FlowField, str]:
-    err = FieldFormatError
-    head, data = _parse_sections(Path(path).read_text(), err, "field", ("field", "data"))
+    with _in_file(path):
+        head, data = _parse_sections(Path(path).read_text(), "field", ("field", "data"))
 
-    n_x = head.int("n_stations")
-    n_t = head.int("n_times")
-    units = head.text("units")
-    if units != "x:miles,t:hours,h:ft,u:ft/s":
-        raise err(f"unsupported unit system {units!r}")
-    digest = head.text("scenario_hash")
-    wall = head.float("wall_clock_seconds")
-    x = head.table("x_miles", 1)[:, 0]
-    t = head.table("t_hours", 1)[:, 0]
-    head.close()
-    if x.size != n_x:
-        raise err(f"x_miles has {x.size} rows, header says {n_x}")
-    if t.size != n_t:
-        raise err(f"t_hours has {t.size} rows, header says {n_t}")
+        n_x = head.int("n_stations")
+        n_t = head.int("n_times")
+        units = head.text("units")
+        if units != "x:miles,t:hours,h:ft,u:ft/s":
+            raise FormatError(f"unsupported unit system {units!r}")
+        digest = head.text("scenario_hash")
+        wall = head.float("wall_clock_seconds")
+        x = head.table("x_miles", 1)[:, 0]
+        t = head.table("t_hours", 1)[:, 0]
+        head.close()
+        if x.size != n_x:
+            raise FormatError(f"x_miles has {x.size} rows, header says {n_x}")
+        if t.size != n_t:
+            raise FormatError(f"t_hours has {t.size} rows, header says {n_t}")
 
-    table = data.table("t_x_h_u", 4)
-    data.close()
-    if len(table) != n_t * n_x:
-        raise err(f"[data] has {len(table)} rows, expected n_times*n_stations = {n_t * n_x}")
-    tt = table[:, 0].reshape(n_t, n_x)
-    xx = table[:, 1].reshape(n_t, n_x)
-    if not np.array_equal(tt, np.broadcast_to(t[:, None], (n_t, n_x))):
-        raise err("[data] time column disagrees with the t_hours grid")
-    if not np.array_equal(xx, np.broadcast_to(x[None, :], (n_t, n_x))):
-        raise err("[data] station column disagrees with the x_miles grid")
+        table = data.table("t_x_h_u", 4)
+        data.close()
+        if len(table) != n_t * n_x:
+            raise FormatError(f"[data] has {len(table)} rows, expected n_times*n_stations = {n_t * n_x}")
+        tt = table[:, 0].reshape(n_t, n_x)
+        xx = table[:, 1].reshape(n_t, n_x)
+        if not np.array_equal(tt, np.broadcast_to(t[:, None], (n_t, n_x))):
+            raise FormatError("[data] time column disagrees with the t_hours grid")
+        if not np.array_equal(xx, np.broadcast_to(x[None, :], (n_t, n_x))):
+            raise FormatError("[data] station column disagrees with the x_miles grid")
     field = FlowField(
         x_miles=x,
         t_hours=t,
@@ -459,53 +455,53 @@ def save_checkpoint(model: SurrogateModel, path, scenario_digest: str | None = N
 def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
-        raise CheckpointFormatError(f"{path}: not a stagecast checkpoint (bad magic)")
+        raise FormatError(f"{path}: not a stagecast checkpoint (bad magic)")
     offset = len(_CKPT_MAGIC)
     if len(raw) < offset + 4:
-        raise CheckpointFormatError(f"{path}: truncated header length")
+        raise FormatError(f"{path}: truncated header length")
     (header_len,) = struct.unpack_from("<I", raw, offset)
     offset += 4
     try:
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: corrupt JSON header") from exc
+        raise FormatError(f"{path}: corrupt JSON header") from exc
     offset += header_len
     if not isinstance(header, dict):
-        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+        raise FormatError(f"{path}: header is not a JSON object")
     for key in sorted(header.keys() ^ _CKPT_HEADER.keys()):  # the first unknown or missing key
         state = "unknown" if key in header else "missing"
-        raise CheckpointFormatError(f"{path}: invalid header field: {key!r} is {state}")
+        raise FormatError(f"{path}: invalid header field: {key!r} is {state}")
     for key, kinds in _CKPT_HEADER.items():
         if type(header[key]) not in kinds:  # exact: a bool is no int, a string no number
-            raise CheckpointFormatError(f"{path}: invalid header field: {key!r} is {header[key]!r}")
+            raise FormatError(f"{path}: invalid header field: {key!r} is {header[key]!r}")
     if header["format_version"] != 1:
-        raise CheckpointFormatError(f"{path}: unsupported format version {header['format_version']}")
+        raise FormatError(f"{path}: unsupported format version {header['format_version']}")
     use_fourier, m, sigma, norm = (header[k] for k in ("use_fourier", "m", "sigma", "norm"))
     if (m is None) == use_fourier or (sigma is None) == use_fourier:
         what = "'m' and 'sigma' must be null exactly when 'use_fourier' is false"
-        raise CheckpointFormatError(f"{path}: invalid header field: {what}")
+        raise FormatError(f"{path}: invalid header field: {what}")
     if len(norm) != 4 or not all(type(v) in (int, float) for v in norm):
-        raise CheckpointFormatError(f"{path}: invalid header field: 'norm' is {norm!r}")
+        raise FormatError(f"{path}: invalid header field: 'norm' is {norm!r}")
     try:
         manifest = tuple((name, tuple(shape)) for name, shape in header["manifest"])
         expected = sum(math.prod(shape) for _, shape in manifest)
     except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: invalid header field: 'manifest': {exc}") from exc
+        raise FormatError(f"{path}: invalid header field: 'manifest': {exc}") from exc
     n_weights = header["n_weights"]
     m = m or 0  # a model without an encoder stores no Fourier rows
     if n_weights != expected:
-        raise CheckpointFormatError(f"{path}: weight count {n_weights} != manifest total {expected}")
+        raise FormatError(f"{path}: weight count {n_weights} != manifest total {expected}")
 
     body = raw[offset:]
     need = 8 * (2 * m + n_weights)  # the Fourier matrix, then the weights
     if len(body) != need:
-        raise CheckpointFormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
+        raise FormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     # checked here, not by the model type, which training builds anew every
     # iteration; the encoder checks its own matrix
     bad = ~np.isfinite(values[2 * m :])
     if bad.any():
-        raise CheckpointFormatError(f"{path}: weight {int(np.argmax(bad))} is not finite")
+        raise FormatError(f"{path}: weight {int(np.argmax(bad))} is not finite")
     try:
         model = SurrogateModel(
             encoder=(
@@ -519,9 +515,9 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
             seed=header["seed"],
         )
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
+        raise FormatError(f"{path}: {exc}") from exc
     if model.manifest != manifest:
-        raise CheckpointFormatError(f"{path}: manifest disagrees with declared architecture")
+        raise FormatError(f"{path}: manifest disagrees with declared architecture")
     return model, header["scenario_hash"]
 
 

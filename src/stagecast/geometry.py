@@ -288,6 +288,8 @@ def make_flood_wave_scenario(
         raise ValueError("need at least 4 stations for a usable reach")
     if not 1.0 <= peak_factor < math.inf:
         raise ValueError("peak_factor must be finite and at least 1 (below 1 inverts the pulse)")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
     rng = np.random.default_rng(seed)
     baseflow = baseflow_cfs * rng.uniform(0.9, 1.1)

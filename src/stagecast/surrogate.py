@@ -241,6 +241,8 @@ def init_model(
     the weights come from one seeded generator, so a seed pins the entire
     starting state.
     """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     # a negative size draws and allocates nothing, so the encoder or the model
     # names it; the weights are drawn once the model accepts its architecture

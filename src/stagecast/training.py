@@ -6,14 +6,16 @@ equations at freshly drawn collocation points: continuity, and momentum
 without a source term (no friction, no bed slope).  Each iteration runs
 the network once over the data rows followed by the collocation rows
 (:func:`forward_loss`); given the count of collocation rows, the network
-adds their x and t tangent rows itself.  The adjoints of the two
-residuals then go to the network's hand-written backward pass
-(:func:`loss_gradient`).  The samples are fixed, so :func:`train` encodes
-them once per run and gathers each batch's rows; only the fresh
-collocation points are encoded per iteration.  The optimizer is Adam with
-an exponentially decaying learning rate.  Everything is seeded, and the
-supervised batch stream is independent of the physics settings, so runs
-that share a seed share their batches exactly.
+adds their x and t tangent rows itself.  The residuals and their partials
+live in one function, :func:`_residuals`; the pass contracts those
+partials into the adjoints of the network's outputs and returns them, and
+:func:`loss_gradient` hands them to the network's hand-written backward
+pass.  The samples are fixed, so :func:`train` encodes them once per run
+and gathers each batch's rows; only the fresh collocation points are
+encoded per iteration.  The optimizer is Adam with an exponentially
+decaying learning rate.  Everything is seeded, and the supervised batch
+stream is independent of the physics settings, so runs that share a seed
+share their batches exactly.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ class TrainConfig:
             raise ValueError("max_iterations must be non-negative")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def collocation_count(self) -> int:
@@ -163,24 +167,25 @@ class HistoryRow(NamedTuple):
 
 
 def _residuals(h: Dual, u: Dual):
-    """Continuity and momentum residuals, without a friction or bed-slope source."""
+    """Continuity and momentum residuals, without a friction or bed-slope
+    source, each as ``(r, partials)``: its partials along (h, u, h_x, h_t,
+    u_x, u_t), an array or a constant each."""
     r_c = h.dt + h.dx * u.value + h.value * u.dx
     r_m = u.dt + u.value * u.dx + G_FT_S2 * h.dx
-    return r_c, r_m
+    d_c = (u.dx, h.dx, u.value, 1.0, h.value, 0.0)
+    d_m = (0.0, u.dx, G_FT_S2, 0.0, u.value, 1.0)
+    return (r_c, d_c), (r_m, d_m)
 
 
 class LossPass(NamedTuple):
-    """The loss at one set of weights, with what :func:`loss_gradient` reads."""
+    """The loss at one set of weights, with the adjoints :func:`loss_gradient` reads."""
 
     data_loss: float
     physics_loss: float
     total: float
     model: SurrogateModel
     net: tuple  # the network's forward pass over [data; collocation; tangent] rows
-    data_error: tuple  # (h_hat - h, u_hat - u) on the data rows
-    duals: tuple | None  # (h, u) duals at the collocation rows
-    residuals: tuple | None  # (r_c, r_m) at the collocation rows
-    lambda_physics: float
+    adjoints: tuple  # d total / d (h, u) at every value row, then at the (2, C) tangents, if any
 
 
 def forward_loss(
@@ -214,40 +219,25 @@ def _loss_pass(model, x, h_true, u_true, c=0, lambda_physics=0.0) -> LossPass:
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
+    g_h, g_u = (2.0 / n_data) * err_h, (2.0 / n_data) * err_u
     if not c:
-        return LossPass(data, 0.0, data, model, net, (err_h, err_u), None, None, 0.0)
+        return LossPass(data, 0.0, data, model, net, (g_h, g_u))
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
-    r_c, r_m = _residuals(h, u)
+    (r_c, d_c), (r_m, d_m) = _residuals(h, u)
     physics = float(np.mean(r_c * r_c + r_m * r_m))
-    total = data + lambda_physics * physics
-    return LossPass(
-        data, physics, total, model, net, (err_h, err_u), (h, u), (r_c, r_m), lambda_physics
-    )
+    scale = lambda_physics * 2.0 / c
+    a_c, a_m = scale * r_c, scale * r_m
+    # the adjoint of each output is a_c dr_c/d(output) + a_m dr_m/d(output)
+    p_h, p_u, p_hx, p_ht, p_ux, p_ut = (a_c * p + a_m * q for p, q in zip(d_c, d_m))
+    adjoints = (np.concatenate((g_h, p_h)), np.concatenate((g_u, p_u)),
+                np.stack((p_hx, p_ht)), np.stack((p_ux, p_ut)))
+    return LossPass(data, physics, data + lambda_physics * physics, model, net, adjoints)
 
 
 def loss_gradient(lp: LossPass) -> np.ndarray:
     """Flat gradient of ``lp.total`` with respect to the model's weights."""
-    err_h, err_u = lp.data_error
-    n_data = err_h.size
-    n_rows = lp.net.h.size
-    g_h = np.zeros(n_rows)
-    g_u = np.zeros(n_rows)
-    g_h[:n_data] = (2.0 / n_data) * err_h
-    g_u[:n_data] = (2.0 / n_data) * err_u
-    if lp.residuals is None:
-        return _backward(lp.model, lp.net, g_h, g_u)
-    h, u = lp.duals
-    r_c, r_m = lp.residuals
-    scale = lp.lambda_physics * 2.0 / r_c.size
-    a_c = scale * r_c
-    a_m = scale * r_m
-    # r_c = h_t + h_x u + h u_x and r_m = u_t + u u_x + g h_x
-    g_h[n_data:] = a_c * u.dx
-    g_u[n_data:] = a_c * h.dx + a_m * u.dx
-    g_h_tan = np.stack((a_c * u.value + G_FT_S2 * a_m, a_c))
-    g_u_tan = np.stack((a_c * h.value + a_m * u.value, a_m))
-    return _backward(lp.model, lp.net, g_h, g_u, g_h_tan, g_u_tan)
+    return _backward(lp.model, lp.net, *lp.adjoints)
 
 
 def data_loss(model: SurrogateModel, batch) -> float:
@@ -274,7 +264,7 @@ def physics_loss(model, collocation) -> float:
         h, u = physics_duals(model, x, t)
     else:
         h, u = model.physics_duals(x, t)
-    r_c, r_m = _residuals(h, u)
+    (r_c, _), (r_m, _) = _residuals(h, u)
     return float(np.mean(r_c * r_c + r_m * r_m))
 
 
@@ -346,14 +336,12 @@ def _split_indices(n: int, seed: int):
     return perm[k_val:], perm[:k_val]
 
 
-def _param_name_at(manifest, flat_index: int) -> str:
-    offset = 0
-    for name, shape in manifest:
-        size = int(np.prod(shape))
-        if flat_index < offset + size:
+def _param_name_at(model: SurrogateModel, flat_index: int) -> str:
+    """The name of the weight array that holds flat component ``flat_index``."""
+    for name, view in model.views.items():
+        if flat_index < view.size:
             return name
-        offset += size
-    return f"<index {flat_index}>"
+        flat_index -= view.size
 
 
 def train(
@@ -382,15 +370,14 @@ def train(
     features = _features(model, _normalize(model, ts.points, clamp=False))
     val_rows = (features[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
 
-    weights = model.weights.copy()
-    state = init_adam(weights.size)
+    current = model  # adam_step leaves the weights it is given alone
+    state = init_adam(model.n_weights)
     history: list[HistoryRow] = []
     best_val = np.inf
-    best_weights = weights.copy()
+    best_weights = model.weights.copy()
     initial_total = None
 
     for i in range(config.max_iterations):
-        current = dataclasses.replace(model, weights=weights)
         pick = rng_batch.integers(0, train_idx.size, config.batch_size)
         idx = train_idx[pick]
         x, c = features[idx], 0
@@ -417,17 +404,17 @@ def train(
 
         grads = loss_gradient(lp)
         try:
-            weights, state = adam_step(weights, grads, state, lr)
+            weights, state = adam_step(current.weights, grads, state, lr)
         except NonFiniteGradient as err:
             raise ValueError(
-                f"non-finite gradient in parameter {_param_name_at(current.manifest, err.index)!r} "
+                f"non-finite gradient in parameter {_param_name_at(current, err.index)!r} "
                 f"at iteration {i}"
             ) from err
+        current = dataclasses.replace(model, weights=weights)
 
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
             history.append(row)
-            candidate = dataclasses.replace(model, weights=weights)
-            val = _loss_pass(candidate, *val_rows).data_loss
+            val = _loss_pass(current, *val_rows).data_loss
             if val < best_val:
                 best_val = val
                 best_weights = weights.copy()

@@ -64,12 +64,40 @@ def _linear_model(w, b):
 
 
 def test_product_rule_example():
-    """r_c = h_t + (h u)_x and r_m = u_t + u u_x + g h_x on exact numbers."""
+    """r_c = h_t + (h u)_x and r_m = u_t + u u_x + g h_x on exact numbers,
+    with their partials along (h, u, h_x, h_t, u_x, u_t)."""
     h = Dual(np.array([2.0]), np.array([3.0]), np.array([5.0]))
     u = Dual(np.array([7.0]), np.array([11.0]), np.array([13.0]))
-    r_c, r_m = _residuals(h, u)
+    (r_c, d_c), (r_m, d_m) = _residuals(h, u)
     assert r_c[0] == 5.0 + 3.0 * 7.0 + 2.0 * 11.0
     assert r_m[0] == 13.0 + 7.0 * 11.0 + G_FT_S2 * 3.0
+    assert [float(np.squeeze(p)) for p in d_c] == [11.0, 3.0, 7.0, 1.0, 2.0, 0.0]
+    assert [float(np.squeeze(p)) for p in d_m] == [0.0, 11.0, G_FT_S2, 0.0, 7.0, 1.0]
+
+
+def test_residual_partials_match_central_differences():
+    """Every partial of both residuals against central differences of
+    _residuals along each of (h, u, h_x, h_t, u_x, u_t), on random duals."""
+    rng = np.random.default_rng(12)
+    n = 40
+    base = rng.uniform(0.5, 4.0, (6, n)) * rng.choice([-1.0, 1.0], (6, n))
+
+    def residuals(v):
+        h, u, h_x, h_t, u_x, u_t = v
+        return _residuals(Dual(h, h_x, h_t), Dual(u, u_x, u_t))
+
+    for which, (_, partials) in enumerate(residuals(base)):
+        assert len(partials) == 6
+        for k, partial in enumerate(partials):
+            step = 1e-5 * np.abs(base[k])
+            plus, minus = base.copy(), base.copy()
+            plus[k] += step
+            minus[k] -= step
+            central = (residuals(plus)[which][0] - residuals(minus)[which][0]) / (2.0 * step)
+            np.testing.assert_allclose(
+                np.broadcast_to(partial, (n,)), central, rtol=1e-7, atol=1e-9,
+                err_msg=f"residual {which}, partial {k}",
+            )
 
 
 def test_sin_example():

@@ -254,6 +254,7 @@ def test_simulate_out_of_range_scenario_number_names_its_key(line, message, caps
         ["--peak-factor", "0.5"],
         ["--peak-factor", "nan"],
         ["--peak-factor", "inf"],
+        ["--seed", "-1"],
     ],
 )
 def test_simulate_bad_config_exits_one_before_writing(bad_flag, capsys, tmp_path):
@@ -365,7 +366,7 @@ def test_train_divergence_exits_four(workspace, capsys, tmp_path):
     ["--record-every", "0"], ["--record-every", "-5"], ["--width", "0"], ["--blocks", "-1"],
     ["--fourier-size", "0"], ["--collocation", "0"], ["--lr", "-1"],
     ["--lambda", "nan"], ["--lambda", "inf"], ["--lr", "inf"], ["--sigma", "nan"],
-    ["--sigma", "inf"],
+    ["--sigma", "inf"], ["--seed", "-1"],
 ])
 def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
     rc = main([
@@ -377,7 +378,10 @@ def test_train_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, 
         *bad_flag,
     ])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if bad_flag[0] == "--seed":  # numpy's own message would name no key
+        assert "error: seed must be non-negative" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -419,7 +423,7 @@ def test_train_non_integer_field_count_exits_one_before_writing(
     ])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: [field] {key}: not an integer: {value!r}"
+        f"error: {field}: [field] {key}: not an integer: {value!r}"
     ]
     assert not (tmp_path / "run").exists()
 
@@ -442,6 +446,25 @@ def test_train_non_finite_field_cell_exits_one_before_writing(workspace, capsys,
     ])
     assert rc == 1
     assert "[data] t_x_h_u row 1: not finite: 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_bad_scenario_line_names_the_file(workspace, capsys, tmp_path):
+    lines = (workspace / "scenario.txt").read_text().splitlines()
+    lines.insert(5, "frobnicate")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "train",
+        "--scenario", str(scenario),
+        "--field", str(workspace / "field.txt"),
+        "--out-dir", str(tmp_path / "run"),
+        *TINY_TRAIN,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {scenario}: line 6: cannot parse 'frobnicate'"
+    ]
     assert not (tmp_path / "run").exists()
 
 
@@ -479,6 +502,20 @@ def test_eval_writes_report(workspace, capsys, tmp_path):
     assert (tmp_path / "report" / "per_station.csv").exists()
     assert (tmp_path / "report" / "error_histogram.csv").exists()
     _assert_csv_cells_are_numbers(tmp_path / "report")
+
+
+def test_eval_negative_collocation_seed_exits_one_before_writing(workspace, capsys, tmp_path):
+    rc = main([
+        "eval",
+        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+        "--field", str(workspace / "field.txt"),
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "report"),
+        "--collocation-seed", "-2",
+    ])
+    assert rc == 1
+    assert "error: collocation_seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_checkpoint_from_other_scenario_exits_three(workspace, capsys, tmp_path):
@@ -733,7 +770,7 @@ def test_ablate_writes_three_report_directories(workspace, capsys, tmp_path):
 @pytest.mark.parametrize(
     "bad_flag", [
         ["--width", "0"], ["--blocks", "-1"], ["--fourier-size", "0"], ["--lambda-full", "nan"],
-        ["--sigma", "inf"],
+        ["--sigma", "inf"], ["--seed", "-1"],
     ]
 )
 def test_ablate_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys, tmp_path):
@@ -746,7 +783,10 @@ def test_ablate_bad_numbers_exit_one_before_writing(workspace, bad_flag, capsys,
         *bad_flag,
     ])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if bad_flag[0] == "--seed":  # numpy's own message would name no key
+        assert "error: seed must be non-negative" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from stagecast.fileio import (
-    CheckpointFormatError,
-    FieldFormatError,
     FormatError,
-    ScenarioFormatError,
     load_checkpoint,
     parse_scenario,
     read_field,
@@ -101,64 +98,64 @@ def test_scenario_unknown_key_names_line():
     lines = text.splitlines()
     idx = lines.index("[run]") + 1
     lines.insert(idx, "frobnication_level = 9")
-    with pytest.raises(ScenarioFormatError, match=rf"line {idx + 1}.*frobnication_level"):
+    with pytest.raises(FormatError, match=rf"line {idx + 1}.*frobnication_level"):
         parse_scenario("\n".join(lines) + "\n")
 
 
 def test_scenario_unknown_section_rejected():
     text = serialize_scenario(_awkward_scenario()) + "\n[telemetry]\nfoo = 1\n"
-    with pytest.raises(ScenarioFormatError, match=r"\[telemetry\]"):
+    with pytest.raises(FormatError, match=r"\[telemetry\]"):
         parse_scenario(text)
 
 
 def test_scenario_missing_key_rejected():
     text = serialize_scenario(_awkward_scenario()).replace("manning_n = 0.035\n", "")
-    with pytest.raises(ScenarioFormatError, match="manning_n"):
+    with pytest.raises(FormatError, match="manning_n"):
         parse_scenario(text)
 
 
 def test_scenario_missing_section_rejected():
     text = serialize_scenario(_awkward_scenario())
     head = text[: text.index("[run]")]
-    with pytest.raises(ScenarioFormatError, match=r"\[run\]"):
+    with pytest.raises(FormatError, match=r"\[run\]"):
         parse_scenario(head)
 
 
 def test_scenario_duplicate_key_rejected():
     text = serialize_scenario(_awkward_scenario())
     text = text.replace("[run]\nt_total_hours", "[run]\nt_total_hours = 1.0\nt_total_hours")
-    with pytest.raises(ScenarioFormatError, match="duplicate key"):
+    with pytest.raises(FormatError, match="duplicate key"):
         parse_scenario(text)
 
 
 def test_scenario_garbage_line_rejected():
-    with pytest.raises(ScenarioFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         parse_scenario("[geometry]\nwat\n")
 
 
 def test_scenario_content_before_section_rejected():
-    with pytest.raises(ScenarioFormatError, match="before any"):
+    with pytest.raises(FormatError, match="before any"):
         parse_scenario("length_miles = 3\n")
 
 
 def test_scenario_non_numeric_value_rejected():
     text = serialize_scenario(_awkward_scenario())
     text = text.replace("t_total_hours = 5.0", "t_total_hours = five")
-    with pytest.raises(ScenarioFormatError, match="not a number"):
+    with pytest.raises(FormatError, match="not a number"):
         parse_scenario(text)
 
 
 def test_scenario_bad_series_row_rejected():
     text = serialize_scenario(_awkward_scenario())
     text = text.replace("upstream_discharge_cfs:\n", "upstream_discharge_cfs:\n  1.0,2.0,3.0\n")
-    with pytest.raises(ScenarioFormatError, match="row 1"):
+    with pytest.raises(FormatError, match="row 1"):
         parse_scenario(text)
 
 
 def test_scenario_non_numeric_station_names_its_row():
     text = serialize_scenario(_awkward_scenario())
     text = text.replace("  1.7\n", "  one\n")
-    with pytest.raises(ScenarioFormatError,
+    with pytest.raises(FormatError,
                        match=r"\[stations\] positions_miles row 2: not a number: 'one'"):
         parse_scenario(text)
 
@@ -180,7 +177,7 @@ def test_scenario_non_finite_number_rejected(word, old, new, where):
     text = serialize_scenario(_awkward_scenario())
     assert old in text
     text = text.replace(old, new.format(word), 1)
-    with pytest.raises(ScenarioFormatError, match=where + "not finite: '[^']*" + re.escape(word)):
+    with pytest.raises(FormatError, match=where + "not finite: '[^']*" + re.escape(word)):
         parse_scenario(text)
 
 
@@ -200,7 +197,7 @@ def test_scenario_out_of_range_number_names_its_key(old, new, message):
     key, like a non-finite one."""
     text = serialize_scenario(_awkward_scenario())
     assert old in text
-    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+    with pytest.raises(FormatError, match=re.escape(message)):
         parse_scenario(text.replace(old, new, 1))
 
 
@@ -218,7 +215,7 @@ def test_scenario_inconsistent_content_rejected():
     text = serialize_scenario(_awkward_scenario())
     # stations outside the reach are a semantic error surfaced as a format error
     text = text.replace("  2.9", "  99.0")
-    with pytest.raises(ScenarioFormatError, match="inconsistent"):
+    with pytest.raises(FormatError, match="inconsistent"):
         parse_scenario(text)
 
 
@@ -250,7 +247,7 @@ def test_field_unit_string_is_checked(tmp_path, solved):
     write_field(field, "0" * 64, path)
     text = path.read_text().replace("h:ft", "h:m")
     path.write_text(text)
-    with pytest.raises(FieldFormatError, match="unit"):
+    with pytest.raises(FormatError, match="unit"):
         read_field(path)
 
 
@@ -261,7 +258,7 @@ def test_field_row_count_is_checked(tmp_path, solved):
     lines = path.read_text().splitlines()
     del lines[-1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FieldFormatError, match="rows"):
+    with pytest.raises(FormatError, match="rows"):
         read_field(path)
 
 
@@ -274,7 +271,7 @@ def test_field_grid_mismatch_is_checked(tmp_path, solved):
     t, x, h, u = lines[-1].split(",")
     lines[-1] = ",".join([t, "123.456", h, u])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FieldFormatError, match="station column"):
+    with pytest.raises(FormatError, match="station column"):
         read_field(path)
 
 
@@ -285,7 +282,7 @@ def test_field_bad_column_count(tmp_path, solved):
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1] + ",9.9"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FieldFormatError, match="4 columns"):
+    with pytest.raises(FormatError, match="4 columns"):
         read_field(path)
 
 
@@ -297,7 +294,7 @@ def test_field_non_numeric_grid_row_names_its_row(tmp_path, solved, key):
     lines = path.read_text().splitlines()
     lines[lines.index(f"{key}:") + 2] = "  zero"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FieldFormatError, match=rf"\[field\] {key} row 2: not a number: 'zero'"):
+    with pytest.raises(FormatError, match=rf"\[field\] {key} row 2: not a number: 'zero'"):
         read_field(path)
 
 
@@ -315,7 +312,7 @@ def test_field_non_finite_cell_rejected(tmp_path, solved, word, column):
     cells[column] = word
     lines[at] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FieldFormatError,
+    with pytest.raises(FormatError,
                        match=r"\[data\] t_x_h_u row 3: not finite: '" + re.escape(word) + "'"):
         read_field(path)
 
@@ -381,7 +378,7 @@ def test_checkpoint_save_is_deterministic(tmp_path, solved):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACHECKPOINT" + b"\x00" * 64)
-    with pytest.raises(CheckpointFormatError, match="magic"):
+    with pytest.raises(FormatError, match="magic"):
         load_checkpoint(path)
 
 
@@ -392,7 +389,7 @@ def test_checkpoint_truncated_payload(tmp_path, solved):
     save_checkpoint(model, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
-    with pytest.raises(CheckpointFormatError, match="bytes"):
+    with pytest.raises(FormatError, match="bytes"):
         load_checkpoint(path)
 
 
@@ -404,7 +401,7 @@ def test_checkpoint_corrupt_header(tmp_path, solved):
     raw = bytearray(path.read_bytes())
     raw[20] = ord("!")  # inside the JSON header
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(FormatError):
         load_checkpoint(path)
 
 
@@ -422,7 +419,7 @@ def test_checkpoint_non_finite_number_rejected(tmp_path, solved, index):
     path.write_bytes(raw[:-size] + values.tobytes())
     last = f"weight {model.n_weights - 1} is not finite"
     message = "b_matrix must be finite" if index >= 0 else last
-    with pytest.raises(CheckpointFormatError, match=message):
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(path)
 
 
@@ -441,7 +438,7 @@ def test_checkpoint_weight_count_must_match_manifest(tmp_path, solved):
     # pad to the declared length so the framing still parses
     body = tampered.encode().ljust(header_len, b" ")
     path.write_bytes(raw[:18] + body + raw[18 + header_len :])
-    with pytest.raises(CheckpointFormatError, match="manifest"):
+    with pytest.raises(FormatError, match="manifest"):
         load_checkpoint(path)
 
 

@@ -466,13 +466,17 @@ def test_physics_toggle_leaves_batch_stream_alone():
     assert hist_plain[0].physics_loss == 0.0
 
 
-def test_divergence_guard_raises_with_history():
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_divergence_guard_raises_with_history(activation, lam):
+    """At lambda > 0 the diverging pass's physics adjoints are computed
+    before the guard, under the suite's RuntimeWarning-as-error filter."""
     ts = _constant_training_set()
     config = TrainConfig(
-        lambda_physics=0.0, batch_size=32, lr_initial=1e5, max_iterations=50, record_every=1, seed=0
+        lambda_physics=lam, batch_size=32, lr_initial=1e5, max_iterations=50, record_every=1, seed=0
     )
     with pytest.raises(TrainingDiverged) as exc_info:
-        train(_model(seed=0), ts, config)
+        train(_model(seed=0, activation=activation), ts, config)
     err = exc_info.value
     assert err.history, "partial history must be attached"
     assert err.iteration >= 1

@@ -204,25 +204,33 @@ def _cmd_benchmark(args) -> int:
 # ablate
 
 
+def _writable_dir(path) -> Path:
+    """``path`` if a directory can be made there: refused, before any work,
+    when it or its nearest existing ancestor is not a directory.  Makes nothing."""
+    path = Path(path)
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"cannot make directory {path}: {ancestor} is not a directory")
+    return path
+
+
 def _cmd_ablate(args) -> int:
     scenario = read_scenario(args.scenario)
+    out_dir = _writable_dir(args.out_dir)
     result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
         args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
         "n_cells",
     ))
-
-    out_dir = Path(args.out_dir)
     write_ablation(result, out_dir)
 
     print(f"{'config':<14}{'stage MRAE':>12}{'data loss':>14}{'phys resid':>14}")
-    for name in result.settings:
-        report = result.reports[name]
-        if report is None:
+    for name, run in result.runs.items():
+        if run.diverged:
             print(f"{name:<14}{'diverged':>12}")
         else:
-            print(f"{name:<14}{report.overall_stage_mrae:>12.4f}"
-                  f"{result.training_data_loss[name]:>14.4e}"
-                  f"{report.mean_physics_residual:>14.4e}")
+            print(f"{name:<14}{run.report.overall_stage_mrae:>12.4f}"
+                  f"{run.training_data_loss:>14.4e}"
+                  f"{run.report.mean_physics_residual:>14.4e}")
     print(f"summary written to {out_dir / 'summary.json'}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from .geometry import RiverScenario, bed_elevation_at
 from .solver import FlowField, SolverConfig, solve
 from .surrogate import SurrogateModel, box_for_scenario, init_model, predict_batch
 from .training import (
+    HistoryRow,
     TrainConfig,
     TrainingDiverged,
     build_training_set,
@@ -31,6 +32,7 @@ from .training import (
 __all__ = [
     "EvalReport",
     "BenchmarkReport",
+    "AblationRun",
     "AblationResult",
     "mrae",
     "error_histogram",
@@ -119,16 +121,10 @@ def evaluate(
     h_pred = h_flat.reshape(field.h.shape)
     u_pred = u_flat.reshape(field.u.shape)
 
-    h_ref = field.h
-    h_cmp = h_pred
-    if datum == "elevation":
-        bed = bed_elevation_at(scenario.geometry, field.x_miles)
-        h_ref = field.h + bed
-        h_cmp = h_pred + bed
+    bed = bed_elevation_at(scenario.geometry, field.x_miles) if datum == "elevation" else 0.0
+    h_ref, h_cmp = field.h + bed, h_pred + bed
 
-    per_station = np.array(
-        [mrae(h_cmp[:, j], h_ref[:, j]) for j in range(field.x_miles.size)]
-    )
+    per_station = np.array([mrae(p, y) for p, y in zip(h_cmp.T, h_ref.T)])
     overall_stage = mrae(h_cmp.ravel(), h_ref.ravel())
     overall_velocity = mrae(np.abs(u_pred).ravel(), np.abs(field.u).ravel())
 
@@ -216,20 +212,35 @@ def benchmark(
 
 
 @dataclass
+class AblationRun:
+    """One configuration: its settings, its training history and, unless
+    training diverged, its report and its stage curve (both None if it did)."""
+
+    use_fourier: bool
+    lambda_physics: float
+    history: list[HistoryRow]
+    report: EvalReport | None = None
+    curve: np.ndarray | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.report is None
+
+    @property
+    def training_data_loss(self) -> float | None:
+        return None if self.diverged else self.history[-1].data_loss
+
+
+@dataclass
 class AblationResult:
     """Three matched runs: no encoder, encoder only, encoder plus physics."""
 
     seed: int
     budget_iters: int
-    reports: dict
-    histories: dict
-    training_data_loss: dict
-    diverged: dict
     curve_station_miles: float
     curve_t_hours: np.ndarray
     curve_truth_h: np.ndarray
-    curves: dict
-    settings: dict  # name -> {"use_fourier", "lambda_physics"}: base, fourier_only, full
+    runs: dict[str, AblationRun]  # base, fourier_only, full
 
 
 def run_ablation(
@@ -254,66 +265,41 @@ def run_ablation(
     """
     if budget_iters < 1:
         raise ValueError("budget_iters must be at least 1")
-    settings = {
-        "base": {"use_fourier": False, "lambda_physics": 0.0},
-        "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
-        "full": {"use_fourier": True, "lambda_physics": lambda_full},
-    }
-    runs = {}  # built before the solve, so a bad setting fails before any work
-    for name, spec_ in settings.items():
+    settings = {"base": (False, 0.0), "fourier_only": (True, 0.0), "full": (True, lambda_full)}
+    architecture = dict(n_blocks=n_blocks, width=width, m=m, sigma=sigma, activation=activation)
+    jobs = {}  # built before the solve, so a bad setting fails before any work
+    for name, (use_fourier, lambda_physics) in settings.items():
         model = init_model(
-            box_for_scenario(scenario),
-            n_blocks=n_blocks,
-            width=width,
-            m=m,
-            sigma=sigma,
-            activation=activation,
-            seed=seed,
-            use_fourier=spec_["use_fourier"],
+            box_for_scenario(scenario), **architecture, seed=seed, use_fourier=use_fourier
         )
         config = TrainConfig(
-            lambda_physics=spec_["lambda_physics"],
-            sigma=sigma,
-            batch_size=batch_size,
-            max_iterations=budget_iters,
-            seed=seed,
+            lambda_physics=lambda_physics, sigma=sigma, batch_size=batch_size,
+            max_iterations=budget_iters, seed=seed,
         )
-        runs[name] = model, config
+        jobs[name] = model, config
     field_ = solve(scenario, SolverConfig(n_cells=n_cells))
     ts = build_training_set(field_, scenario)
-    reports, histories, final_losses, diverged, curves = {}, {}, {}, {}, {}
 
     mid = field_.x_miles.size // 2
     station_x = float(field_.x_miles[mid])
     curve_points = np.column_stack([np.full(field_.t_hours.size, station_x), field_.t_hours])
 
-    for name, (model, config) in runs.items():
+    runs = {}
+    for name, (model, config) in jobs.items():
         try:
             trained, history = train(model, ts, config)
         except TrainingDiverged as err:
-            diverged[name] = True
-            histories[name] = err.history
-            reports[name] = None
-            final_losses[name] = None
-            curves[name] = None
+            runs[name] = AblationRun(*settings[name], err.history)
             continue
-        diverged[name] = False
-        histories[name] = history
-        final_losses[name] = history[-1].data_loss
-        reports[name] = evaluate(trained, field_, scenario)
+        report = evaluate(trained, field_, scenario)
         h_curve, _ = predict_batch(trained, curve_points)
-        curves[name] = h_curve
+        runs[name] = AblationRun(*settings[name], history, report, h_curve)
 
     return AblationResult(
         seed=seed,
         budget_iters=budget_iters,
-        reports=reports,
-        histories=histories,
-        training_data_loss=final_losses,
-        diverged=diverged,
         curve_station_miles=station_x,
         curve_t_hours=field_.t_hours.copy(),
         curve_truth_h=field_.h[:, mid].copy(),
-        curves=curves,
-        settings=settings,
+        runs=runs,
     )

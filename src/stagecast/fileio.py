@@ -605,28 +605,27 @@ def write_ablation(result: AblationResult, out_dir) -> None:
     (stage at the curve station over time, truth against prediction)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = {"seed": result.seed, "budget_iters": result.budget_iters}
+    shared = {"seed": result.seed, "budget_iters": result.budget_iters}
     configs = {}
-    for name, settings in result.settings.items():
+    for name, run in result.runs.items():
         config_dir = out / name
         config_dir.mkdir(exist_ok=True)
-        _write_json(config_dir / "config.json", {"config": name, **run, **settings})
-        write_history(result.histories[name], config_dir / "history.csv")
-        entry = {
-            "diverged": result.diverged[name],
-            "training_data_loss": result.training_data_loss[name],
-        }
-        report = result.reports[name]
-        if report is not None:
-            write_report(report, config_dir)
-            entry.update({key: getattr(report, key) for key in _ABLATION_SUMMARY_KEYS})
+        _write_json(config_dir / "config.json", {
+            "config": name, **shared,
+            "use_fourier": run.use_fourier, "lambda_physics": run.lambda_physics,
+        })
+        write_history(run.history, config_dir / "history.csv")
+        entry = {"diverged": run.diverged, "training_data_loss": run.training_data_loss}
+        if not run.diverged:
+            write_report(run.report, config_dir)
+            entry.update({key: getattr(run.report, key) for key in _ABLATION_SUMMARY_KEYS})
             _write_csv(
                 config_dir / "curve.csv",
                 ("t_hours", "truth_h_ft", "predicted_h_ft"),
-                zip(result.curve_t_hours, result.curve_truth_h, result.curves[name]),
+                zip(result.curve_t_hours, result.curve_truth_h, run.curve),
             )
         configs[name] = entry
     _write_json(
         out / "summary.json",
-        {**run, "curve_station_miles": result.curve_station_miles, "configs": configs},
+        {**shared, "curve_station_miles": result.curve_station_miles, "configs": configs},
     )

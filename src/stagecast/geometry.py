@@ -290,6 +290,12 @@ def make_flood_wave_scenario(
         raise ValueError("peak_factor must be finite and at least 1 (below 1 inverts the pulse)")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if not 0.0 < baseflow_cfs < math.inf:
+        raise ValueError("baseflow_cfs must be finite and positive")
+    if not math.isfinite(pulse_center_hours):
+        raise ValueError("pulse_center_hours must be finite")
+    if not 0.0 < pulse_sigma_hours < math.inf:
+        raise ValueError("pulse_sigma_hours must be finite and positive")
 
     rng = np.random.default_rng(seed)
     baseflow = baseflow_cfs * rng.uniform(0.9, 1.1)

@@ -280,18 +280,15 @@ def test_6_ablation_ordering(capsys):
     wall = time.perf_counter() - t0
 
     # a diverged configuration has no report or final loss to compare
-    diverged = [name for name, flag in result.diverged.items() if flag]
+    diverged = [name for name, run in result.runs.items() if run.diverged]
     if diverged:
         _verdict(
             capsys, 6, "ablation ordering", False,
             f"diverged: {', '.join(diverged)}, {wall / 60:.1f} min",
         )
 
-    data = result.training_data_loss
-    resid = {
-        name: result.reports[name].mean_physics_residual
-        for name in ("base", "fourier_only", "full")
-    }
+    data = {name: run.training_data_loss for name, run in result.runs.items()}
+    resid = {name: run.report.mean_physics_residual for name, run in result.runs.items()}
     ok = (
         data["fourier_only"] < data["base"]
         and 5.0 * resid["full"] <= resid["fourier_only"]

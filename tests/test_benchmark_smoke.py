@@ -3,7 +3,8 @@ smoke size, finishes correct with no failed operation.
 
 This guards what ``perfbench/`` reads of the package (``FlowField``'s
 fields, ``TrainConfig``'s options, the CLI's flags, ``HistoryRow``'s
-columns) without a benchmark run's full sizes.
+columns, and ``report.json``'s ``timing.surrogate_seconds`` and
+``timing.speedup``) without a benchmark run's full sizes.
 """
 
 import json

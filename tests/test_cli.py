@@ -803,16 +803,16 @@ def test_ablate_zero_budget_exits_one_before_writing(workspace, capsys, tmp_path
 
 
 def test_ablate_writes_the_settings_table_it_is_given(workspace, capsys, tmp_path, monkeypatch):
-    """config.json and the printed table come from AblationResult.settings,
-    not from a copy of the table in the CLI."""
+    """config.json and the printed table come from the result's run records,
+    not from a copy of the settings table in the CLI."""
     import stagecast.cli as cli
 
     real = cli.run_ablation
 
     def marked(*args, **kwargs):
         result = real(*args, **kwargs)
-        result.settings["full"] = {**result.settings["full"], "lambda_physics": 0.375}
-        result.settings["base"]["marker"] = "from-result"
+        result.runs["full"].lambda_physics = 0.375
+        result.runs["base"].use_fourier = True
         return result
 
     monkeypatch.setattr(cli, "run_ablation", marked)
@@ -830,6 +830,65 @@ def test_ablate_writes_the_settings_table_it_is_given(workspace, capsys, tmp_pat
     assert rc == 0
     out_dir = tmp_path / "ablation"
     assert json.loads((out_dir / "full" / "config.json").read_text())["lambda_physics"] == 0.375
-    assert json.loads((out_dir / "base" / "config.json").read_text())["marker"] == "from-result"
+    assert json.loads((out_dir / "base" / "config.json").read_text())["use_fourier"] is True
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:4]]
     assert rows == ["base", "fourier_only", "full"]
+
+
+def test_ablate_refuses_a_file_as_out_dir_before_training(workspace, capsys, tmp_path,
+                                                          monkeypatch):
+    import stagecast.evaluation as ev
+
+    def never(*args, **kwargs):
+        raise AssertionError("ablate trained before checking --out-dir")
+
+    monkeypatch.setattr(ev, "train", never)
+    in_the_way = tmp_path / "taken"
+    in_the_way.write_text("not a directory\n")
+    for out_dir in (in_the_way, in_the_way / "below"):
+        rc = main([
+            "ablate",
+            "--scenario", str(workspace / "scenario.txt"),
+            "--out-dir", str(out_dir),
+            "--budget", "5",
+            "--n-cells", "40",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_ablate_directory_repeats_bytewise(workspace, tmp_path):
+    """Two ablations under one seed write the same bytes, apart from the
+    wall-clock ``"timing"`` of each report.json."""
+    for name in ("a", "b"):
+        rc = main([
+            "ablate",
+            "--scenario", str(workspace / "scenario.txt"),
+            "--out-dir", str(tmp_path / name),
+            "--budget", "10",
+            "--seed", "4",
+            "--width", "8",
+            "--blocks", "1",
+            "--fourier-size", "4",
+            "--batch-size", "16",
+            "--n-cells", "40",
+        ])
+        assert rc == 0
+
+    def contents(root):
+        out = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                if path.name == "report.json":
+                    report = json.loads(data)
+                    report.pop("timing")
+                    data = json.dumps(report, sort_keys=True).encode()
+                out[str(path.relative_to(root))] = data
+        return out
+
+    first, second = contents(tmp_path / "a"), contents(tmp_path / "b")
+    assert sum(name.endswith("report.json") for name in first) == 3
+    assert first == second

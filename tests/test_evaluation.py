@@ -264,22 +264,22 @@ ABLATION_CONFIGS = ("base", "fourier_only", "full")
 
 def test_ablation_covers_all_configs(small_ablation):
     result = small_ablation
-    assert list(result.reports) == list(ABLATION_CONFIGS)
-    for name in ABLATION_CONFIGS:
-        assert not result.diverged[name]
-        assert result.reports[name].overall_stage_mrae >= 0.0
-        assert result.histories[name], "every run records at least the final row"
-        assert np.isfinite(result.training_data_loss[name])
-        assert result.curves[name].shape == result.curve_t_hours.shape
+    assert list(result.runs) == list(ABLATION_CONFIGS)
+    for run in result.runs.values():
+        assert not run.diverged
+        assert run.report.overall_stage_mrae >= 0.0
+        assert run.history, "every run records at least the final row"
+        assert run.training_data_loss == run.history[-1].data_loss
+        assert np.isfinite(run.training_data_loss)
+        assert run.curve.shape == result.curve_t_hours.shape
 
 
 def test_ablation_returns_its_settings_table(small_ablation):
-    assert list(small_ablation.settings) == list(ABLATION_CONFIGS)
-    assert small_ablation.settings == {
-        "base": {"use_fourier": False, "lambda_physics": 0.0},
-        "fourier_only": {"use_fourier": True, "lambda_physics": 0.0},
-        "full": {"use_fourier": True, "lambda_physics": 0.1},
+    settings = {
+        name: (run.use_fourier, run.lambda_physics) for name, run in small_ablation.runs.items()
     }
+    assert list(settings) == list(ABLATION_CONFIGS)
+    assert settings == {"base": (False, 0.0), "fourier_only": (True, 0.0), "full": (True, 0.1)}
 
 
 def test_ablation_curve_is_the_field_slice(small_ablation):
@@ -301,9 +301,10 @@ def test_ablation_reruns_bitwise(small_ablation):
         n_cells=60,
     )
     for name in ABLATION_CONFIGS:
-        assert again.training_data_loss[name] == small_ablation.training_data_loss[name]
-        assert again.reports[name].overall_stage_mrae == small_ablation.reports[name].overall_stage_mrae
-        np.testing.assert_array_equal(again.curves[name], small_ablation.curves[name])
+        run, first = again.runs[name], small_ablation.runs[name]
+        assert run.training_data_loss == first.training_data_loss
+        assert run.report.overall_stage_mrae == first.report.overall_stage_mrae
+        np.testing.assert_array_equal(run.curve, first.curve)
 
 
 def _strict_json(text):
@@ -329,11 +330,15 @@ def test_diverged_ablation_writes_strict_json(monkeypatch, tmp_path):
         _tiny_scenario(), budget_iters=5, seed=5, width=8, n_blocks=1, m=4, batch_size=32,
         n_cells=40,
     )
-    assert result.diverged == {"base": False, "fourier_only": False, "full": True}
+    diverged = {name: run.diverged for name, run in result.runs.items()}
+    assert diverged == {"base": False, "fourier_only": False, "full": True}
+    full = result.runs["full"]
+    assert full.history == [] and full.training_data_loss is None and full.curve is None
     write_ablation(result, tmp_path)
     configs = _strict_json((tmp_path / "summary.json").read_text())["configs"]
     assert configs["full"] == {"diverged": True, "training_data_loss": None}
-    assert configs["base"]["training_data_loss"] == result.training_data_loss["base"]
+    assert configs["base"]["training_data_loss"] == result.runs["base"].training_data_loss
+    assert sorted(p.name for p in (tmp_path / "full").iterdir()) == ["config.json", "history.csv"]
 
 
 def test_json_writer_refuses_non_finite_numbers(tmp_path):

@@ -114,6 +114,18 @@ def test_too_few_stations_rejected():
         make_flood_wave_scenario(10, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pulse_sigma_hours", 0.0), ("pulse_sigma_hours", -2.0), ("pulse_sigma_hours", np.inf),
+    ("pulse_center_hours", np.nan), ("pulse_center_hours", -np.inf),
+    ("baseflow_cfs", np.inf), ("baseflow_cfs", 0.0), ("baseflow_cfs", np.nan),
+])
+def test_flood_wave_rejects_a_bad_pulse_by_key(key, value):
+    """Each pulse parameter is checked before it is drawn on; the message
+    starts with its key."""
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        make_flood_wave_scenario(5, 3.0, **{key: value})
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        peak=st.floats(min_value=1.0, max_value=10.0))

@@ -15,7 +15,7 @@ parameters have no default, carry one here.
 
 Exit codes: 0 success, 1 file/parse errors and invalid values (including
 bad command lines), 2 solver failures, 3 cross-input consistency errors,
-4 training divergence (partial history is still written).
+4 training divergence of the loss or the gradient (partial history is still written).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _cmd_train(args) -> int:
         args, "n_blocks", "width", "m", "sigma", "activation", "seed", "use_fourier"
     ))
     config = TrainConfig(**_given(
-        args, "lambda_physics", "sigma", "batch_size", "collocation_per_batch", "lr_initial",
+        args, "lambda_physics", "batch_size", "collocation_per_batch", "lr_initial",
         "lr_decay_rate", "lr_decay_every", "max_iterations", "seed", "record_every",
     ))
 
@@ -184,7 +184,22 @@ def _cmd_eval(args) -> int:
 # benchmark
 
 
+def _writable(path, *, file: bool = False) -> Path:
+    """``path`` if a directory, or with ``file`` a file, can be made there;
+    refused before any work, when it cannot be.  Makes nothing."""
+    path = Path(path)
+    if file and path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    directory = path.parent if file else path
+    ancestor = next(p for p in (directory, *directory.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
+    return path
+
+
 def _cmd_benchmark(args) -> int:
+    if "json_out" in args:
+        _writable(args.json_out, file=True)
     scenario = read_scenario(args.scenario)
     model = _load_checkpoint_for(args.checkpoint, scenario, scenario_hash(scenario))
 
@@ -204,19 +219,9 @@ def _cmd_benchmark(args) -> int:
 # ablate
 
 
-def _writable_dir(path) -> Path:
-    """``path`` if a directory can be made there: refused, before any work,
-    when it or its nearest existing ancestor is not a directory.  Makes nothing."""
-    path = Path(path)
-    ancestor = next(p for p in (path, *path.parents) if p.exists())
-    if not ancestor.is_dir():
-        raise NotADirectoryError(f"cannot make directory {path}: {ancestor} is not a directory")
-    return path
-
-
 def _cmd_ablate(args) -> int:
     scenario = read_scenario(args.scenario)
-    out_dir = _writable_dir(args.out_dir)
+    out_dir = _writable(args.out_dir)
     result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
         args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
         "n_cells",
@@ -244,6 +249,17 @@ def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     p.set_defaults(func=func)
     return p
+
+
+def _network_flags(p: argparse.ArgumentParser) -> None:
+    """The architecture and batch flags that ``train`` and ``ablate`` share."""
+    p.add_argument("--width", type=int, help="hidden layer width")
+    p.add_argument("--blocks", dest="n_blocks", type=int, metavar="BLOCKS",
+                   help="number of residual blocks")
+    p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
+                   help="number of Fourier feature rows")
+    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
+    p.add_argument("--batch-size", type=int, help="supervised points per iteration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, help="Fourier feature bandwidth")
     p.add_argument("--iterations", dest="max_iterations", type=int, metavar="ITERATIONS",
                    help="training iterations")
-    p.add_argument("--batch-size", type=int, help="supervised points per iteration")
     p.add_argument("--collocation", dest="collocation_per_batch", type=int,
                    metavar="COLLOCATION",
                    help="collocation points per iteration (default: batch size)")
@@ -286,12 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay-every", type=int, help="iterations per decay factor")
     p.add_argument("--seed", type=int, help="seed for init, batching, collocation")
     p.add_argument("--record-every", type=int, help="history record cadence")
-    p.add_argument("--width", type=int, help="hidden layer width")
-    p.add_argument("--blocks", dest="n_blocks", type=int, metavar="BLOCKS",
-                   help="number of residual blocks")
-    p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
-                   help="number of Fourier feature rows")
-    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
+    _network_flags(p)
     p.add_argument("--no-fourier", dest="use_fourier", action="store_false",
                    help="feed raw normalized coordinates instead of Fourier features")
 
@@ -321,13 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, help="Fourier bandwidth for the "
                    "fourier_only and full configurations")
     p.add_argument("--lambda-full", type=float, help="physics weight for the full configuration")
-    p.add_argument("--width", type=int, help="hidden layer width")
-    p.add_argument("--blocks", dest="n_blocks", type=int, metavar="BLOCKS",
-                   help="number of residual blocks")
-    p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
-                   help="Fourier feature rows")
-    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
-    p.add_argument("--batch-size", type=int, help="supervised points per iteration")
+    _network_flags(p)
     p.add_argument("--n-cells", type=int, help="solver grid resolution")
 
     return parser

@@ -273,7 +273,7 @@ def run_ablation(
             box_for_scenario(scenario), **architecture, seed=seed, use_fourier=use_fourier
         )
         config = TrainConfig(
-            lambda_physics=lambda_physics, sigma=sigma, batch_size=batch_size,
+            lambda_physics=lambda_physics, batch_size=batch_size,
             max_iterations=budget_iters, seed=seed,
         )
         jobs[name] = model, config

@@ -96,18 +96,25 @@ class FormatError(ValueError):
 # --------------------------------------------------------------------------
 
 
-def atomic_write_text(path, text: str) -> None:
+def _write_through_temp(path, write) -> None:
+    """``write`` a hidden sibling, then rename it onto ``path``; a failure removes it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise OSError(err.errno, err.strerror, str(path)) from err
+
+
+def atomic_write_text(path, text: str) -> None:
+    _write_through_temp(path, lambda tmp: tmp.write_text(text))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    _write_through_temp(path, lambda tmp: tmp.write_bytes(data))
 
 
 # --------------------------------------------------------------------------
@@ -593,6 +600,7 @@ def write_report(report: EvalReport, out_dir) -> None:
 
 
 def write_benchmark(result: BenchmarkReport, path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, report_to_dict(result))
 
 

@@ -13,7 +13,9 @@ partials into the adjoints of the network's outputs and returns them, and
 pass.  The samples are fixed, so :func:`train` encodes them once per run
 and gathers each batch's rows; only the fresh collocation points are
 encoded per iteration.  The optimizer is Adam with an exponentially
-decaying learning rate.  Everything is seeded, and the supervised batch
+decaying learning rate.  :func:`train` alone checks each step, its loss and
+its squared gradient norm, and a step that fails raises
+:class:`TrainingDiverged`.  Everything is seeded, and the supervised batch
 stream is independent of the physics settings, so runs that share a seed
 share their batches exactly.
 """
@@ -47,7 +49,6 @@ __all__ = [
     "HistoryRow",
     "LossPass",
     "TrainingDiverged",
-    "NonFiniteGradient",
     "build_training_set",
     "data_loss",
     "physics_loss",
@@ -71,22 +72,12 @@ class TrainingDiverged(RuntimeError):
         self.iteration = iteration
 
 
-class NonFiniteGradient(ValueError):
-    """A gradient component is NaN or infinite; ``index`` is the first such
-    component of the flat gradient vector."""
-
-    def __init__(self, index: int):
-        super().__init__(f"non-finite gradient at component {index}")
-        self.index = index
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``sigma`` is read by no code in this package: :func:`train` uses the
-    encoder already attached to the model.  It is kept for the callers that
-    set it to record the bandwidth they built the model with.
+    ``sigma`` is read by no code in this package (:func:`train` uses the
+    model's own encoder); a caller may set it to record the bandwidth.
     ``collocation_per_batch`` defaults to the batch size.  The learning
     rate follows ``lr_initial * lr_decay_rate ** (i / lr_decay_every)``.
     """
@@ -295,12 +286,10 @@ def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: floa
     """One bias-corrected Adam update; returns (new_weights, new_state).
 
     Leaves its inputs alone; computes in the returned arrays plus one scratch.
+    It trusts the gradient: :func:`train` checks it first.
     """
     if weights.shape != grads.shape:
         raise ValueError(f"gradient shape {grads.shape} != weight shape {weights.shape}")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        raise NonFiniteGradient(int(np.argmax(~finite)))
     t = state.step + 1
     scratch = np.multiply(grads, 1.0 - _BETA1)
     m = np.multiply(state.m, _BETA1)
@@ -353,9 +342,10 @@ def train(
 
     A seeded 10 % holdout scores the model every ``record_every``
     iterations (plus once at the final iteration) and the returned model
-    carries the best-by-validation weights.  The loop aborts with
-    :class:`TrainingDiverged` (history attached) if the total loss exceeds
-    a million times its initial value or stops being finite.
+    carries the best-by-validation weights.  :class:`TrainingDiverged`, with
+    the history and the failing row last, ends a step whose total loss passes
+    a million times the first or is not finite, or whose squared gradient
+    norm is not finite: a NaN or inf, or a size that would overflow Adam.
     """
     if training_set.norm != model.norm:  # collocation is drawn in one box, normalized by the other
         raise ValueError("training set box does not match the model's normalization box")
@@ -391,25 +381,22 @@ def train(
 
         if initial_total is None:
             initial_total = lp.total
+        failure = None
         if not np.isfinite(lp.total) or (
             initial_total > 0 and lp.total > _DIVERGENCE_FACTOR * initial_total
         ):
+            failure = (f"loss {lp.total:.6g} exceeds {_DIVERGENCE_FACTOR:g} x initial "
+                       f"{initial_total:.6g}")
+        else:
+            grads = loss_gradient(lp)
+            if not np.isfinite(np.vdot(grads, grads)):  # vdot overflows to inf silently; @ warns
+                name = _param_name_at(current, int(np.argmax(np.abs(grads))))  # NaN, else largest
+                failure = f"gradient not finite or overflowing in parameter {name!r}"
+        if failure:
             history.append(row)
-            raise TrainingDiverged(
-                f"loss {lp.total:.6g} at iteration {i} exceeds "
-                f"{_DIVERGENCE_FACTOR:g} x initial {initial_total:.6g}",
-                history,
-                i,
-            )
+            raise TrainingDiverged(f"{failure} at iteration {i}", history, i)
 
-        grads = loss_gradient(lp)
-        try:
-            weights, state = adam_step(current.weights, grads, state, lr)
-        except NonFiniteGradient as err:
-            raise ValueError(
-                f"non-finite gradient in parameter {_param_name_at(current, err.index)!r} "
-                f"at iteration {i}"
-            ) from err
+        weights, state = adam_step(current.weights, grads, state, lr)
         current = dataclasses.replace(model, weights=weights)
 
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,33 @@ def test_train_divergence_exits_four(workspace, capsys, tmp_path):
     assert not (tmp_path / "boom" / "checkpoint.bin").exists()
 
 
+def test_train_nan_gradient_exits_four_with_its_row_last(workspace, monkeypatch, capsys,
+                                                         tmp_path):
+    import stagecast.training as training
+
+    real, calls = training.loss_gradient, []
+
+    def poisoned(lp):
+        calls.append(None)
+        grads = real(lp)
+        if len(calls) == 25:
+            grads[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "loss_gradient", poisoned)
+    rc = main([
+        "train",
+        "--scenario", str(workspace / "scenario.txt"),
+        "--field", str(workspace / "field.txt"),
+        "--out-dir", str(tmp_path / "nan"),
+        *TINY_TRAIN,
+    ])
+    assert rc == 4
+    assert "at iteration 24" in capsys.readouterr().err
+    assert [row.iteration for row in read_history(tmp_path / "nan" / "history.csv")] == [20, 25]
+    assert not (tmp_path / "nan" / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("bad_flag", [
     ["--record-every", "0"], ["--record-every", "-5"], ["--width", "0"], ["--blocks", "-1"],
     ["--fourier-size", "0"], ["--collocation", "0"], ["--lr", "-1"],
@@ -718,6 +746,45 @@ def test_benchmark_checkpoint_from_other_domain_exits_three(workspace, capsys, t
     assert not (tmp_path / "bench.json").exists()
 
 
+@pytest.mark.parametrize("case", ["is-a-directory", "below-a-file"])
+def test_benchmark_refuses_an_unwritable_json_out_before_solving(workspace, monkeypatch, case,
+                                                                 capsys, tmp_path):
+    import stagecast.evaluation as ev
+
+    def never(*args, **kwargs):
+        raise AssertionError("benchmark solved before checking --json-out")
+
+    monkeypatch.setattr(ev, "solve", never)
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    json_out = tmp_path / ("a_directory" if case == "is-a-directory" else "a_file/sub/b.json")
+    rc = main([
+        "benchmark",
+        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+        "--scenario", str(workspace / "scenario.txt"),
+        "--json-out", str(json_out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(json_out) in err[0]
+    assert not [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
+
+
+def test_benchmark_makes_a_missing_json_out_parent(workspace, capsys, tmp_path):
+    json_out = tmp_path / "new" / "deeper" / "bench.json"
+    rc = main([
+        "benchmark",
+        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+        "--scenario", str(workspace / "scenario.txt"),
+        "--repetitions", "3",
+        "--n-cells", "40",
+        "--json-out", str(json_out),
+    ])
+    assert rc == 0
+    assert json.loads(json_out.read_text())["n_cells"] == 40
+    assert [p.name for p in json_out.parent.iterdir()] == ["bench.json"]
+
+
 def test_benchmark_rejects_bad_repetitions(workspace, capsys, tmp_path):
     rc = main([
         "benchmark",
@@ -892,3 +959,27 @@ def test_ablate_directory_repeats_bytewise(workspace, tmp_path):
     first, second = contents(tmp_path / "a"), contents(tmp_path / "b")
     assert sum(name.endswith("report.json") for name in first) == 3
     assert first == second
+
+
+def test_ablate_marks_an_overflowing_gradient_as_diverged(capsys, tmp_path):
+    """A physics weight of 1e300 makes the full configuration's gradient
+    overflow Adam's second moment at its first step: that configuration is
+    marked diverged, the other two are reported, and nothing warns."""
+    scenario = str(tmp_path / "scenario.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([
+            "simulate", "--scenario", scenario, "--field-out", str(tmp_path / "field.txt"),
+            "--synthetic-stations", "6", "--n-cells", "60",
+        ]) == 0
+        rc = main([
+            "ablate", "--scenario", scenario, "--out-dir", str(tmp_path / "ablation"),
+            "--lambda-full", "1e300", "--sigma", "40", "--budget", "100", "--n-cells", "60",
+        ])
+    assert rc == 0
+    configs = json.loads((tmp_path / "ablation" / "summary.json").read_text())["configs"]
+    assert configs["full"] == {"diverged": True, "training_data_loss": None}
+    for name in ("base", "fourier_only"):
+        assert configs[name]["diverged"] is False
+        assert configs[name]["overall_stage_mrae"] > 0
+        assert (tmp_path / "ablation" / name / "report.json").exists()

@@ -535,3 +535,20 @@ def test_atomic_overwrite(tmp_path):
     atomic_write_text(path, "second\n")
     assert path.read_text() == "second\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("writer, data", [("atomic_write_text", "x\n"),
+                                          ("atomic_write_bytes", b"x\n")], ids=["text", "bytes"])
+def test_a_failed_atomic_write_names_its_path_and_leaves_no_temp(tmp_path, writer, data):
+    """Whether the temp write or the rename fails, the error names the
+    destination, not the temp file, and the temp file is gone."""
+    import stagecast.fileio as fileio
+
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    for path in (tmp_path / "a_directory", tmp_path / "missing" / "out",
+                 tmp_path / "a_file" / "out"):
+        with pytest.raises(OSError) as info:
+            getattr(fileio, writer)(path, data)
+        assert info.value.filename == str(path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory", "a_file"]

@@ -71,6 +71,19 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
+def _writable(path, *, file: bool = False) -> Path:
+    """``path`` if a directory, or with ``file`` a file, can be made there; every
+    command checks each of its outputs here before any work.  Makes nothing."""
+    path = Path(path)
+    if file and path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    directory = path.parent if file else path
+    ancestor = next(p for p in (directory, *directory.parents) if p.exists())
+    if not ancestor.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
+    return path
+
+
 def _check_hash(expected: str, actual: str, what: str) -> None:
     if expected != actual:
         raise ConsistencyError(
@@ -89,10 +102,9 @@ def _scenario_and_field(args):
 
 def _load_checkpoint_for(path, scenario, digest: str):
     """The checkpoint at ``path`` if it belongs to ``scenario``, whose hash is
-    ``digest``: by its recorded hash, if any, and by its normalization box."""
+    ``digest``: by its recorded hash and by its normalization box."""
     model, ckpt_digest = load_checkpoint(path)
-    if ckpt_digest is not None:
-        _check_hash(digest, ckpt_digest, "checkpoint")
+    _check_hash(digest, ckpt_digest, "checkpoint")
     if model.norm != box_for_scenario(scenario):
         raise ConsistencyError("checkpoint normalization box does not match the scenario domain")
     return model
@@ -103,8 +115,10 @@ def _load_checkpoint_for(path, scenario, digest: str):
 
 
 def _cmd_simulate(args) -> int:
+    _writable(args.field_out, file=True)
     config = SolverConfig(**_given(args, "n_cells", "cfl"))  # reject bad knobs before writing
     if "synthetic_stations" in args:
+        _writable(args.scenario, file=True)
         scenario = make_flood_wave_scenario(
             args.synthetic_stations, args.peak_factor, **_given(args, "seed")
         )
@@ -130,6 +144,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    out_dir = _writable(args.out_dir)
     scenario, digest, field = _scenario_and_field(args)
     training_set = build_training_set(field, scenario)
     model = init_model(training_set.norm, **_given(
@@ -140,8 +155,6 @@ def _cmd_train(args) -> int:
         "lr_decay_rate", "lr_decay_every", "max_iterations", "seed", "record_every",
     ))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "history.csv"
     try:
         trained, history = train(model, training_set, config)
@@ -167,34 +180,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out_dir = _writable(args.out_dir)
     scenario, digest, field = _scenario_and_field(args)
     model = _load_checkpoint_for(args.checkpoint, scenario, digest)
 
     report = evaluate(model, field, scenario, **_given(args, "datum", "collocation_seed"))
-    write_report(report, args.out_dir)
+    write_report(report, out_dir)
     print(f"overall stage MRAE:    {report.overall_stage_mrae:.4f}")
     print(f"overall velocity MRAE: {report.overall_velocity_mrae:.4f}")
     print(f"max stage abs error:   {report.max_stage_abs_error_ft:.4f} ft")
     print(f"mean physics residual: {report.mean_physics_residual:.4e}")
-    print(f"report written to {Path(args.out_dir) / 'report.json'}")
+    print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # benchmark
-
-
-def _writable(path, *, file: bool = False) -> Path:
-    """``path`` if a directory, or with ``file`` a file, can be made there;
-    refused before any work, when it cannot be.  Makes nothing."""
-    path = Path(path)
-    if file and path.is_dir():
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    directory = path.parent if file else path
-    ancestor = next(p for p in (directory, *directory.parents) if p.exists())
-    if not ancestor.is_dir():
-        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
-    return path
 
 
 def _cmd_benchmark(args) -> int:
@@ -220,8 +221,8 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    scenario = read_scenario(args.scenario)
     out_dir = _writable(args.out_dir)
+    scenario = read_scenario(args.scenario)
     result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
         args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
         "n_cells",

@@ -37,7 +37,7 @@ and the report keys the fields of the report dataclasses, whose
 wall-clock fields go under a single ``"timing"`` key; everything outside
 ``"timing"`` is a pure function of the seeds and inputs.  All writers go
 through a temp-file-plus-rename so readers never observe a half-written
-file.
+file, and that write alone makes a missing parent directory.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ class FormatError(ValueError):
 
 
 def _write_through_temp(path, write) -> None:
-    """``write`` a hidden sibling, then rename it onto ``path``; a failure removes it."""
+    """Make ``path``'s parent, ``write`` a hidden sibling and rename it onto ``path``;
+    a failure removes the sibling.  No other code makes a directory."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         write(tmp)
         os.replace(tmp, path)
     except OSError as err:
@@ -431,12 +433,12 @@ _NULL = type(None)
 _CKPT_HEADER = {
     "format_version": (int,), "use_fourier": (bool,), "m": (int, _NULL),
     "sigma": (int, float, _NULL), "width": (int,), "n_blocks": (int,), "activation": (str,),
-    "seed": (int,), "norm": (list,), "scenario_hash": (str, _NULL), "manifest": (list,),
+    "seed": (int,), "norm": (list,), "scenario_hash": (str,), "manifest": (list,),
     "n_weights": (int,),
 }
 
 
-def save_checkpoint(model: SurrogateModel, path, scenario_digest: str | None = None) -> None:
+def save_checkpoint(model: SurrogateModel, path, scenario_digest: str) -> None:
     header = {
         "format_version": 1,
         "use_fourier": model.uses_fourier,
@@ -459,7 +461,7 @@ def save_checkpoint(model: SurrogateModel, path, scenario_digest: str | None = N
     atomic_write_bytes(path, _CKPT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
 
 
-def load_checkpoint(path) -> tuple[SurrogateModel, str | None]:
+def load_checkpoint(path) -> tuple[SurrogateModel, str]:
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
         raise FormatError(f"{path}: not a stagecast checkpoint (bad magic)")
@@ -587,7 +589,6 @@ def report_to_dict(report: EvalReport | BenchmarkReport) -> dict:
 def write_report(report: EvalReport, out_dir) -> None:
     """Write report.json, per_station.csv, and error_histogram.csv."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report_to_dict(report))
     _write_csv(
         out / "per_station.csv",
@@ -600,7 +601,6 @@ def write_report(report: EvalReport, out_dir) -> None:
 
 
 def write_benchmark(result: BenchmarkReport, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, report_to_dict(result))
 
 
@@ -612,12 +612,10 @@ def write_ablation(result: AblationResult, out_dir) -> None:
     history.csv and, unless the run diverged, the report files and curve.csv
     (stage at the curve station over time, truth against prediction)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     shared = {"seed": result.seed, "budget_iters": result.budget_iters}
     configs = {}
     for name, run in result.runs.items():
         config_dir = out / name
-        config_dir.mkdir(exist_ok=True)
         _write_json(config_dir / "config.json", {
             "config": name, **shared,
             "use_fourier": run.use_fourier, "lambda_physics": run.lambda_physics,

@@ -375,23 +375,23 @@ def train(
             c = config.collocation_count
             colloc = _normalize(current, ts.norm.sample(rng_colloc, c), clamp=False)
             x = np.concatenate((x, _features(current, colloc)))
-        lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
         lr = _learning_rate(config, i)
-        row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, lr)
-
-        if initial_total is None:
-            initial_total = lp.total
         failure = None
-        if not np.isfinite(lp.total) or (
-            initial_total > 0 and lp.total > _DIVERGENCE_FACTOR * initial_total
-        ):
-            failure = (f"loss {lp.total:.6g} exceeds {_DIVERGENCE_FACTOR:g} x initial "
-                       f"{initial_total:.6g}")
-        else:
-            grads = loss_gradient(lp)
-            if not np.isfinite(np.vdot(grads, grads)):  # vdot overflows to inf silently; @ warns
-                name = _param_name_at(current, int(np.argmax(np.abs(grads))))  # NaN, else largest
-                failure = f"gradient not finite or overflowing in parameter {name!r}"
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the guards' to judge
+            lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
+            if initial_total is None:
+                initial_total = lp.total
+            if not np.isfinite(lp.total) or (
+                initial_total > 0 and lp.total > _DIVERGENCE_FACTOR * initial_total
+            ):
+                failure = (f"loss {lp.total:.6g} exceeds {_DIVERGENCE_FACTOR:g} x initial "
+                           f"{initial_total:.6g}")
+            else:
+                grads = loss_gradient(lp)
+                if not np.isfinite(np.vdot(grads, grads)):  # vdot overflows to inf silently
+                    name = _param_name_at(current, int(np.argmax(np.abs(grads))))  # NaN, else max
+                    failure = f"gradient not finite or overflowing in parameter {name!r}"
+        row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, lr)
         if failure:
             history.append(row)
             raise TrainingDiverged(f"{failure} at iteration {i}", history, i)

@@ -15,6 +15,7 @@ from stagecast.fileio import (
     read_history,
     read_scenario,
     save_checkpoint,
+    scenario_hash,
     write_scenario,
 )
 from stagecast.geometry import (
@@ -121,6 +122,93 @@ def test_help_documents_all_train_flags(capsys):
     text = capsys.readouterr().out
     for flag in ("--lambda", "--sigma", "--no-fourier", "--iterations", "--seed", "--activation"):
         assert flag in text
+
+
+# ---------------------------------------------------------------------------
+# every output
+
+# (command, output flag, whether the flag names a file rather than a directory);
+# "simulate-synthetic" is simulate with --synthetic-stations, which writes --scenario
+OUTPUTS = [
+    ("simulate", "--field-out", True),
+    ("simulate-synthetic", "--scenario", True),
+    ("simulate-synthetic", "--field-out", True),
+    ("train", "--out-dir", False),
+    ("eval", "--out-dir", False),
+    ("benchmark", "--json-out", True),
+    ("ablate", "--out-dir", False),
+]
+OUTPUT_IDS = [f"{command}-{flag.lstrip('-')}" for command, flag, _ in OUTPUTS]
+
+
+def _small_run(command, workspace, flag, path, tmp_path):
+    """The argv of a small run of ``command`` that reads ``workspace``'s
+    inputs, writes its output ``flag`` to ``path`` and its other outputs
+    into ``tmp_path``."""
+
+    def output(f):
+        return str(path if f == flag else tmp_path / f.lstrip("-"))
+
+    scenario, field = str(workspace / "scenario.txt"), str(workspace / "field.txt")
+    checkpoint = str(workspace / "run" / "checkpoint.bin")
+    return {
+        "simulate": ["simulate", "--scenario", scenario, "--field-out", output("--field-out"),
+                     "--n-cells", "40"],
+        "simulate-synthetic": ["simulate", "--synthetic-stations", "4", "--seed", "3",
+                               "--scenario", output("--scenario"),
+                               "--field-out", output("--field-out"), "--n-cells", "40"],
+        "train": ["train", "--scenario", scenario, "--field", field,
+                  "--out-dir", output("--out-dir"), *TINY_TRAIN],
+        "eval": ["eval", "--checkpoint", checkpoint, "--field", field, "--scenario", scenario,
+                 "--out-dir", output("--out-dir")],
+        "benchmark": ["benchmark", "--checkpoint", checkpoint, "--scenario", scenario,
+                      "--repetitions", "3", "--n-cells", "40", "--json-out", output("--json-out")],
+        "ablate": ["ablate", "--scenario", scenario, "--out-dir", output("--out-dir"),
+                   "--budget", "5", "--width", "8", "--blocks", "1", "--fourier-size", "4",
+                   "--batch-size", "16", "--n-cells", "40"],
+    }[command]
+
+
+@pytest.mark.parametrize("case", ["below-a-file", "wrong-kind"])
+@pytest.mark.parametrize("command, flag, is_file", OUTPUTS, ids=OUTPUT_IDS)
+def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, capsys, tmp_path,
+                                                        command, flag, is_file, case):
+    """An output below a file, or an existing directory given for a file (a
+    file for a directory), ends the command with one error line that names
+    it, before any input is read or anything solved, trained or scored, and
+    with nothing made."""
+    import stagecast.cli as cli
+    import stagecast.evaluation as ev
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} worked before checking {flag}")
+
+    for module, name in [(cli, "read_scenario"), (cli, "solve"), (cli, "train"),
+                         (cli, "evaluate"), (ev, "solve"), (ev, "train"), (ev, "evaluate")]:
+        monkeypatch.setattr(module, name, never)
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_directory").mkdir()
+    if case == "below-a-file":
+        bad = tmp_path / "a_file" / "sub" / "out"
+    else:
+        bad = tmp_path / ("a_directory" if is_file else "a_file")
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(_small_run(command, workspace, flag, bad, tmp_path))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag, is_file", OUTPUTS, ids=OUTPUT_IDS)
+def test_an_output_under_missing_directories_makes_them(workspace, capsys, tmp_path,
+                                                         command, flag, is_file):
+    """The README's runs/... layout works from an empty directory."""
+    out = tmp_path / "runs" / "new" / "out"
+    rc = main(_small_run(command, workspace, flag, out, tmp_path))
+    assert rc == 0
+    assert out.is_file() if is_file else any(out.iterdir())
+    assert list(out.parent.iterdir()) == [out]  # no temp file is left beside it
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +679,7 @@ def _with(**changes):
         (_without("sigma"), "invalid header field: 'sigma' is missing"),
         (lambda header: [1, 2], "header is not a JSON object"),
         (_with(scenario_hash=5), "invalid header field: 'scenario_hash' is 5"),
+        (_with(scenario_hash=None), "invalid header field: 'scenario_hash' is None"),
         (_with(seed=7.9), "invalid header field: 'seed' is 7.9"),
         (_with(seed="7"), "invalid header field: 'seed' is '7'"),
         (_with(seed=True), "invalid header field: 'seed' is True"),
@@ -606,10 +695,10 @@ def _with(**changes):
         (_with(comment="hand-edited"), "invalid header field: 'comment' is unknown"),
     ],
     ids=[
-        "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "float-seed",
-        "string-seed", "bool-seed", "float-width", "bool-version", "string-use-fourier",
-        "string-sigma", "nan-sigma", "string-in-norm", "short-norm", "infinite-norm",
-        "sizes-without-encoder", "unknown-key",
+        "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "null-hash",
+        "float-seed", "string-seed", "bool-seed", "float-width", "bool-version",
+        "string-use-fourier", "string-sigma", "nan-sigma", "string-in-norm", "short-norm",
+        "infinite-norm", "sizes-without-encoder", "unknown-key",
     ],
 )
 def test_eval_checkpoint_header_the_model_refuses_exits_one(
@@ -724,15 +813,17 @@ def test_benchmark_prints_speedup_and_writes_json(workspace, capsys, tmp_path):
     speedup_line = next(l for l in out.splitlines() if l.startswith("speedup:"))
     assert speedup_line.rstrip().endswith("x")
     blob = json.loads((tmp_path / "bench.json").read_text())
+    assert blob["n_cells"] == 60
     assert blob["timing"]["speedup"] > 0
     assert len(blob["timing"]["solver_seconds"]) == 3
 
 
 def test_benchmark_checkpoint_from_other_domain_exits_three(workspace, capsys, tmp_path):
-    """A checkpoint saved without a scenario hash is still checked against
+    """A checkpoint that carries the scenario's hash is still checked against
     the scenario's normalization box, as eval checks it."""
     model = init_model(NormalizationBox(0.0, 99.0, 0.0, 99.0), n_blocks=1, width=16, m=8)
-    save_checkpoint(model, tmp_path / "other.bin")
+    digest = scenario_hash(read_scenario(workspace / "scenario.txt"))
+    save_checkpoint(model, tmp_path / "other.bin", digest)
     rc = main([
         "benchmark",
         "--checkpoint", str(tmp_path / "other.bin"),
@@ -744,45 +835,6 @@ def test_benchmark_checkpoint_from_other_domain_exits_three(workspace, capsys, t
     assert rc == 3
     assert "normalization box" in capsys.readouterr().err
     assert not (tmp_path / "bench.json").exists()
-
-
-@pytest.mark.parametrize("case", ["is-a-directory", "below-a-file"])
-def test_benchmark_refuses_an_unwritable_json_out_before_solving(workspace, monkeypatch, case,
-                                                                 capsys, tmp_path):
-    import stagecast.evaluation as ev
-
-    def never(*args, **kwargs):
-        raise AssertionError("benchmark solved before checking --json-out")
-
-    monkeypatch.setattr(ev, "solve", never)
-    (tmp_path / "a_directory").mkdir()
-    (tmp_path / "a_file").write_text("")
-    json_out = tmp_path / ("a_directory" if case == "is-a-directory" else "a_file/sub/b.json")
-    rc = main([
-        "benchmark",
-        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
-        "--scenario", str(workspace / "scenario.txt"),
-        "--json-out", str(json_out),
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(json_out) in err[0]
-    assert not [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
-
-
-def test_benchmark_makes_a_missing_json_out_parent(workspace, capsys, tmp_path):
-    json_out = tmp_path / "new" / "deeper" / "bench.json"
-    rc = main([
-        "benchmark",
-        "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
-        "--scenario", str(workspace / "scenario.txt"),
-        "--repetitions", "3",
-        "--n-cells", "40",
-        "--json-out", str(json_out),
-    ])
-    assert rc == 0
-    assert json.loads(json_out.read_text())["n_cells"] == 40
-    assert [p.name for p in json_out.parent.iterdir()] == ["bench.json"]
 
 
 def test_benchmark_rejects_bad_repetitions(workspace, capsys, tmp_path):
@@ -900,30 +952,6 @@ def test_ablate_writes_the_settings_table_it_is_given(workspace, capsys, tmp_pat
     assert json.loads((out_dir / "base" / "config.json").read_text())["use_fourier"] is True
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:4]]
     assert rows == ["base", "fourier_only", "full"]
-
-
-def test_ablate_refuses_a_file_as_out_dir_before_training(workspace, capsys, tmp_path,
-                                                          monkeypatch):
-    import stagecast.evaluation as ev
-
-    def never(*args, **kwargs):
-        raise AssertionError("ablate trained before checking --out-dir")
-
-    monkeypatch.setattr(ev, "train", never)
-    in_the_way = tmp_path / "taken"
-    in_the_way.write_text("not a directory\n")
-    for out_dir in (in_the_way, in_the_way / "below"):
-        rc = main([
-            "ablate",
-            "--scenario", str(workspace / "scenario.txt"),
-            "--out-dir", str(out_dir),
-            "--budget", "5",
-            "--n-cells", "40",
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_ablate_directory_repeats_bytewise(workspace, tmp_path):

@@ -359,9 +359,9 @@ def test_checkpoint_round_trip_without_fourier(tmp_path, solved):
     scenario, _ = solved
     model = _model(scenario, use_fourier=False)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, scenario_hash(scenario))
     loaded, digest = load_checkpoint(path)
-    assert digest is None
+    assert digest == scenario_hash(scenario)
     assert loaded.encoder is None
     np.testing.assert_array_equal(loaded.weights, model.weights)
 
@@ -386,7 +386,7 @@ def test_checkpoint_truncated_payload(tmp_path, solved):
     scenario, _ = solved
     model = _model(scenario)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, scenario_hash(scenario))
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(FormatError, match="bytes"):
@@ -397,7 +397,7 @@ def test_checkpoint_corrupt_header(tmp_path, solved):
     scenario, _ = solved
     model = _model(scenario)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, scenario_hash(scenario))
     raw = bytearray(path.read_bytes())
     raw[20] = ord("!")  # inside the JSON header
     path.write_bytes(bytes(raw))
@@ -411,7 +411,7 @@ def test_checkpoint_non_finite_number_rejected(tmp_path, solved, index):
     scenario, _ = solved
     model = _model(scenario)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, scenario_hash(scenario))
     raw = path.read_bytes()
     size = 8 * (model.encoder.b_matrix.size + model.n_weights)  # the Fourier matrix, the weights
     values = np.frombuffer(raw[-size:], dtype="<f8").copy()
@@ -427,7 +427,7 @@ def test_checkpoint_weight_count_must_match_manifest(tmp_path, solved):
     scenario, _ = solved
     model = _model(scenario)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, scenario_hash(scenario))
     raw = path.read_bytes()
     # tamper with n_weights inside the JSON header, keeping its length fixed
     header_len = int.from_bytes(raw[14:18], "little")
@@ -546,9 +546,10 @@ def test_a_failed_atomic_write_names_its_path_and_leaves_no_temp(tmp_path, write
 
     (tmp_path / "a_directory").mkdir()
     (tmp_path / "a_file").write_text("")
-    for path in (tmp_path / "a_directory", tmp_path / "missing" / "out",
-                 tmp_path / "a_file" / "out"):
+    for path in (tmp_path / "a_directory", tmp_path / "a_file" / "out"):
         with pytest.raises(OSError) as info:
             getattr(fileio, writer)(path, data)
         assert info.value.filename == str(path)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory", "a_file"]
+    getattr(fileio, writer)(tmp_path / "missing" / "deeper" / "out", data)  # parents are made
+    assert (tmp_path / "missing" / "deeper" / "out").read_bytes() == b"x\n"

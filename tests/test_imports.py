@@ -2,8 +2,9 @@
 every private module-level name is referenced, a module reads another
 module's private names only where the list below allows it, the command
 line gives a flag a default only where the parameter it feeds has none, the
-package module binds only ``__version__`` (stdlib-only lint checks), and no
-module-level array can be written into."""
+package module binds only ``__version__``, only the atomic writer makes a
+directory (stdlib-only lint checks), and no module-level array can be
+written into."""
 
 import ast
 import importlib
@@ -232,6 +233,49 @@ def test_the_check_finds_a_flag_default():
         'parser.add_argument("--version", action="version", version="1")\n'
     )
     assert _flag_defaults(source) == ["run --size", "stop --force"]
+
+
+# The only place the package makes a directory: the atomic writer makes the
+# missing parent of the file it is about to write, so no command or writer
+# makes one ahead of the first write.
+MKDIR_CALLS = ["fileio.py: _write_through_temp"]
+
+
+def _mkdir_calls(sources: dict) -> list[str]:
+    """``module: function`` for each ``.mkdir(`` or ``.makedirs(`` call in
+    ``sources`` (name -> text), under the innermost def that holds it."""
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("mkdir", "makedirs")):
+                yield where
+            yield from calls(child, where)
+
+    return sorted(
+        f"{module}: {where}"
+        for module, text in sources.items()
+        for where in calls(ast.parse(text), "<module>")
+    )
+
+
+def test_only_the_atomic_writer_makes_directories():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _mkdir_calls(sources) == MKDIR_CALLS
+
+
+def test_the_check_finds_a_directory_made_elsewhere():
+    sources = {
+        "a.py": (
+            "import os\ndef write(p):\n    p.parent.mkdir(parents=True)\n"
+            "class Store:\n    def save(self, d):\n        os.makedirs(d)\n"
+            "Path('cache').mkdir()\n"
+        ),
+        "b.py": "def helper():\n    return lambda p: p.mkdir()\ndef clean(p):\n    p.rmdir()\n",
+    }
+    assert _mkdir_calls(sources) == ["a.py: <module>", "a.py: save", "a.py: write", "b.py: helper"]
 
 
 def _writable_module_arrays(modules) -> list[str]:

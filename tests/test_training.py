@@ -480,6 +480,17 @@ def test_divergence_guard_raises_with_history(activation, lam):
     )
 
 
+def test_an_overflowing_physics_weight_diverges_without_a_warning():
+    """lambda * 2 already overflows at lambda = 1e308; under the suite's
+    RuntimeWarning-as-error filter the step still ends as a divergence, with
+    its row in the partial history."""
+    config = TrainConfig(lambda_physics=1e308, batch_size=32, max_iterations=5, seed=0)
+    with pytest.raises(TrainingDiverged) as exc_info:
+        train(_model(), _constant_training_set(), config)
+    assert exc_info.value.iteration == 0
+    assert [row.iteration for row in exc_info.value.history] == [1]
+
+
 def test_learning_rate_schedule_in_history():
     ts = _constant_training_set()
     config = TrainConfig(

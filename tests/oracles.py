@@ -6,13 +6,15 @@ whereas the package solves the non-conservative (h, u) form with a
 MacCormack scheme.  Agreement between the two is therefore meaningful
 evidence rather than a tautology.
 
-Three sections are exceptions.  The first is a frozen copy of the package's
+Four sections are exceptions.  The first is a frozen copy of the package's
 original MacCormack step loop (two separate sweeps, boundary values
 interpolated on every call).  It is a bitwise regression reference for
 the fused solver loop, so it keeps the package's own boundary and
 friction functions on purpose.  The second is a frozen copy of the
 original inference forward pass, the bitwise reference for predictions,
-and the third a frozen copy of the original Adam update.
+the third a frozen copy of the original Adam update, and the fourth a
+frozen copy of the training loop whose every layer array was fresh, the
+bitwise reference for weights and loss histories.
 """
 
 import numpy as np
@@ -450,3 +452,203 @@ def reference_adam_step(weights, grads, m, v, step, lr, beta1=0.9, beta2=0.999, 
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return weights - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
+# ---------------------------------------------------------------------------
+# frozen training loop (bitwise regression reference)
+
+
+def _reference_params(manifest, flat):
+    params, offset = {}, 0
+    for name, shape in manifest:
+        size = int(np.prod(shape))
+        params[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return params
+
+
+def _reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _reference_slope(activation, a):
+    return a > 0.0 if activation == "relu" else 1.0 - a * a
+
+
+def _reference_affine(x, w, b, n):
+    y = x @ w
+    y[:n] += b
+    return y
+
+
+def _reference_features(model, v):
+    if model.encoder is None:
+        return v
+    arg = v @ model.encoder.b_matrix.T
+    arg *= 2.0 * np.pi
+    return np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
+
+
+def _reference_net(model, params, x, c):
+    """The original stacked pass: rows ``[values; d/dx; d/dt]``, every layer
+    array fresh; returns (h, u, h_tan, u_tan, inputs, pre, out)."""
+    n = x.shape[0]
+    if c:
+        box = model.norm
+        steps = np.array([
+            1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT),
+            1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S),
+        ])
+        if model.encoder is not None:
+            m = model.encoder.m
+            arg = ((steps[:, None] * model.encoder.b_matrix.T) * (2.0 * np.pi))[:, None, :]
+            cos_c, sin_c = x[n - c:, :m], x[n - c:, m:]
+            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(2 * c, 2 * m)
+        else:
+            x_tan = np.repeat(np.diag(steps), c, axis=0)
+        x = np.concatenate((x, x_tan))
+    inputs, pre = [x], []
+    z = _reference_affine(x, params["proj.W"], params["proj.b"], n)
+    for b in range(model.n_blocks):
+        p = _reference_affine(z, params[f"block{b}.W1"], params[f"block{b}.b1"], n)
+        a = np.empty_like(p)
+        if model.activation == "relu":
+            np.maximum(p[:n], 0.0, out=a[:n])
+        else:
+            np.tanh(p[:n], out=a[:n])
+        if c:
+            slope = _reference_slope(model.activation, a[n - c:n])
+            np.multiply(p[n:].reshape(2, c, -1), slope, out=a[n:].reshape(2, c, -1))
+        inputs += [z, a]
+        pre.append(p)
+        z = z + _reference_affine(a, params[f"block{b}.W2"], params[f"block{b}.b2"], n)
+    inputs.append(z)
+    out = _reference_affine(z, params["head.W"], params["head.b"], n)
+    h = np.logaddexp(0.0, out[:n, 0]) + 0.01
+    h_tan = u_tan = None
+    if c:
+        out_tan = out[n:].reshape(2, c, 2)
+        h_tan = _reference_sigmoid(out[n - c:n, 0]) * out_tan[..., 0]
+        u_tan = out_tan[..., 1]
+    return h, out[:n, 1], h_tan, u_tan, inputs, pre, out
+
+
+def _reference_backward(model, params, net, g_h, g_u, g_h_tan=None, g_u_tan=None):
+    h, _, _, _, inputs, pre, out = net
+    n = h.size
+    grad = np.empty(model.weights.size)
+    grads = _reference_params(model.manifest, grad)
+
+    def affine(x, g, layer, bias):
+        np.matmul(x.T, g, out=grads[layer])
+        np.sum(g[:n], axis=0, out=grads[bias])
+        return g @ params[layer].T
+
+    sig = _reference_sigmoid(out[:n, 0])
+    g = np.empty_like(out)
+    g[:n, 0] = g_h * sig
+    g[:n, 1] = g_u
+    tangents = g_h_tan is not None
+    if tangents:
+        c = g_h_tan.shape[1]
+        sig_c = sig[n - c:]
+        g_tan = g[n:].reshape(2, c, 2)
+        g_tan[..., 0] = g_h_tan * sig_c
+        g_tan[..., 1] = g_u_tan
+        g[n - c:n, 0] += sig_c * (1.0 - sig_c) * (g_h_tan * out[n:, 0].reshape(2, c)).sum(axis=0)
+    g_z = affine(inputs[-1], g, "head.W", "head.b")
+    for b in reversed(range(model.n_blocks)):
+        z_in, a = inputs[1 + 2 * b], inputs[2 + 2 * b]
+        g_a = affine(a, g_z, f"block{b}.W2", f"block{b}.b2")
+        slope = _reference_slope(model.activation, a[:n])
+        g_p = np.empty_like(g_a)
+        np.multiply(g_a[:n], slope, out=g_p[:n])
+        if tangents:
+            g_a_tan = g_a[n:].reshape(2, c, -1)
+            np.multiply(g_a_tan, slope[n - c:], out=g_p[n:].reshape(2, c, -1))
+            if model.activation == "tanh":
+                p_tan = pre[b][n:].reshape(2, c, -1)
+                curvature = -2.0 * a[n - c:n] * slope[n - c:]
+                g_p[n - c:n] += curvature * (p_tan * g_a_tan).sum(axis=0)
+        g_z = g_z + affine(z_in, g_p, f"block{b}.W1", f"block{b}.b1")
+    np.matmul(inputs[0].T, g_z, out=grads["proj.W"])
+    np.sum(g_z[:n], axis=0, out=grads["proj.b"])
+    return grad
+
+
+def _reference_loss_pass(model, params, x, h_true, u_true, c, lambda_physics):
+    """(data loss, physics loss, total, net, adjoints) of the original loss pass."""
+    n_data = x.shape[0] - c
+    net = _reference_net(model, params, x, c)
+    h, u, h_tan, u_tan = net[:4]
+    err_h = h[:n_data] - h_true
+    err_u = u[:n_data] - u_true
+    data = float(np.mean(err_h * err_h + err_u * err_u))
+    g_h, g_u = (2.0 / n_data) * err_h, (2.0 / n_data) * err_u
+    if not c:
+        return data, 0.0, data, net, (g_h, g_u)
+    hv, hx, ht = h[n_data:], h_tan[0], h_tan[1]
+    uv, ux, ut = u[n_data:], u_tan[0], u_tan[1]
+    r_c = ht + hx * uv + hv * ux
+    r_m = ut + uv * ux + G * hx
+    d_c = (ux, hx, uv, 1.0, hv, 0.0)
+    d_m = (0.0, ux, G, 0.0, uv, 1.0)
+    physics = float(np.mean(r_c * r_c + r_m * r_m))
+    scale = lambda_physics * 2.0 / c
+    a_c, a_m = scale * r_c, scale * r_m
+    p_h, p_u, p_hx, p_ht, p_ux, p_ut = (a_c * p + a_m * q for p, q in zip(d_c, d_m))
+    adjoints = (np.concatenate((g_h, p_h)), np.concatenate((g_u, p_u)),
+                np.stack((p_hx, p_ht)), np.stack((p_ux, p_ut)))
+    return data, physics, data + lambda_physics * physics, net, adjoints
+
+
+
+def reference_train(model, training_set, config):
+    """The original ``train`` without its divergence guards: returns (best
+    weights, history rows as tuples).  Every array of every iteration is
+    fresh, and the weights are a new vector after each Adam step."""
+    ts = training_set
+    box = model.norm
+    ss = np.random.SeedSequence(config.seed)
+    batch_seed, colloc_seed = ss.spawn(2)
+    rng_batch = np.random.default_rng(batch_seed)
+    rng_colloc = np.random.default_rng(colloc_seed)
+    split = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
+    k_val = max(1, int(round(0.1 * len(ts))))
+    perm = split.permutation(len(ts))
+    train_idx, val_idx = perm[k_val:], perm[:k_val]
+
+    lo = np.array([box.x_min_miles, box.t_min_hours])
+    hi = np.array([box.x_max_miles, box.t_max_hours])
+    features = _reference_features(model, (ts.points - lo) / (hi - lo))
+    val_x, val_h, val_u = features[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx]
+
+    weights = model.weights
+    m, v, step = np.zeros(weights.size), np.zeros(weights.size), 0
+    history = []
+    best_val, best_weights = np.inf, weights.copy()
+    c = config.collocation_count if config.lambda_physics > 0.0 else 0
+    for i in range(config.max_iterations):
+        params = _reference_params(model.manifest, weights)
+        idx = train_idx[rng_batch.integers(0, train_idx.size, config.batch_size)]
+        x = features[idx]
+        if c:
+            colloc = np.column_stack((
+                rng_colloc.uniform(box.x_min_miles, box.x_max_miles, c),
+                rng_colloc.uniform(box.t_min_hours, box.t_max_hours, c),
+            ))
+            x = np.concatenate((x, _reference_features(model, (colloc - lo) / (hi - lo))))
+        lr = config.lr_initial * config.lr_decay_rate ** (i / config.lr_decay_every)
+        data, physics, total, net, adjoints = _reference_loss_pass(
+            model, params, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
+        grads = _reference_backward(model, params, net, *adjoints)
+        weights, m, v, step = reference_adam_step(weights, grads, m, v, step, lr)
+        if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
+            history.append((i + 1, data, physics, total, lr))
+            val_net = _reference_net(model, _reference_params(model.manifest, weights), val_x, 0)
+            val_err_h, val_err_u = val_net[0] - val_h, val_net[1] - val_u
+            val = float(np.mean(val_err_h * val_err_h + val_err_u * val_err_u))
+            if val < best_val:
+                best_val, best_weights = val, weights.copy()
+    return best_weights, history

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import adam_first_step, loop_mse, reference_adam_step
+from oracles import adam_first_step, loop_mse, reference_adam_step, reference_train
 from stagecast.geometry import G_FT_S2
 from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch
 from stagecast.training import (
@@ -425,6 +425,30 @@ def test_physics_run_replicated_by_hand():
     assert [tuple(row) for row in history] == rows
     assert all(row[2] > 0.0 for row in rows)
     np.testing.assert_array_equal(trained.weights, best_weights)
+
+
+@pytest.mark.parametrize("batch, collocation", [(32, 32), (30, 17)])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("use_fourier", [True, False], ids=["fourier", "raw"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_training_matches_the_frozen_loop_bitwise(activation, use_fourier, lam, batch,
+                                                   collocation):
+    """Weights and history equal, bit for bit, those of the original loop
+    whose every array was fresh, at row counts that are and are not whole
+    4-row tiles."""
+    rng = np.random.default_rng(17)
+    points = np.column_stack((rng.uniform(0.0, 8.0, 300), rng.uniform(0.0, 30.0, 300)))
+    ts = TrainingSet(points=points, h_ft=4.0 + np.sin(points[:, 0]) + 0.1 * points[:, 1],
+                     u_fps=np.cos(points[:, 1] / 5.0), norm=BOX)
+    config = TrainConfig(
+        lambda_physics=lam, batch_size=batch, collocation_per_batch=collocation,
+        lr_initial=1e-2, lr_decay_every=10, max_iterations=40, record_every=7, seed=3,
+    )
+    model = _model(seed=6, activation=activation, use_fourier=use_fourier)
+    trained, history = train(model, ts, config)
+    weights, rows = reference_train(model, ts, config)
+    assert [tuple(row) for row in history] == rows
+    assert np.array_equal(trained.weights, weights)
 
 
 def test_training_encodes_its_samples_once(monkeypatch):

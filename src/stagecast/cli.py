@@ -28,6 +28,9 @@ from . import __version__
 from .evaluation import benchmark as run_benchmark
 from .evaluation import evaluate, run_ablation
 from .fileio import (
+    CHECKPOINT_FILE,
+    HISTORY_FILE,
+    REPORT_FILES,
     load_checkpoint,
     read_field,
     read_scenario,
@@ -145,6 +148,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     out_dir = _writable(args.out_dir)
+    history_path = _writable(out_dir / HISTORY_FILE, file=True)
+    ckpt_path = _writable(out_dir / CHECKPOINT_FILE, file=True)
     scenario, digest, field = _scenario_and_field(args)
     training_set = build_training_set(field, scenario)
     model = init_model(training_set.norm, **_given(
@@ -155,7 +160,6 @@ def _cmd_train(args) -> int:
         "lr_decay_rate", "lr_decay_every", "max_iterations", "seed", "record_every",
     ))
 
-    history_path = out_dir / "history.csv"
     try:
         trained, history = train(model, training_set, config)
     except TrainingDiverged as err:
@@ -165,7 +169,6 @@ def _cmd_train(args) -> int:
         return EXIT_DIVERGED
 
     write_history(history, history_path)
-    ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(trained, ckpt_path, scenario_digest=digest)
     if history:
         print(f"trained {config.max_iterations} iterations; final data loss "
@@ -181,6 +184,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     out_dir = _writable(args.out_dir)
+    for name in REPORT_FILES:
+        _writable(out_dir / name, file=True)
     scenario, digest, field = _scenario_and_field(args)
     model = _load_checkpoint_for(args.checkpoint, scenario, digest)
 
@@ -190,7 +195,7 @@ def _cmd_eval(args) -> int:
     print(f"overall velocity MRAE: {report.overall_velocity_mrae:.4f}")
     print(f"max stage abs error:   {report.max_stage_abs_error_ft:.4f} ft")
     print(f"mean physics residual: {report.mean_physics_residual:.4e}")
-    print(f"report written to {out_dir / 'report.json'}")
+    print(f"report written to {out_dir / REPORT_FILES[0]}")
     return EXIT_OK
 
 
@@ -287,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "train", _cmd_train, "fit a surrogate to a saved field")
     p.add_argument("--scenario", required=True, help="scenario file the field was solved from")
     p.add_argument("--field", required=True, help="field file with the training data")
-    p.add_argument("--out-dir", required=True, help="directory for checkpoint.bin and history.csv")
+    p.add_argument("--out-dir", required=True,
+                   help=f"directory for {CHECKPOINT_FILE} and {HISTORY_FILE}")
     p.add_argument("--lambda", dest="lambda_physics", type=float, metavar="LAMBDA",
                    help="weight on the physics residual loss (0 disables collocation)")
     p.add_argument("--sigma", type=float, help="Fourier feature bandwidth")
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="reference field file")
     p.add_argument("--scenario", required=True, help="scenario both inputs must match")
     p.add_argument("--out-dir", required=True,
-                   help="directory for report.json and the CSV side files")
+                   help=f"directory for {REPORT_FILES[0]} and the CSV side files")
     p.add_argument("--datum", choices=("depth", "elevation"),
                    help="compare water depth or water-surface elevation")
     p.add_argument("--collocation-seed", type=int, help="seed for the physics-residual sample")

@@ -66,6 +66,9 @@ from .surrogate import FourierEncoder, NormalizationBox, SurrogateModel
 from .training import HistoryRow
 
 __all__ = [
+    "CHECKPOINT_FILE",
+    "HISTORY_FILE",
+    "REPORT_FILES",
     "FormatError",
     "serialize_scenario",
     "parse_scenario",
@@ -438,6 +441,9 @@ _CKPT_HEADER = {
 }
 
 
+CHECKPOINT_FILE = "checkpoint.bin"  # the checkpoint's name in a training run's directory
+
+
 def save_checkpoint(model: SurrogateModel, path, scenario_digest: str) -> None:
     header = {
         "format_version": 1,
@@ -553,6 +559,7 @@ def _write_json(path, payload) -> None:
 
 
 _HISTORY_HEADER = ",".join(HistoryRow._fields)
+HISTORY_FILE = "history.csv"  # the loss history's name in a training run's directory
 
 
 def write_history(history, path) -> None:
@@ -586,17 +593,21 @@ def report_to_dict(report: EvalReport | BenchmarkReport) -> dict:
     return out
 
 
+REPORT_FILES = ("report.json", "per_station.csv", "error_histogram.csv")  # write_report's
+
+
 def write_report(report: EvalReport, out_dir) -> None:
-    """Write report.json, per_station.csv, and error_histogram.csv."""
-    out = Path(out_dir)
-    _write_json(out / "report.json", report_to_dict(report))
+    """Write the :data:`REPORT_FILES` into ``out_dir``: the report, the
+    per-station error and the error histogram."""
+    report_path, per_station_path, histogram_path = (Path(out_dir) / name for name in REPORT_FILES)
+    _write_json(report_path, report_to_dict(report))
     _write_csv(
-        out / "per_station.csv",
+        per_station_path,
         ("station_miles", "stage_mrae"),
         zip(report.station_miles, report.per_station_mrae),
     )
     edges, counts = error_histogram(report.per_station_mrae)
-    _write_csv(out / "error_histogram.csv", ("bin_left", "bin_right", "count"),
+    _write_csv(histogram_path, ("bin_left", "bin_right", "count"),
                zip(edges[:-1], edges[1:], counts))
 
 
@@ -620,7 +631,7 @@ def write_ablation(result: AblationResult, out_dir) -> None:
             "config": name, **shared,
             "use_fourier": run.use_fourier, "lambda_physics": run.lambda_physics,
         })
-        write_history(run.history, config_dir / "history.csv")
+        write_history(run.history, config_dir / HISTORY_FILE)
         entry = {"diverged": run.diverged, "training_data_loss": run.training_data_loss}
         if not run.diverged:
             write_report(run.report, config_dir)

@@ -8,20 +8,24 @@ head.  Depth passes through a softplus plus a small floor so predictions
 are always physically positive.
 
 One forward pass serves inference, input derivatives and training.  It
-takes value rows and a count ``c``, and adds the tangent rows of the last
-``c`` value rows: their derivatives along x (per foot) and t (per
-second), built from the normalization box (forward mode).  All rows are
-stacked, so each linear layer is one gemm; biases, activations and the
-softplus act on the value rows, and the tangent rows are scaled by the
-activation slope at their value rows.  The pass starts from the Fourier
-features, so training encodes its fixed samples once per run, and it
-always keeps the rows of every layer for the backward pass (an inference
-block holds at most 64 rows, so this costs little memory).  The backward
+runs value rows, and the tangent rows of the last ``c`` of them: their
+derivatives along x (per foot) and t (per second), built from the
+normalization box (forward mode).  All rows are stacked, so each linear
+layer is one gemm; biases, activations and the softplus act on the value
+rows, and the tangent rows are scaled by the activation slope at their
+value rows.  The pass starts from the Fourier features, so training
+encodes its fixed samples once per run.  It writes every layer's rows
+into a workspace made once for its shape: once per training run, and
+once per inference call (a block holds at most 64 rows); its ufuncs take
+``out`` positionally, which numpy parses in about half the time of the
+keyword, a saving a 4-row ``predict`` can measure.  The backward
 pass is written out by hand for this one chain: two gemms per layer plus
-the slope terms, and, for the tangent rows, the second derivatives of the
-activations (forward-over-reverse).  Inference runs the same pass on the
-query rows, zero-padded to whole 4-row tiles, in blocks of at most 64
-rows; ``physics_duals`` runs on the same blocks, with every row's tangents.
+the slope terms the forward pass stored, and, for the tangent rows, the
+second derivatives of the activations (forward-over-reverse); it writes
+into the same workspace and its one gradient vector.  Inference runs the
+same pass on the query rows, zero-padded to whole 4-row tiles, in blocks
+of at most 64 rows; ``physics_duals`` runs on the same blocks, with
+every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -135,14 +139,19 @@ class FourierEncoder:
         return 2 * self.m
 
 
-def encode(encoder: FourierEncoder, v):
-    """Encode normalized coordinates ``v`` of shape (..., 2) to (..., 2m).
+def encode(encoder: FourierEncoder, v, out=None):
+    """Encode normalized coordinates ``v`` of shape (..., 2) to (..., 2m),
+    written into ``out`` when it is given.
 
     The cosine block comes first, then the sine block.
     """
     arg = v @ encoder.b_matrix.T
     arg *= 2.0 * np.pi
-    return np.concatenate((np.cos(arg), np.sin(arg)), axis=-1)
+    if out is None:
+        out = np.empty((*arg.shape[:-1], encoder.output_dim))
+    np.cos(arg, out[..., : encoder.m])
+    np.sin(arg, out[..., encoder.m :])
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,31 +282,72 @@ def init_model(
 # --------------------------------------------------------------------------
 
 
-class _Pass(NamedTuple):
-    """Outputs of one forward pass, and the rows its backward pass reads."""
+class _Workspace:
+    """The buffers of one network pass, made once and written by every pass.
 
-    h: np.ndarray  # (N,) depth at the value rows
-    u: np.ndarray  # (N,) velocity at the value rows
-    h_tan: np.ndarray | None  # (2, C) x and t depth tangents of the last C value rows
-    u_tan: np.ndarray | None  # (2, C) velocity tangents
-    inputs: list  # input rows of each linear layer: proj, (W1, W2) per block, head
-    pre: list  # pre-activation rows of each block
-    out: np.ndarray  # head output rows
-
-
-def _affine(x, w, b, n):
-    """x @ w, plus the bias on the first ``n`` (value) rows."""
-    y = x @ w
-    y[:n] += b
-    return y
-
-
-def _slope(activation: str, a):
-    """Activation slope at value rows whose activations are ``a``.
-
-    The relu slope is the mask a > 0, so its subgradient at 0 is 0.
+    The pass runs ``n`` value rows and the tangent rows of the last ``c``
+    of them, stacked as ``[values; d/dx rows; d/dt rows]``.  ``x`` holds
+    the input-layer rows: the caller writes the value rows (see
+    :func:`_features`) and :func:`_forward` the tangent rows.  Each block
+    has its pre-activation ``p`` and activation ``a`` rows and, when the
+    pass carries tangents or ``grad`` is set, its activation slope at the
+    value rows; ``z`` holds the rows at each block boundary, ``out`` the
+    head's.  ``grad`` adds the rows of :func:`_backward` and the flat
+    weight gradient with its views.
     """
-    return a > 0.0 if activation == "relu" else 1.0 - a * a
+
+    def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False):
+        width, blocks, rows = model.width, model.n_blocks, n + 2 * c
+        self.n, self.c = n, c
+        self.x = np.empty((rows, model.views["proj.W"].shape[0]))
+        layers = list(np.empty((3 * blocks + 1, rows, width)))
+        self.p, self.a, self.z = layers[:blocks], layers[blocks : 2 * blocks], layers[2 * blocks :]
+        self.slope = list(np.empty((blocks, n, width))) if c or grad else None
+        self.out = np.empty((rows, 2))
+        self.h = np.empty(n)  # depth at the value rows
+        self.u = self.out[:n, 1]  # velocity at the value rows
+        self.h_tan = self.u_tan = None  # (2, c) x and t tangents of the last c value rows
+        if c:
+            self.h_tan = np.empty((2, c))
+            self.u_tan = self.out[n:].reshape(2, c, 2)[..., 1]
+            box = model.norm
+            # the input direction of one foot and of one second, in unit-square coordinates
+            steps = np.array([
+                1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT),
+                1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S),
+            ])
+            if model.uses_fourier:
+                # d cos(arg) = -sin(arg) d arg and d sin(arg) = cos(arg) d arg
+                arg = ((steps[:, None] * model.encoder.b_matrix.T) * (2.0 * np.pi))[:, None, :]
+                self.phase_steps = (-arg, arg)
+            else:  # the tangents of the raw coordinates are constant
+                self.x[n:] = np.repeat(np.diag(steps), c, axis=0)
+        if grad:
+            self.g = np.empty((rows, 2))
+            self.g_z, self.g_a, self.g_p = (np.empty((rows, width)) for _ in range(3))
+            self.scratch = np.empty((2, c, width))
+            self.grad = np.empty(model.n_weights)
+            self.grads = _views(model.manifest, self.grad)
+
+
+def _affine(x, w, b, n, out):
+    """x @ w into ``out``, plus the bias on the first ``n`` (value) rows."""
+    np.matmul(x, w, out)
+    out[:n] += b
+    return out
+
+
+def _slope(activation: str, a, out):
+    """Activation slope at value rows whose activations are ``a``, into ``out``.
+
+    The relu slope is 1.0 where a > 0 and 0.0 elsewhere, so its subgradient
+    at 0 is 0.
+    """
+    if activation == "relu":
+        np.greater(a, 0.0, out)
+    else:
+        np.multiply(a, a, out)
+        np.subtract(1.0, out, out)
 
 
 def _sigmoid(x):
@@ -306,117 +356,104 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _features(model: SurrogateModel, v):
-    """Input-layer rows of normalized coordinates ``v``: their Fourier
-    features, or ``v`` itself without an encoder."""
-    return encode(model.encoder, v) if model.uses_fourier else v
+def _features(model: SurrogateModel, v, out) -> None:
+    """Write the input-layer rows of normalized coordinates ``v`` into
+    ``out``: their Fourier features, or ``v`` itself without an encoder."""
+    if model.uses_fourier:
+        encode(model.encoder, v, out)
+    else:
+        out[...] = v
 
 
-def _forward(model: SurrogateModel, x, c=0) -> _Pass:
-    """The network on input-layer rows ``x`` (see :func:`_features`).
+def _forward(model: SurrogateModel, ws: _Workspace) -> None:
+    """The network on the value rows of ``ws.x``, into ``ws``.
 
-    Every row of ``x`` is a value row.  With ``c``, the pass also carries
-    the tangent rows of the last ``c`` value rows: their derivatives along
-    x (per foot), then along t (per second), stacked as ``[values; d/dx
-    rows; d/dt rows]``.  The pass holds every layer's rows for
-    :func:`_backward`.
+    Every layer's rows stay in ``ws`` for :func:`_backward`; the outputs
+    are ``ws.h`` and ``ws.u`` and, with tangent rows, ``ws.h_tan`` and
+    ``ws.u_tan``.
     """
-    n = x.shape[0]
+    n, c, x = ws.n, ws.c, ws.x
     views = model.views
-    if c:
-        box = model.norm
-        # the input direction of one foot and of one second, in unit-square coordinates
-        steps = np.array([
-            1.0 / ((box.x_max_miles - box.x_min_miles) * MILE_FT),
-            1.0 / ((box.t_max_hours - box.t_min_hours) * HOUR_S),
-        ])
-        if model.uses_fourier:
-            m = model.encoder.m
-            arg = ((steps[:, None] * model.encoder.b_matrix.T) * (2.0 * np.pi))[:, None, :]
-            cos_c, sin_c = x[n - c :, :m], x[n - c :, m:]
-            x_tan = np.concatenate((-sin_c * arg, cos_c * arg), axis=-1).reshape(2 * c, 2 * m)
-        else:
-            x_tan = np.repeat(np.diag(steps), c, axis=0)
-        x = np.concatenate((x, x_tan))
+    if c and model.uses_fourier:
+        m = model.encoder.m
+        x_tan = x[n:].reshape(2, c, 2 * m)
+        negative, positive = ws.phase_steps
+        np.multiply(x[n - c : n, m:], negative, x_tan[..., :m])
+        np.multiply(x[n - c : n, :m], positive, x_tan[..., m:])
 
-    inputs = [x]
-    pre = []
-    z = _affine(x, views["proj.W"], views["proj.b"], n)
+    z = _affine(x, views["proj.W"], views["proj.b"], n, ws.z[0])
     for b in range(model.n_blocks):
-        p = _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n)
-        a = np.empty_like(p)
+        p, a = ws.p[b], ws.a[b]
+        _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n, p)
         if model.activation == "relu":
-            np.maximum(p[:n], 0.0, out=a[:n])
+            np.maximum(p[:n], 0.0, out=a[:n])  # a positional out is deprecated here
         else:
-            np.tanh(p[:n], out=a[:n])
-        if c:
-            slope = _slope(model.activation, a[n - c : n])
-            np.multiply(p[n:].reshape(2, c, -1), slope, out=a[n:].reshape(2, c, -1))
-        inputs += [z, a]
-        pre.append(p)
-        z = z + _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n)
-    inputs.append(z)
-    out = _affine(z, views["head.W"], views["head.b"], n)
-    h = np.logaddexp(0.0, out[:n, 0]) + DEPTH_FLOOR_FT
-    h_tan = u_tan = None
+            np.tanh(p[:n], a[:n])
+        if ws.slope is not None:
+            slope = ws.slope[b]
+            _slope(model.activation, a[:n], slope)
+            if c:
+                np.multiply(p[n:].reshape(2, c, -1), slope[n - c :], a[n:].reshape(2, c, -1))
+        z_next = _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n, ws.z[b + 1])
+        z_next += z  # the identity skip
+        z = z_next
+    out = _affine(z, views["head.W"], views["head.b"], n, ws.out)
+    np.logaddexp(0.0, out[:n, 0], ws.h)
+    ws.h += DEPTH_FLOOR_FT
     if c:
-        out_tan = out[n:].reshape(2, c, 2)
-        h_tan = _sigmoid(out[n - c : n, 0]) * out_tan[..., 0]
-        u_tan = out_tan[..., 1]
-    return _Pass(h, out[:n, 1], h_tan, u_tan, inputs, pre, out)
+        np.multiply(_sigmoid(out[n - c : n, 0]), out[n:, 0].reshape(2, c), ws.h_tan)
 
 
-def _backward(model: SurrogateModel, fwd: _Pass, g_h, g_u, g_h_tan=None, g_u_tan=None):
-    """Flat weight gradient of a scalar, given its adjoints at the outputs.
+def _backward(model: SurrogateModel, ws: _Workspace, g_h, g_u, g_h_tan=None, g_u_tan=None):
+    """Flat weight gradient of a scalar, given its adjoints at the outputs
+    of the pass in ``ws`` (made with ``grad``); returns ``ws.grad``.
 
     ``g_h``/``g_u`` (N,) are the adjoints of depth and velocity at the value
     rows, ``g_h_tan``/``g_u_tan`` (2, C) those of the tangents, when the
     forward pass carried tangent rows.
     """
-    n = fwd.h.size
-    out = fwd.out
-    views = model.views
-    grad = np.empty(model.n_weights)
-    grads = _views(model.manifest, grad)
+    n, c, out = ws.n, ws.c, ws.out
+    views, grads = model.views, ws.grads
 
-    def affine(x, g, layer, bias):
-        np.matmul(x.T, g, out=grads[layer])
+    def affine(x, g, layer, bias, out):
+        np.matmul(x.T, g, grads[layer])
         np.sum(g[:n], axis=0, out=grads[bias])
-        return g @ views[layer].T
+        return np.matmul(g, views[layer].T, out)
 
     sig = _sigmoid(out[:n, 0])
-    g = np.empty_like(out)
-    g[:n, 0] = g_h * sig
+    g = ws.g
+    np.multiply(g_h, sig, g[:n, 0])
     g[:n, 1] = g_u
     tangents = g_h_tan is not None
     if tangents:
-        c = g_h_tan.shape[1]
         sig_c = sig[n - c :]
         g_tan = g[n:].reshape(2, c, 2)
-        g_tan[..., 0] = g_h_tan * sig_c
+        np.multiply(g_h_tan, sig_c, g_tan[..., 0])
         g_tan[..., 1] = g_u_tan
         # h_tan = sigmoid(out) * out_tan also moves with the value row
         g[n - c : n, 0] += sig_c * (1.0 - sig_c) * (g_h_tan * out[n:, 0].reshape(2, c)).sum(axis=0)
 
-    g_z = affine(fwd.inputs[-1], g, "head.W", "head.b")
+    g_z = affine(ws.z[-1], g, "head.W", "head.b", ws.g_z)
+    g_a, g_p = ws.g_a, ws.g_p
     for b in reversed(range(model.n_blocks)):
-        z_in, a = fwd.inputs[1 + 2 * b], fwd.inputs[2 + 2 * b]
-        g_a = affine(a, g_z, f"block{b}.W2", f"block{b}.b2")
-        slope = _slope(model.activation, a[:n])
-        g_p = np.empty_like(g_a)
-        np.multiply(g_a[:n], slope, out=g_p[:n])
+        a, slope = ws.a[b], ws.slope[b]
+        affine(a, g_z, f"block{b}.W2", f"block{b}.b2", g_a)
+        np.multiply(g_a[:n], slope, g_p[:n])
         if tangents:
             g_a_tan = g_a[n:].reshape(2, c, -1)
-            np.multiply(g_a_tan, slope[n - c :], out=g_p[n:].reshape(2, c, -1))
+            np.multiply(g_a_tan, slope[n - c :], g_p[n:].reshape(2, c, -1))
             if model.activation == "tanh":
                 # a_tan = (1 - a^2) p_tan; d(1 - a^2)/dp = -2 a (1 - a^2); relu's is 0
-                p_tan = fwd.pre[b][n:].reshape(2, c, -1)
-                curvature = -2.0 * a[n - c : n] * slope[n - c :]
-                g_p[n - c : n] += curvature * (p_tan * g_a_tan).sum(axis=0)
-        g_z = g_z + affine(z_in, g_p, f"block{b}.W1", f"block{b}.b1")
-    np.matmul(fwd.inputs[0].T, g_z, out=grads["proj.W"])
+                t = np.multiply(ws.p[b][n:].reshape(2, c, -1), g_a_tan, ws.scratch)
+                np.add(t[0], t[1], t[0])  # the sum over the two tangent rows
+                curvature = np.multiply(a[n - c : n], -2.0, t[1])
+                curvature *= slope[n - c :]
+                curvature *= t[0]
+                g_p[n - c : n] += curvature
+        g_z += affine(ws.z[b], g_p, f"block{b}.W1", f"block{b}.b1", g_a)
+    np.matmul(ws.x.T, g_z, grads["proj.W"])
     np.sum(g_z[:n], axis=0, out=grads["proj.b"])
-    return grad
+    return ws.grad
 
 
 # --------------------------------------------------------------------------
@@ -458,20 +495,28 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     # OpenBLAS 0.3.31 with its Haswell dgemm kernel, at 1 and 2 threads: a
     # row's bits stop depending on the row count once the count is a
     # multiple of 4, while one row goes to gemv and 2 or 3 rows round the
-    # 2-column head differently.  So the rows are zero-padded to whole
-    # _TILE-row tiles, and run in blocks of at most _BLOCK rows, which bound
-    # the memory of a large batch.  Another dgemm kernel may need 8 or 16
-    # rows; the child interpreters of tests/test_batch_invariance.py, at 1
-    # and 2 BLAS threads, guard the assumption.
+    # 2-column head differently.  That holds only up to a size: gemms of
+    # 7,680 rows kept every row's bits, and of 8,192 rows or more did not
+    # (physics_duals in 4,096-point blocks, 12,288 stacked rows, changed
+    # 57-91 % of each output against 64-point blocks).  So the rows are
+    # zero-padded to whole _TILE-row tiles, and run in blocks of at most
+    # _BLOCK rows, which bound the memory of a large batch and keep every
+    # gemm far below that size.  Another dgemm kernel may need 8 or 16 rows;
+    # the child interpreters of tests/test_batch_invariance.py, at 1 and 2
+    # BLAS threads, guard the assumption.
     n = v.shape[0]
     padded = np.zeros((-(-n // _TILE) * _TILE, 2))
     padded[:n] = v
     out = np.empty((6 if duals else 2, padded.shape[0]))
+    ws = None
     for start in range(0, n, _BLOCK):
         rows = padded[start : start + _BLOCK]
-        fwd = _forward(model, _features(model, rows), len(rows) if duals else 0)
-        out[:, start : start + len(rows)] = (fwd.h, *fwd.h_tan, fwd.u, *fwd.u_tan) if duals else fwd[:2]
-        del fwd  # frees the pass's layer rows before the next block allocates its own
+        k = len(rows)
+        if ws is None or ws.n != k:  # the last block may be shorter
+            ws = _Workspace(model, k, k if duals else 0)
+        _features(model, rows, ws.x[:k])
+        _forward(model, ws)
+        out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
     return out[:, :n]
 
 

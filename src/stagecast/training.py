@@ -12,12 +12,15 @@ partials into the adjoints of the network's outputs and returns them, and
 :func:`loss_gradient` hands them to the network's hand-written backward
 pass.  The samples are fixed, so :func:`train` encodes them once per run
 and gathers each batch's rows; only the fresh collocation points are
-encoded per iteration.  The optimizer is Adam with an exponentially
-decaying learning rate.  :func:`train` alone checks each step, its loss and
-its squared gradient norm, and a step that fails raises
-:class:`TrainingDiverged`.  Everything is seeded, and the supervised batch
-stream is independent of the physics settings, so runs that share a seed
-share their batches exactly.
+encoded per iteration.  Every buffer an iteration writes is made once per
+run: the network's workspace for the stacked pass and its gradient, one
+for the validation rows, and Adam's moments; Adam updates the weight
+vector of the one model the run builds in place.  The optimizer is Adam
+with an exponentially decaying learning rate.  :func:`train` alone checks
+each step, its loss and its squared gradient norm, and a step that fails
+raises :class:`TrainingDiverged`.  Everything is seeded, and the supervised
+batch stream is independent of the physics settings, so runs that share a
+seed share their batches exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .surrogate import (
     _features,
     _forward,
     _normalize,
+    _Workspace,
     box_for_scenario,
     physics_duals,
 )
@@ -175,7 +179,7 @@ class LossPass(NamedTuple):
     physics_loss: float
     total: float
     model: SurrogateModel
-    net: tuple  # the network's forward pass over [data; collocation; tangent] rows
+    net: _Workspace  # the network's pass over [data; collocation; tangent] rows
     adjoints: tuple  # d total / d (h, u) at every value row, then at the (2, C) tangents, if any
 
 
@@ -190,7 +194,8 @@ def forward_loss(
 
     ``batch`` is a tuple of arrays (x_miles, t_hours, h_ft, u_fps);
     ``collocation`` (C, 2) points of (x_miles, t_hours), or None for a
-    purely supervised pass.  The data rows come first in the stacked pass.
+    purely supervised pass.  The data rows come first in the stacked pass,
+    which has buffers of its own.
     """
     x, t, h_true, u_true = batch
     points = np.column_stack((np.atleast_1d(x), np.atleast_1d(t)))
@@ -198,15 +203,17 @@ def forward_loss(
     if collocation is not None:
         c = len(collocation)
         points = np.concatenate((points, collocation))
-    v = _normalize(model, points, clamp=False)
-    return _loss_pass(model, _features(model, v), h_true, u_true, c, lambda_physics)
+    net = _Workspace(model, len(points), c, grad=True)
+    _features(model, _normalize(model, points, clamp=False), net.x[: len(points)])
+    return _loss_pass(model, net, h_true, u_true, lambda_physics)
 
 
-def _loss_pass(model, x, h_true, u_true, c=0, lambda_physics=0.0) -> LossPass:
-    """:func:`forward_loss` from the Fourier features ``x`` of the data rows
-    and then of the ``c`` collocation rows."""
-    n_data = x.shape[0] - c
-    net = _forward(model, x, c)
+def _loss_pass(model, net: _Workspace, h_true, u_true, lambda_physics=0.0) -> LossPass:
+    """:func:`forward_loss` on the pass ``net``, whose input rows hold the
+    features of the data rows and then of its ``net.c`` collocation rows."""
+    c = net.c
+    n_data = net.n - c
+    _forward(model, net)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
@@ -271,41 +278,48 @@ _EPS = 1e-8  # Adam's denominator floor
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment estimates and the bias-correction step counter."""
+    """First/second moment estimates, the bias-correction step counter, and
+    two scratch rows for the update; :func:`adam_step` writes all of them
+    in place."""
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
+    step: int
+    scratch: np.ndarray  # (2, n_weights)
 
 
 def init_adam(n_weights: int) -> AdamState:
-    return AdamState(m=np.zeros(n_weights), v=np.zeros(n_weights))
+    return AdamState(m=np.zeros(n_weights), v=np.zeros(n_weights), step=0,
+                     scratch=np.empty((2, n_weights)))
 
 
 def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new_weights, new_state).
+    """One bias-corrected Adam update of ``weights`` and ``state``, in place;
+    returns (weights, the state of the next step).
 
-    Leaves its inputs alone; computes in the returned arrays plus one scratch.
-    It trusts the gradient: :func:`train` checks it first.
+    Leaves the gradient alone.  It trusts the gradient: :func:`train` checks
+    it first.
     """
     if weights.shape != grads.shape:
         raise ValueError(f"gradient shape {grads.shape} != weight shape {weights.shape}")
     t = state.step + 1
-    scratch = np.multiply(grads, 1.0 - _BETA1)
-    m = np.multiply(state.m, _BETA1)
+    m, v = state.m, state.v
+    scratch, update = state.scratch
+    np.multiply(grads, 1.0 - _BETA1, out=scratch)
+    m *= _BETA1
     m += scratch
     np.multiply(grads, 1.0 - _BETA2, out=scratch)
     scratch *= grads
-    v = np.multiply(state.v, _BETA2)
+    v *= _BETA2
     v += scratch
     np.divide(v, 1.0 - _BETA2**t, out=scratch)  # v_hat
     np.sqrt(scratch, out=scratch)
     scratch += _EPS
-    step = np.divide(m, 1.0 - _BETA1**t)  # m_hat
-    step *= lr
-    step /= scratch
-    np.subtract(weights, step, out=step)
-    return step, AdamState(m, v, t)
+    np.divide(m, 1.0 - _BETA1**t, out=update)  # m_hat
+    update *= lr
+    update /= scratch
+    weights -= update
+    return weights, AdamState(m, v, t, state.scratch)
 
 
 def _learning_rate(config: TrainConfig, iteration: int) -> float:
@@ -356,11 +370,18 @@ def train(
     train_idx, val_idx = _split_indices(len(training_set), config.seed)
 
     ts = training_set
+    n_data = config.batch_size
+    c = config.collocation_count if config.lambda_physics > 0.0 else 0
+    # the pass of every iteration, and of every validation, writes into buffers made here
+    net = _Workspace(model, n_data + c, c, grad=True)
+    val_net = _Workspace(model, val_idx.size)
     # the samples are fixed: normalize and encode them once, gather per batch
-    features = _features(model, _normalize(model, ts.points, clamp=False))
-    val_rows = (features[val_idx], ts.h_ft[val_idx], ts.u_fps[val_idx])
+    features = np.empty((len(ts), net.x.shape[1]))
+    _features(model, _normalize(model, ts.points, clamp=False), features)
+    np.take(features, val_idx, axis=0, out=val_net.x)
+    val_h, val_u = ts.h_ft[val_idx], ts.u_fps[val_idx]
 
-    current = model  # adam_step leaves the weights it is given alone
+    current = dataclasses.replace(model, weights=model.weights.copy())  # adam_step writes these
     state = init_adam(model.n_weights)
     history: list[HistoryRow] = []
     best_val = np.inf
@@ -368,17 +389,16 @@ def train(
     initial_total = None
 
     for i in range(config.max_iterations):
-        pick = rng_batch.integers(0, train_idx.size, config.batch_size)
+        pick = rng_batch.integers(0, train_idx.size, n_data)
         idx = train_idx[pick]
-        x, c = features[idx], 0
-        if config.lambda_physics > 0.0:
-            c = config.collocation_count
+        np.take(features, idx, axis=0, out=net.x[:n_data])
+        if c:
             colloc = _normalize(current, ts.norm.sample(rng_colloc, c), clamp=False)
-            x = np.concatenate((x, _features(current, colloc)))
+            _features(current, colloc, net.x[n_data : n_data + c])
         lr = _learning_rate(config, i)
         failure = None
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the guards' to judge
-            lp = _loss_pass(current, x, ts.h_ft[idx], ts.u_fps[idx], c, config.lambda_physics)
+            lp = _loss_pass(current, net, ts.h_ft[idx], ts.u_fps[idx], config.lambda_physics)
             if initial_total is None:
                 initial_total = lp.total
             if not np.isfinite(lp.total) or (
@@ -396,14 +416,13 @@ def train(
             history.append(row)
             raise TrainingDiverged(f"{failure} at iteration {i}", history, i)
 
-        weights, state = adam_step(current.weights, grads, state, lr)
-        current = dataclasses.replace(model, weights=weights)
+        _, state = adam_step(current.weights, grads, state, lr)
 
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
             history.append(row)
-            val = _loss_pass(current, *val_rows).data_loss
+            val = _loss_pass(current, val_net, val_h, val_u).data_loss
             if val < best_val:
                 best_val = val
-                best_weights = weights.copy()
+                np.copyto(best_weights, current.weights)
 
     return dataclasses.replace(model, weights=best_weights), history

@@ -301,7 +301,7 @@ def test_relu_subgradient_at_zero_is_zero_in_both_modes():
         origin = np.zeros(1)
         lp = forward_loss(model, (origin, origin, np.ones(1), np.ones(1)), np.zeros((1, 2)),
                           lambda_physics=0.1)
-        activations = lp.net.inputs[2]  # rows: data, collocation, x tangent, t tangent
+        activations = lp.net.a[0]  # rows: data, collocation, x tangent, t tangent
         assert np.all(activations[:2] == 0.0)
         assert np.all(activations[2:] == 0.0) == blocked
         grads = _views(model.manifest, loss_gradient(lp))

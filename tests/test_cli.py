@@ -169,12 +169,29 @@ def _small_run(command, workspace, flag, path, tmp_path):
     }[command]
 
 
-@pytest.mark.parametrize("case", ["below-a-file", "wrong-kind"])
-@pytest.mark.parametrize("command, flag, is_file", OUTPUTS, ids=OUTPUT_IDS)
+# each output above, below a file and of the wrong kind; then each file that
+# train and eval write under --out-dir, which is there as a directory
+UNWRITABLE = [
+    (command, flag, is_file, case)
+    for case in ("below-a-file", "wrong-kind")
+    for command, flag, is_file in OUTPUTS
+] + [
+    (command, "--out-dir", False, name)
+    for command, names in [("train", ["history.csv", "checkpoint.bin"]),
+                           ("eval", ["report.json", "per_station.csv", "error_histogram.csv"])]
+    for name in names
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, is_file, case", UNWRITABLE,
+    ids=[f"{command}-{flag.lstrip('-')}-{case}" for command, flag, _, case in UNWRITABLE],
+)
 def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, capsys, tmp_path,
                                                         command, flag, is_file, case):
     """An output below a file, or an existing directory given for a file (a
-    file for a directory), ends the command with one error line that names
+    file for a directory), or a directory where a command writes a file
+    under its --out-dir, ends the command with one error line that names
     it, before any input is read or anything solved, trained or scored, and
     with nothing made."""
     import stagecast.cli as cli
@@ -189,11 +206,15 @@ def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, 
     (tmp_path / "a_file").write_text("")
     (tmp_path / "a_directory").mkdir()
     if case == "below-a-file":
-        bad = tmp_path / "a_file" / "sub" / "out"
+        bad = out = tmp_path / "a_file" / "sub" / "out"
+    elif case == "wrong-kind":
+        bad = out = tmp_path / ("a_directory" if is_file else "a_file")
     else:
-        bad = tmp_path / ("a_directory" if is_file else "a_file")
+        out = tmp_path / "a_directory"
+        bad = out / case
+        bad.mkdir()
     before = sorted(tmp_path.rglob("*"))
-    rc = main(_small_run(command, workspace, flag, bad, tmp_path))
+    rc = main(_small_run(command, workspace, flag, out, tmp_path))
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]

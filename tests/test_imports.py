@@ -154,11 +154,12 @@ def test_the_check_finds_a_package_binding():
 
 
 # The only private names one module of the package may read from another:
-# the network's forward and backward pass, which the training loss runs on
-# stacked data and collocation rows, and the read-only array maker the
-# solver shares with geometry.
+# the network's forward and backward pass and the buffers they write, which
+# the training loss runs on stacked data and collocation rows, and the
+# read-only array maker the solver shares with geometry.
 PRIVATE_READS = [
     "solver.py: geometry._read_only",
+    "training.py: surrogate._Workspace",
     "training.py: surrogate._backward",
     "training.py: surrogate._features",
     "training.py: surrogate._forward",

@@ -170,9 +170,9 @@ def test_inference_passes_whole_tiles_of_at_most_one_block(monkeypatch):
     seen = []
     forward = surrogate._forward
 
-    def counted(model, x, c=0):
-        seen.append(x.shape[0])
-        return forward(model, x, c)
+    def counted(model, net):
+        seen.append(net.n)
+        return forward(model, net)
 
     monkeypatch.setattr(surrogate, "_forward", counted)
     model = _small_model()

@@ -8,7 +8,14 @@ import pytest
 
 from oracles import adam_first_step, loop_mse, reference_adam_step, reference_train
 from stagecast.geometry import G_FT_S2
-from stagecast.surrogate import Dual, NormalizationBox, init_model, predict, predict_batch
+from stagecast.surrogate import (
+    Dual,
+    NormalizationBox,
+    init_model,
+    physics_duals,
+    predict,
+    predict_batch,
+)
 from stagecast.training import (
     AdamState,
     TrainConfig,
@@ -47,11 +54,12 @@ def _constant_training_set(n=512, h=5.0, u=1.0):
 
 def _internal_prediction(model, x, t):
     """The (h, u) values data_loss sees for a raw batch, bit for bit."""
-    from stagecast.surrogate import _features, _forward, _normalize
+    from stagecast.surrogate import _features, _forward, _normalize, _Workspace
 
-    v = _normalize(model, np.column_stack((x, t)), clamp=False)
-    fwd = _forward(model, _features(model, v))
-    return fwd.h, fwd.u
+    net = _Workspace(model, len(x))
+    _features(model, _normalize(model, np.column_stack((x, t)), clamp=False), net.x)
+    _forward(model, net)
+    return net.h, net.u
 
 
 def test_data_loss_zero_when_targets_match():
@@ -163,7 +171,7 @@ def test_adam_zero_gradient_is_noop():
     w = np.array([1.0, -2.0, 3.5])
     state = init_adam(3)
     w2, s2 = adam_step(w, np.zeros(3), state, lr=0.1)
-    np.testing.assert_array_equal(w2, w)
+    np.testing.assert_array_equal(w2, [1.0, -2.0, 3.5])
     assert s2.step == 1
 
 
@@ -171,25 +179,29 @@ def test_adam_first_step_closed_form():
     rng = np.random.default_rng(9)
     w = rng.normal(size=20)
     g = rng.normal(size=20)
+    expected = adam_first_step(w, g, 1e-3)
     w2, _ = adam_step(w, g, init_adam(20), lr=1e-3)
-    np.testing.assert_allclose(w2, adam_first_step(w, g, 1e-3), rtol=1e-12)
+    np.testing.assert_allclose(w2, expected, rtol=1e-12)
 
 
 def test_adam_matches_frozen_reference_bitwise():
     """60 steps with a decaying learning rate and gradients across six decades
-    give the bits of the original one-array-per-term update."""
+    give the bits of the original one-array-per-term update, written into
+    the weights and moments it is given."""
     rng = np.random.default_rng(21)
     n = 2000
-    w = w_ref = rng.normal(size=n)
+    w = rng.normal(size=n)
+    w_ref = w.copy()
     state = init_adam(n)
     m_ref, v_ref, step_ref = np.zeros(n), np.zeros(n), 0
     for i in range(60):
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         lr = 1e-2 * 0.5 ** (i / 7)
-        inputs = (w, g, state.m, state.v)
-        copies = [a.copy() for a in inputs]
-        w, state = adam_step(w, g, state, lr)
-        assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))  # inputs left alone
+        g_copy = g.copy()
+        w_out, new_state = adam_step(w, g, state, lr)
+        assert w_out is w and new_state.m is state.m and new_state.v is state.v  # in place
+        assert np.array_equal(g, g_copy)  # the gradient is left alone
+        state = new_state
         w_ref, m_ref, v_ref, step_ref = reference_adam_step(w_ref, g, m_ref, v_ref, step_ref, lr)
         assert np.array_equal(w, w_ref)
         assert np.array_equal(state.m, m_ref) and np.array_equal(state.v, v_ref)
@@ -458,9 +470,9 @@ def test_training_encodes_its_samples_once(monkeypatch):
 
     calls = []
 
-    def counted(encoder, v):
+    def counted(encoder, v, out=None):
         calls.append(v.shape[0])
-        return encode(encoder, v)
+        return encode(encoder, v, out)
 
     encode = surrogate.encode
     monkeypatch.setattr(surrogate, "encode", counted)
@@ -532,3 +544,77 @@ def test_learning_rate_schedule_in_history():
     assert lrs[0] == 1e-3
     assert lrs[1] == pytest.approx(1e-3 * 0.5**0.5, rel=1e-12)
     assert lrs[2] == pytest.approx(5e-4, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# buffers made once per run
+
+
+def _scrambled_model(seed):
+    model = _model(seed=seed)
+    weights = np.random.default_rng(seed).normal(0.0, 0.4, model.n_weights)
+    return dataclasses.replace(model, weights=weights)
+
+
+def test_loss_passes_held_at_once_keep_their_own_gradients():
+    """Each forward_loss pass has buffers of its own: two passes at different
+    weights, held at once, each give the gradient they give alone."""
+    rng = np.random.default_rng(8)
+    batch = tuple(rng.uniform(lo, hi, 12) for lo, hi in ((0, 8), (0, 30), (2, 9), (-1, 4)))
+    colloc = np.column_stack([rng.uniform(0, 8, 20), rng.uniform(0, 30, 20)])
+    models = [_scrambled_model(1), _scrambled_model(2)]
+    alone = [loss_gradient(forward_loss(m, batch, colloc, lambda_physics=0.1)).copy()
+             for m in models]
+    assert not np.array_equal(*alone)
+    passes = [forward_loss(m, batch, colloc, lambda_physics=0.1) for m in models]
+    grads = [loss_gradient(lp) for lp in passes]
+    for lp, grad, expected in zip(passes, grads, alone):
+        assert np.array_equal(grad, expected)
+        assert np.array_equal(loss_gradient(lp), expected)
+
+
+def test_later_queries_leave_earlier_results_alone():
+    model = _scrambled_model(3)
+    rng = np.random.default_rng(9)
+    points = np.column_stack([rng.uniform(0, 8, 150), rng.uniform(0, 30, 150)])
+    h, u = predict_batch(model, points)
+    h_dual, u_dual = physics_duals(model, *points[:70].T)
+    held = [a.copy() for a in (h, u, *h_dual, *u_dual)]
+    predict_batch(model, points[::-1])
+    physics_duals(model, *points[70:].T)
+    predict(model, 1.0, 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip((h, u, *h_dual, *u_dual), held))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_train_leaves_its_input_weights_alone(lam):
+    model = _scrambled_model(4)
+    before = model.weights.copy()
+    config = TrainConfig(lambda_physics=lam, batch_size=32, max_iterations=9, record_every=3)
+    trained, _ = train(model, _constant_training_set(), config)
+    assert np.array_equal(model.weights, before)
+    assert not np.shares_memory(trained.weights, model.weights)
+    assert not np.array_equal(trained.weights, before)
+
+
+def test_a_training_iteration_faults_no_new_memory():
+    """A physics-informed iteration on gate 8's network writes into buffers
+    made once per run: 200 more iterations take fewer than 20 minor page
+    faults each, so a run's set-up faults cancel in the difference."""
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(10)
+    n = 1940
+    points = np.column_stack([rng.uniform(0, 8, n), rng.uniform(0, 30, n)])
+    ts = TrainingSet(points=points, h_ft=5.0 + np.sin(points[:, 0]), u_fps=np.cos(points[:, 1]),
+                     norm=BOX)
+    model = init_model(BOX, n_blocks=2, width=64, m=32, sigma=4.0, activation="tanh", seed=0)
+
+    def faults(iterations):
+        config = TrainConfig(lambda_physics=0.1, batch_size=256, collocation_per_batch=256,
+                             max_iterations=iterations, record_every=100)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(model, ts, config)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    short = faults(50)
+    assert faults(250) - short < 20 * 200

@@ -26,11 +26,14 @@ from pathlib import Path
 
 from . import __version__
 from .evaluation import benchmark as run_benchmark
-from .evaluation import evaluate, run_ablation
+from .evaluation import ABLATION_CONFIGS, evaluate, run_ablation
 from .fileio import (
     CHECKPOINT_FILE,
+    CONFIG_FILE,
+    CURVE_FILE,
     HISTORY_FILE,
     REPORT_FILES,
+    SUMMARY_FILE,
     load_checkpoint,
     read_field,
     read_scenario,
@@ -74,14 +77,13 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
-def _writable(path, *, file: bool = False) -> Path:
-    """``path`` if a directory, or with ``file`` a file, can be made there; every
-    command checks each of its outputs here before any work.  Makes nothing."""
+def _writable(path) -> Path:
+    """``path`` if a file can be made there; every command checks each file
+    it writes here before any work.  Makes nothing."""
     path = Path(path)
-    if file and path.is_dir():
+    if path.is_dir():
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    directory = path.parent if file else path
-    ancestor = next(p for p in (directory, *directory.parents) if p.exists())
+    ancestor = next(p for p in path.parents if p.exists())
     if not ancestor.is_dir():
         raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
     return path
@@ -118,10 +120,10 @@ def _load_checkpoint_for(path, scenario, digest: str):
 
 
 def _cmd_simulate(args) -> int:
-    _writable(args.field_out, file=True)
+    _writable(args.field_out)
     config = SolverConfig(**_given(args, "n_cells", "cfl"))  # reject bad knobs before writing
     if "synthetic_stations" in args:
-        _writable(args.scenario, file=True)
+        _writable(args.scenario)
         scenario = make_flood_wave_scenario(
             args.synthetic_stations, args.peak_factor, **_given(args, "seed")
         )
@@ -147,9 +149,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    out_dir = _writable(args.out_dir)
-    history_path = _writable(out_dir / HISTORY_FILE, file=True)
-    ckpt_path = _writable(out_dir / CHECKPOINT_FILE, file=True)
+    history_path = _writable(Path(args.out_dir, HISTORY_FILE))
+    ckpt_path = _writable(Path(args.out_dir, CHECKPOINT_FILE))
     scenario, digest, field = _scenario_and_field(args)
     training_set = build_training_set(field, scenario)
     model = init_model(training_set.norm, **_given(
@@ -183,9 +184,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    out_dir = _writable(args.out_dir)
+    out_dir = Path(args.out_dir)
     for name in REPORT_FILES:
-        _writable(out_dir / name, file=True)
+        _writable(out_dir / name)
     scenario, digest, field = _scenario_and_field(args)
     model = _load_checkpoint_for(args.checkpoint, scenario, digest)
 
@@ -205,7 +206,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     if "json_out" in args:
-        _writable(args.json_out, file=True)
+        _writable(args.json_out)
     scenario = read_scenario(args.scenario)
     model = _load_checkpoint_for(args.checkpoint, scenario, scenario_hash(scenario))
 
@@ -226,7 +227,11 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    out_dir = _writable(args.out_dir)
+    out_dir = Path(args.out_dir)
+    _writable(out_dir / SUMMARY_FILE)
+    for name in ABLATION_CONFIGS:
+        for file in (CONFIG_FILE, HISTORY_FILE, *REPORT_FILES, CURVE_FILE):
+            _writable(out_dir / name / file)
     scenario = read_scenario(args.scenario)
     result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
         args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
@@ -242,7 +247,7 @@ def _cmd_ablate(args) -> int:
             print(f"{name:<14}{run.report.overall_stage_mrae:>12.4f}"
                   f"{run.training_data_loss:>14.4e}"
                   f"{run.report.mean_physics_residual:>14.4e}")
-    print(f"summary written to {out_dir / 'summary.json'}")
+    print(f"summary written to {out_dir / SUMMARY_FILE}")
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "BenchmarkReport",
     "AblationRun",
     "AblationResult",
+    "ABLATION_CONFIGS",
     "mrae",
     "error_histogram",
     "evaluate",
@@ -43,6 +44,7 @@ __all__ = [
 
 
 _N_COLLOCATION = 10_000  # points in the physics-residual sample
+ABLATION_CONFIGS = ("base", "fourier_only", "full")  # run_ablation's configurations, in order
 # marks a report field as a wall-clock figure; report files keep these apart
 # from the figures that are a pure function of the seeds and inputs
 _WALL_CLOCK = {"wall_clock": True}
@@ -240,7 +242,7 @@ class AblationResult:
     curve_station_miles: float
     curve_t_hours: np.ndarray
     curve_truth_h: np.ndarray
-    runs: dict[str, AblationRun]  # base, fourier_only, full
+    runs: dict[str, AblationRun]  # keyed by ABLATION_CONFIGS
 
 
 def run_ablation(
@@ -265,7 +267,7 @@ def run_ablation(
     """
     if budget_iters < 1:
         raise ValueError("budget_iters must be at least 1")
-    settings = {"base": (False, 0.0), "fourier_only": (True, 0.0), "full": (True, lambda_full)}
+    settings = dict(zip(ABLATION_CONFIGS, [(False, 0.0), (True, 0.0), (True, lambda_full)]))
     architecture = dict(n_blocks=n_blocks, width=width, m=m, sigma=sigma, activation=activation)
     jobs = {}  # built before the solve, so a bad setting fails before any work
     for name, (use_fourier, lambda_physics) in settings.items():

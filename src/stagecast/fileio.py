@@ -69,6 +69,9 @@ __all__ = [
     "CHECKPOINT_FILE",
     "HISTORY_FILE",
     "REPORT_FILES",
+    "CONFIG_FILE",
+    "CURVE_FILE",
+    "SUMMARY_FILE",
     "FormatError",
     "serialize_scenario",
     "parse_scenario",
@@ -512,12 +515,7 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str]:
     if len(body) != need:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    # checked here, not by the model type, which training builds anew every
-    # iteration; the encoder checks its own matrix
-    bad = ~np.isfinite(values[2 * m :])
-    if bad.any():
-        raise FormatError(f"{path}: weight {int(np.argmax(bad))} is not finite")
-    try:
+    try:  # the encoder checks its matrix, and the model its weights
         model = SurrogateModel(
             encoder=(
                 FourierEncoder(values[: 2 * m].reshape(m, 2), float(sigma)) if use_fourier else None
@@ -616,18 +614,22 @@ def write_benchmark(result: BenchmarkReport, path) -> None:
 
 
 _ABLATION_SUMMARY_KEYS = ("overall_stage_mrae", "overall_velocity_mrae", "mean_physics_residual")
+CONFIG_FILE = "config.json"  # an ablation configuration's settings, in its directory
+CURVE_FILE = "curve.csv"  # its stage curve, in the same directory
+SUMMARY_FILE = "summary.json"  # the ablation's summary, beside the directories
 
 
 def write_ablation(result: AblationResult, out_dir) -> None:
-    """Write summary.json and one directory per configuration: config.json,
-    history.csv and, unless the run diverged, the report files and curve.csv
-    (stage at the curve station over time, truth against prediction)."""
+    """Write the :data:`SUMMARY_FILE` and one directory per configuration:
+    the :data:`CONFIG_FILE`, the history and, unless the run diverged, the
+    report files and the :data:`CURVE_FILE` (stage at the curve station over
+    time, truth against prediction)."""
     out = Path(out_dir)
     shared = {"seed": result.seed, "budget_iters": result.budget_iters}
     configs = {}
     for name, run in result.runs.items():
         config_dir = out / name
-        _write_json(config_dir / "config.json", {
+        _write_json(config_dir / CONFIG_FILE, {
             "config": name, **shared,
             "use_fourier": run.use_fourier, "lambda_physics": run.lambda_physics,
         })
@@ -637,12 +639,12 @@ def write_ablation(result: AblationResult, out_dir) -> None:
             write_report(run.report, config_dir)
             entry.update({key: getattr(run.report, key) for key in _ABLATION_SUMMARY_KEYS})
             _write_csv(
-                config_dir / "curve.csv",
+                config_dir / CURVE_FILE,
                 ("t_hours", "truth_h_ft", "predicted_h_ft"),
                 zip(result.curve_t_hours, result.curve_truth_h, run.curve),
             )
         configs[name] = entry
     _write_json(
-        out / "summary.json",
+        out / SUMMARY_FILE,
         {**shared, "curve_station_miles": result.curve_station_miles, "configs": configs},
     )

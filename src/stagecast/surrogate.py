@@ -15,17 +15,18 @@ layer is one gemm; biases, activations and the softplus act on the value
 rows, and the tangent rows are scaled by the activation slope at their
 value rows.  The pass starts from the Fourier features, so training
 encodes its fixed samples once per run.  It writes every layer's rows
-into a workspace made once for its shape: once per training run, and
-once per inference call (a block holds at most 64 rows); its ufuncs take
-``out`` positionally, which numpy parses in about half the time of the
-keyword, a saving a 4-row ``predict`` can measure.  The backward
-pass is written out by hand for this one chain: two gemms per layer plus
-the slope terms the forward pass stored, and, for the tangent rows, the
-second derivatives of the activations (forward-over-reverse); it writes
-into the same workspace and its one gradient vector.  Inference runs the
-same pass on the query rows, zero-padded to whole 4-row tiles, in blocks
-of at most 64 rows; ``physics_duals`` runs on the same blocks, with
-every row's tangents.
+into a workspace made once for its model and shape: once per training
+run, and once per inference call (a block holds at most 64 rows).  A
+pass holds its model, so it cannot run one model's weights with
+another's encoder or box.  Its ufuncs take ``out`` positionally, which
+numpy parses in about half the time of the keyword, a saving a 4-row
+``predict`` can measure.  The backward pass is written out by hand for
+this one chain: two gemms per layer plus the slope terms the forward
+pass stored, and, for the tangent rows, the second derivatives of the
+activations (forward-over-reverse); it writes into the same workspace
+and its one gradient vector.  Inference runs the same pass on the query
+rows, zero-padded to whole 4-row tiles, in blocks of at most 64 rows;
+``physics_duals`` runs on the same blocks, with every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -161,6 +162,7 @@ class SurrogateModel:
     ``weights`` is one flat float64 vector; ``manifest`` records the layer
     name and shape of each contiguous segment, in storage order, and
     ``views`` a view of each; the model is frozen, so they cannot go stale.
+    A model refuses a non-finite weight, naming the first.
     Residual blocks hold two affine layers with the activation between
     them and an identity skip; each block's second layer starts at zero,
     so a freshly initialized network is near-identity around its input
@@ -185,6 +187,9 @@ class SurrogateModel:
         expected = _size(self.manifest)
         if self.weights.shape != (expected,):
             raise ValueError(f"weights have shape {self.weights.shape}, the manifest ({expected},)")
+        bad = ~np.isfinite(self.weights)
+        if bad.any():
+            raise ValueError(f"weight {int(np.argmax(bad))} is not finite")
 
     @property
     def uses_fourier(self) -> bool:
@@ -293,12 +298,12 @@ class _Workspace:
     pass carries tangents or ``grad`` is set, its activation slope at the
     value rows; ``z`` holds the rows at each block boundary, ``out`` the
     head's.  ``grad`` adds the rows of :func:`_backward` and the flat
-    weight gradient with its views.
+    weight gradient with its views.  ``model`` is the model it was made for.
     """
 
     def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False):
         width, blocks, rows = model.width, model.n_blocks, n + 2 * c
-        self.n, self.c = n, c
+        self.model, self.n, self.c = model, n, c
         self.x = np.empty((rows, model.views["proj.W"].shape[0]))
         layers = list(np.empty((3 * blocks + 1, rows, width)))
         self.p, self.a, self.z = layers[:blocks], layers[blocks : 2 * blocks], layers[2 * blocks :]
@@ -365,14 +370,14 @@ def _features(model: SurrogateModel, v, out) -> None:
         out[...] = v
 
 
-def _forward(model: SurrogateModel, ws: _Workspace) -> None:
-    """The network on the value rows of ``ws.x``, into ``ws``.
+def _forward(ws: _Workspace) -> None:
+    """The network of ``ws.model`` on the value rows of ``ws.x``, into ``ws``.
 
     Every layer's rows stay in ``ws`` for :func:`_backward`; the outputs
     are ``ws.h`` and ``ws.u`` and, with tangent rows, ``ws.h_tan`` and
     ``ws.u_tan``.
     """
-    n, c, x = ws.n, ws.c, ws.x
+    model, n, c, x = ws.model, ws.n, ws.c, ws.x
     views = model.views
     if c and model.uses_fourier:
         m = model.encoder.m
@@ -404,7 +409,7 @@ def _forward(model: SurrogateModel, ws: _Workspace) -> None:
         np.multiply(_sigmoid(out[n - c : n, 0]), out[n:, 0].reshape(2, c), ws.h_tan)
 
 
-def _backward(model: SurrogateModel, ws: _Workspace, g_h, g_u, g_h_tan=None, g_u_tan=None):
+def _backward(ws: _Workspace, g_h, g_u, g_h_tan=None, g_u_tan=None):
     """Flat weight gradient of a scalar, given its adjoints at the outputs
     of the pass in ``ws`` (made with ``grad``); returns ``ws.grad``.
 
@@ -412,7 +417,7 @@ def _backward(model: SurrogateModel, ws: _Workspace, g_h, g_u, g_h_tan=None, g_u
     rows, ``g_h_tan``/``g_u_tan`` (2, C) those of the tangents, when the
     forward pass carried tangent rows.
     """
-    n, c, out = ws.n, ws.c, ws.out
+    model, n, c, out = ws.model, ws.n, ws.c, ws.out
     views, grads = model.views, ws.grads
 
     def affine(x, g, layer, bias, out):
@@ -515,7 +520,7 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
         if ws is None or ws.n != k:  # the last block may be shorter
             ws = _Workspace(model, k, k if duals else 0)
         _features(model, rows, ws.x[:k])
-        _forward(model, ws)
+        _forward(ws)
         out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
     return out[:, :n]
 

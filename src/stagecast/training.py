@@ -14,11 +14,12 @@ pass.  The samples are fixed, so :func:`train` encodes them once per run
 and gathers each batch's rows; only the fresh collocation points are
 encoded per iteration.  Every buffer an iteration writes is made once per
 run: the network's workspace for the stacked pass and its gradient, one
-for the validation rows, and Adam's moments; Adam updates the weight
-vector of the one model the run builds in place.  The optimizer is Adam
-with an exponentially decaying learning rate.  :func:`train` alone checks
-each step, its loss and its squared gradient norm, and a step that fails
-raises :class:`TrainingDiverged`.  Everything is seeded, and the supervised
+for the validation rows, and Adam's state.  Both workspaces hold the one
+model the run builds; Adam updates its weights, and its own moments and
+step, in place.  The optimizer is Adam with an exponentially decaying
+learning rate.  :func:`train` alone checks each step, its loss and its
+squared gradient norm, and a step that fails raises
+:class:`TrainingDiverged`.  Everything is seeded, and the supervised
 batch stream is independent of the physics settings, so runs that share a
 seed share their batches exactly.
 """
@@ -178,7 +179,6 @@ class LossPass(NamedTuple):
     data_loss: float
     physics_loss: float
     total: float
-    model: SurrogateModel
     net: _Workspace  # the network's pass over [data; collocation; tangent] rows
     adjoints: tuple  # d total / d (h, u) at every value row, then at the (2, C) tangents, if any
 
@@ -205,21 +205,21 @@ def forward_loss(
         points = np.concatenate((points, collocation))
     net = _Workspace(model, len(points), c, grad=True)
     _features(model, _normalize(model, points, clamp=False), net.x[: len(points)])
-    return _loss_pass(model, net, h_true, u_true, lambda_physics)
+    return _loss_pass(net, h_true, u_true, lambda_physics)
 
 
-def _loss_pass(model, net: _Workspace, h_true, u_true, lambda_physics=0.0) -> LossPass:
+def _loss_pass(net: _Workspace, h_true, u_true, lambda_physics=0.0) -> LossPass:
     """:func:`forward_loss` on the pass ``net``, whose input rows hold the
     features of the data rows and then of its ``net.c`` collocation rows."""
     c = net.c
     n_data = net.n - c
-    _forward(model, net)
+    _forward(net)
     err_h = net.h[:n_data] - np.atleast_1d(np.asarray(h_true, dtype=np.float64))
     err_u = net.u[:n_data] - np.atleast_1d(np.asarray(u_true, dtype=np.float64))
     data = float(np.mean(err_h * err_h + err_u * err_u))
     g_h, g_u = (2.0 / n_data) * err_h, (2.0 / n_data) * err_u
     if not c:
-        return LossPass(data, 0.0, data, model, net, (g_h, g_u))
+        return LossPass(data, 0.0, data, net, (g_h, g_u))
     h = Dual(net.h[n_data:], *net.h_tan)
     u = Dual(net.u[n_data:], *net.u_tan)
     (r_c, d_c), (r_m, d_m) = _residuals(h, u)
@@ -230,12 +230,12 @@ def _loss_pass(model, net: _Workspace, h_true, u_true, lambda_physics=0.0) -> Lo
     p_h, p_u, p_hx, p_ht, p_ux, p_ut = (a_c * p + a_m * q for p, q in zip(d_c, d_m))
     adjoints = (np.concatenate((g_h, p_h)), np.concatenate((g_u, p_u)),
                 np.stack((p_hx, p_ht)), np.stack((p_ux, p_ut)))
-    return LossPass(data, physics, data + lambda_physics * physics, model, net, adjoints)
+    return LossPass(data, physics, data + lambda_physics * physics, net, adjoints)
 
 
 def loss_gradient(lp: LossPass) -> np.ndarray:
-    """Flat gradient of ``lp.total`` with respect to the model's weights."""
-    return _backward(lp.model, lp.net, *lp.adjoints)
+    """Flat gradient of ``lp.total`` with respect to the weights of ``lp.net.model``."""
+    return _backward(lp.net, *lp.adjoints)
 
 
 def data_loss(model: SurrogateModel, batch) -> float:
@@ -276,11 +276,11 @@ _BETA2 = 0.999  # Adam's second-moment decay
 _EPS = 1e-8  # Adam's denominator floor
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     """First/second moment estimates, the bias-correction step counter, and
-    two scratch rows for the update; :func:`adam_step` writes all of them
-    in place."""
+    two scratch rows for the update; :func:`adam_step` updates all of them
+    in place, and :func:`init_adam` makes them."""
 
     m: np.ndarray
     v: np.ndarray
@@ -293,17 +293,16 @@ def init_adam(n_weights: int) -> AdamState:
                      scratch=np.empty((2, n_weights)))
 
 
-def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update of ``weights`` and ``state``, in place;
-    returns (weights, the state of the next step).
+def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``weights`` and ``state``, in place.
 
     Leaves the gradient alone.  It trusts the gradient: :func:`train` checks
     it first.
     """
     if weights.shape != grads.shape:
         raise ValueError(f"gradient shape {grads.shape} != weight shape {weights.shape}")
-    t = state.step + 1
-    m, v = state.m, state.v
+    state.step += 1
+    t, m, v = state.step, state.m, state.v
     scratch, update = state.scratch
     np.multiply(grads, 1.0 - _BETA1, out=scratch)
     m *= _BETA1
@@ -319,7 +318,6 @@ def adam_step(weights: np.ndarray, grads: np.ndarray, state: AdamState, lr: floa
     update *= lr
     update /= scratch
     weights -= update
-    return weights, AdamState(m, v, t, state.scratch)
 
 
 def _learning_rate(config: TrainConfig, iteration: int) -> float:
@@ -372,17 +370,17 @@ def train(
     ts = training_set
     n_data = config.batch_size
     c = config.collocation_count if config.lambda_physics > 0.0 else 0
+    current = dataclasses.replace(model, weights=model.weights.copy())  # adam_step writes these
     # the pass of every iteration, and of every validation, writes into buffers made here
-    net = _Workspace(model, n_data + c, c, grad=True)
-    val_net = _Workspace(model, val_idx.size)
+    net = _Workspace(current, n_data + c, c, grad=True)
+    val_net = _Workspace(current, val_idx.size)
     # the samples are fixed: normalize and encode them once, gather per batch
     features = np.empty((len(ts), net.x.shape[1]))
-    _features(model, _normalize(model, ts.points, clamp=False), features)
+    _features(current, _normalize(current, ts.points, clamp=False), features)
     np.take(features, val_idx, axis=0, out=val_net.x)
     val_h, val_u = ts.h_ft[val_idx], ts.u_fps[val_idx]
 
-    current = dataclasses.replace(model, weights=model.weights.copy())  # adam_step writes these
-    state = init_adam(model.n_weights)
+    state = init_adam(current.n_weights)
     history: list[HistoryRow] = []
     best_val = np.inf
     best_weights = model.weights.copy()
@@ -398,7 +396,7 @@ def train(
         lr = _learning_rate(config, i)
         failure = None
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the guards' to judge
-            lp = _loss_pass(current, net, ts.h_ft[idx], ts.u_fps[idx], config.lambda_physics)
+            lp = _loss_pass(net, ts.h_ft[idx], ts.u_fps[idx], config.lambda_physics)
             if initial_total is None:
                 initial_total = lp.total
             if not np.isfinite(lp.total) or (
@@ -416,11 +414,11 @@ def train(
             history.append(row)
             raise TrainingDiverged(f"{failure} at iteration {i}", history, i)
 
-        _, state = adam_step(current.weights, grads, state, lr)
+        adam_step(current.weights, grads, state, lr)
 
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
             history.append(row)
-            val = _loss_pass(current, val_net, val_h, val_u).data_loss
+            val = _loss_pass(val_net, val_h, val_u).data_loss
             if val < best_val:
                 best_val = val
                 np.copyto(best_weights, current.weights)

@@ -28,9 +28,9 @@ CONFIGS = [(act, fourier) for act in ("relu", "tanh") for fourier in (True, Fals
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _model(activation, use_fourier):
+def _model(activation, use_fourier, width=16, m=8):
     model = init_model(
-        BOX, n_blocks=2, width=16, m=8, sigma=4.0, activation=activation, seed=23,
+        BOX, n_blocks=2, width=width, m=m, sigma=4.0, activation=activation, seed=23,
         use_fourier=use_fourier,
     )
     model.weights[:] = np.random.default_rng(23).normal(0.0, 0.5, model.n_weights)
@@ -98,3 +98,26 @@ def test_physics_duals_rows_equal_the_batched_rows(activation, use_fourier, size
     for k in (1, int(rng.integers(1, size + 1)), size):
         pick = rng.permutation(size)[:k]
         assert np.array_equal(_dual_rows(model, x[pick], t[pick]), batched[:, pick]), k
+
+
+@pytest.mark.parametrize("activation, use_fourier", CONFIGS)
+def test_rows_keep_their_bits_at_the_workload_sizes(activation, use_fourier):
+    """The benchmark queries 20,000 points in one predict_batch and scores
+    10,000 in one physics_duals call; sampled rows of each equal the point
+    alone, bit for bit.  The network is the benchmark's (width 64, 32
+    Fourier rows): on OpenBLAS 0.3.31, blocks of 4,096 rows or more kept
+    every row's bits at width 16 but not at width 64, so only this width
+    pins the 64-row block."""
+    model = _model(activation, use_fourier, width=64, m=32)
+    rng = np.random.default_rng(20_000)
+    points = np.column_stack([rng.uniform(0.0, 10.0, 20_000), rng.uniform(0.0, 48.0, 20_000)])
+    h, u = predict_batch(model, points)
+    pick = rng.choice(20_000, 256, replace=False)
+    singles = np.array([predict(model, x, t) for x, t in points[pick]])
+    assert np.array_equal(singles, np.column_stack((h[pick], u[pick])))
+
+    x, t = points[:10_000].T
+    batched = _dual_rows(model, x, t)
+    pick = rng.choice(10_000, 64, replace=False)
+    singles = np.column_stack([_dual_rows(model, x[i : i + 1], t[i : i + 1]) for i in pick])
+    assert np.array_equal(singles, batched[:, pick])

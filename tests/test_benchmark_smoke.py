@@ -2,7 +2,8 @@
 smoke size, finishes correct with no failed operation.
 
 This guards what ``perfbench/`` reads of the package (``FlowField``'s
-fields, ``TrainConfig``'s options, the CLI's flags, ``HistoryRow``'s
+fields and its equality, which surrogate-query uses to compare its set-up
+solves, ``TrainConfig``'s options, the CLI's flags, ``HistoryRow``'s
 columns, and ``report.json``'s ``timing.surrogate_seconds`` and
 ``timing.speedup``) without a benchmark run's full sizes.
 """

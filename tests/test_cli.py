@@ -170,7 +170,9 @@ def _small_run(command, workspace, flag, path, tmp_path):
 
 
 # each output above, below a file and of the wrong kind; then each file that
-# train and eval write under --out-dir, which is there as a directory
+# train and eval write under --out-dir, which is there as a directory, and
+# three of ablate's: a file there as a directory, or a directory as a file
+PRESENT_AS_FILE = {"base"}
 UNWRITABLE = [
     (command, flag, is_file, case)
     for case in ("below-a-file", "wrong-kind")
@@ -178,7 +180,8 @@ UNWRITABLE = [
 ] + [
     (command, "--out-dir", False, name)
     for command, names in [("train", ["history.csv", "checkpoint.bin"]),
-                           ("eval", ["report.json", "per_station.csv", "error_histogram.csv"])]
+                           ("eval", ["report.json", "per_station.csv", "error_histogram.csv"]),
+                           ("ablate", ["summary.json", "base", "full/curve.csv"])]
     for name in names
 ]
 
@@ -212,7 +215,10 @@ def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, 
     else:
         out = tmp_path / "a_directory"
         bad = out / case
-        bad.mkdir()
+        if case in PRESENT_AS_FILE:
+            bad.write_text("")
+        else:
+            bad.mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
     rc = main(_small_run(command, workspace, flag, out, tmp_path))
     assert rc == 1

@@ -236,7 +236,8 @@ def test_field_round_trip(tmp_path, solved):
     write_field(field, digest, path)
     loaded, loaded_digest = read_field(path)
     assert loaded_digest == digest
-    assert loaded == field  # bitwise: arrays and wall clock
+    assert loaded == field  # bitwise: grids and data
+    assert loaded.wall_clock_seconds == field.wall_clock_seconds
     np.testing.assert_array_equal(loaded.h, field.h)
     np.testing.assert_array_equal(loaded.u, field.u)
 

@@ -94,6 +94,13 @@ def test_solve_is_deterministic(flood_scenario):
     assert np.array_equal(a.u, b.u)
 
 
+def test_equal_solves_are_equal_fields(flood_scenario):
+    """A field's equality compares its grids and data, not its timing."""
+    a, b = (solve(flood_scenario, SolverConfig(n_cells=40)) for _ in range(2))
+    assert a == b
+    assert a != dataclasses.replace(b, h=b.h + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # conservation and convergence
 

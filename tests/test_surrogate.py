@@ -13,6 +13,7 @@ from stagecast.surrogate import (
     ExtrapolationWarning,
     FourierEncoder,
     NormalizationBox,
+    SurrogateModel,
     encode,
     init_model,
     physics_duals,
@@ -170,9 +171,9 @@ def test_inference_passes_whole_tiles_of_at_most_one_block(monkeypatch):
     seen = []
     forward = surrogate._forward
 
-    def counted(model, net):
+    def counted(net):
         seen.append(net.n)
-        return forward(model, net)
+        return forward(net)
 
     monkeypatch.setattr(surrogate, "_forward", counted)
     model = _small_model()
@@ -216,6 +217,36 @@ def test_weights_cannot_be_swapped_under_the_views():
         model.weights = np.zeros(model.n_weights)
     other = dataclasses.replace(model, weights=np.zeros(model.n_weights))
     assert not other.views["proj.W"].any() and model.views["proj.W"].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_a_non_finite_weight_is_refused_naming_the_first(build, bad):
+    model = _small_model()
+    weights = model.weights.copy()
+    weights[[7, 40]] = bad
+    with pytest.raises(ValueError, match=r"^weight 7 is not finite$"):
+        if build == "replace":
+            dataclasses.replace(model, weights=weights)
+        else:
+            SurrogateModel(model.encoder, weights, model.width, model.n_blocks,
+                           model.activation, model.norm, model.seed)
+
+
+def test_a_pass_holds_the_model_it_was_made_for():
+    """Two models with different encoders share no pass: each workspace
+    runs its own model's weights with its own encoder."""
+    a, b = _small_model(seed=1), _small_model(seed=2)
+    points = np.column_stack([np.linspace(0, 10, 8), np.linspace(0, 48, 8)])
+    outputs = []
+    for model in (a, b):
+        ws = surrogate._Workspace(model, len(points))
+        assert ws.model is model
+        surrogate._features(model, surrogate._normalize(model, points, clamp=False), ws.x)
+        surrogate._forward(ws)
+        outputs.append(ws.h.copy())
+        assert np.array_equal(ws.h, predict_batch(model, points)[0])
+    assert not np.array_equal(*outputs)
 
 
 def test_weight_views_share_storage():

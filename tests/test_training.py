@@ -58,7 +58,7 @@ def _internal_prediction(model, x, t):
 
     net = _Workspace(model, len(x))
     _features(model, _normalize(model, np.column_stack((x, t)), clamp=False), net.x)
-    _forward(model, net)
+    _forward(net)
     return net.h, net.u
 
 
@@ -170,9 +170,9 @@ def test_total_loss_combination():
 def test_adam_zero_gradient_is_noop():
     w = np.array([1.0, -2.0, 3.5])
     state = init_adam(3)
-    w2, s2 = adam_step(w, np.zeros(3), state, lr=0.1)
-    np.testing.assert_array_equal(w2, [1.0, -2.0, 3.5])
-    assert s2.step == 1
+    adam_step(w, np.zeros(3), state, lr=0.1)
+    np.testing.assert_array_equal(w, [1.0, -2.0, 3.5])
+    assert state.step == 1
 
 
 def test_adam_first_step_closed_form():
@@ -180,8 +180,8 @@ def test_adam_first_step_closed_form():
     w = rng.normal(size=20)
     g = rng.normal(size=20)
     expected = adam_first_step(w, g, 1e-3)
-    w2, _ = adam_step(w, g, init_adam(20), lr=1e-3)
-    np.testing.assert_allclose(w2, expected, rtol=1e-12)
+    adam_step(w, g, init_adam(20), lr=1e-3)
+    np.testing.assert_allclose(w, expected, rtol=1e-12)
 
 
 def test_adam_matches_frozen_reference_bitwise():
@@ -198,10 +198,8 @@ def test_adam_matches_frozen_reference_bitwise():
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         lr = 1e-2 * 0.5 ** (i / 7)
         g_copy = g.copy()
-        w_out, new_state = adam_step(w, g, state, lr)
-        assert w_out is w and new_state.m is state.m and new_state.v is state.v  # in place
+        adam_step(w, g, state, lr)
         assert np.array_equal(g, g_copy)  # the gradient is left alone
-        state = new_state
         w_ref, m_ref, v_ref, step_ref = reference_adam_step(w_ref, g, m_ref, v_ref, step_ref, lr)
         assert np.array_equal(w, w_ref)
         assert np.array_equal(state.m, m_ref) and np.array_equal(state.v, v_ref)
@@ -212,7 +210,7 @@ def test_adam_descends_quadratic():
     w = np.array([5.0, -3.0])
     state = init_adam(2)
     for _ in range(2000):
-        w, state = adam_step(w, 2.0 * w, state, lr=0.05)
+        adam_step(w, 2.0 * w, state, lr=0.05)
     assert np.all(np.abs(w) < 1e-3)
 
 
@@ -245,6 +243,44 @@ def test_a_bad_gradient_diverges_naming_its_parameter(monkeypatch, bad_value):
 def test_adam_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step(np.zeros(5), np.zeros(4), init_adam(5), lr=1e-3)
+
+
+def test_adam_updates_the_state_it_is_given():
+    """adam_step returns nothing: the weights, the moments and the step it
+    was given are the ones that move."""
+    w = np.array([1.0, -2.0])
+    state = init_adam(2)
+    m, v, scratch = state.m, state.v, state.scratch
+    for step in (1, 2):
+        assert adam_step(w, np.array([0.5, 0.25]), state, lr=0.1) is None
+        assert state.step == step
+        assert state.m is m and state.v is v and state.scratch is scratch
+    assert m.all() and v.all() and w[0] < 1.0 and w[1] < -2.0
+
+
+def test_every_pass_of_a_run_reads_the_weights_adam_writes(monkeypatch):
+    """The training pass and the validation pass are built from the one
+    model whose weights adam_step updates, not from the caller's."""
+    import stagecast.training as training
+
+    read, written = [], []
+    loss_pass, step = training._loss_pass, training.adam_step
+
+    def recorded_loss_pass(net, *args):
+        read.append(net.model.weights)
+        return loss_pass(net, *args)
+
+    def recorded_step(weights, *args):
+        written.append(weights)
+        return step(weights, *args)
+
+    monkeypatch.setattr(training, "_loss_pass", recorded_loss_pass)
+    monkeypatch.setattr(training, "adam_step", recorded_step)
+    model = _model()
+    config = TrainConfig(max_iterations=3, batch_size=16, collocation_per_batch=8, record_every=1)
+    train(model, _constant_training_set(), config)
+    assert len(read) == 6 and len(written) == 3  # a training and a validation pass per step
+    assert all(w is written[0] for w in read + written) and written[0] is not model.weights
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +423,7 @@ def test_supervised_run_replicated_by_hand():
         lp = forward_loss(current, (*ts.points[idx].T, ts.h_ft[idx], ts.u_fps[idx]))
         assert lp.data_loss == history[i].data_loss  # bitwise trajectory match
         grads = loss_gradient(lp)
-        weights, state = adam_step(weights, grads, state, _learning_rate(config, i))
+        adam_step(weights, grads, state, _learning_rate(config, i))
         val = data_loss(dataclasses.replace(model, weights=weights), val_batch)
         if val < best_val:
             best_val, best_weights = val, weights.copy()
@@ -428,7 +464,7 @@ def test_physics_run_replicated_by_hand():
         batch = (*ts.points[idx].T, ts.h_ft[idx], ts.u_fps[idx])
         lp = forward_loss(current, batch, colloc, lambda_physics=config.lambda_physics)
         lr = _learning_rate(config, i)
-        weights, state = adam_step(weights, loss_gradient(lp), state, lr)
+        adam_step(weights, loss_gradient(lp), state, lr)
         if (i + 1) % config.record_every == 0 or (i + 1) == config.max_iterations:
             rows.append((i + 1, lp.data_loss, lp.physics_loss, lp.total, lr))
             val = data_loss(dataclasses.replace(model, weights=weights), val_batch)

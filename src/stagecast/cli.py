@@ -26,11 +26,10 @@ from pathlib import Path
 
 from . import __version__
 from .evaluation import benchmark as run_benchmark
-from .evaluation import ABLATION_CONFIGS, evaluate, run_ablation
+from .evaluation import ABLATION_CONFIGS, DATUMS, evaluate, run_ablation
 from .fileio import (
+    ABLATION_RUN_FILES,
     CHECKPOINT_FILE,
-    CONFIG_FILE,
-    CURVE_FILE,
     HISTORY_FILE,
     REPORT_FILES,
     SUMMARY_FILE,
@@ -48,7 +47,7 @@ from .fileio import (
 )
 from .geometry import make_flood_wave_scenario
 from .solver import SolverConfig, SolverError, check_mass_balance, solve
-from .surrogate import box_for_scenario, init_model
+from .surrogate import ACTIVATIONS, box_for_scenario, init_model
 from .training import TrainConfig, TrainingDiverged, build_training_set, train
 
 EXIT_OK = 0
@@ -77,16 +76,21 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
-def _writable(path) -> Path:
-    """``path`` if a file can be made there; every command checks each file
-    it writes here before any work.  Makes nothing."""
-    path = Path(path)
-    if path.is_dir():
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
-    ancestor = next(p for p in path.parents if p.exists())
-    if not ancestor.is_dir():
-        raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
-    return path
+def _check_outputs(outputs, inputs=()) -> None:
+    """Refuse, before any work, an output where no file can be made, that is
+    one of the command's ``inputs`` or that is named twice.  Every command
+    checks each file it writes here.  Makes nothing."""
+    claimed = {Path(path).resolve(): "an input" for path in inputs}
+    for path in map(Path, outputs):
+        if path.is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        ancestor = next(p for p in path.parents if p.exists())
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"cannot write {path}: {ancestor} is not a directory")
+        key = path.resolve()
+        if key in claimed:
+            raise ValueError(f"cannot write {path}: it is {claimed[key]} of this command")
+        claimed[key] = "another output"
 
 
 def _check_hash(expected: str, actual: str, what: str) -> None:
@@ -120,10 +124,12 @@ def _load_checkpoint_for(path, scenario, digest: str):
 
 
 def _cmd_simulate(args) -> int:
-    _writable(args.field_out)
+    if "synthetic_stations" in args:
+        _check_outputs((args.scenario, args.field_out))
+    else:
+        _check_outputs((args.field_out,), inputs=(args.scenario,))
     config = SolverConfig(**_given(args, "n_cells", "cfl"))  # reject bad knobs before writing
     if "synthetic_stations" in args:
-        _writable(args.scenario)
         scenario = make_flood_wave_scenario(
             args.synthetic_stations, args.peak_factor, **_given(args, "seed")
         )
@@ -149,8 +155,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    history_path = _writable(Path(args.out_dir, HISTORY_FILE))
-    ckpt_path = _writable(Path(args.out_dir, CHECKPOINT_FILE))
+    history_path, ckpt_path = Path(args.out_dir, HISTORY_FILE), Path(args.out_dir, CHECKPOINT_FILE)
+    _check_outputs((history_path, ckpt_path), inputs=(args.scenario, args.field))
     scenario, digest, field = _scenario_and_field(args)
     training_set = build_training_set(field, scenario)
     model = init_model(training_set.norm, **_given(
@@ -165,7 +171,7 @@ def _cmd_train(args) -> int:
         trained, history = train(model, training_set, config)
     except TrainingDiverged as err:
         write_history(err.history, history_path)
-        print(f"training diverged at iteration {err.iteration}: {err}", file=sys.stderr)
+        print(f"training diverged: {err}", file=sys.stderr)
         print(f"partial history written to {history_path}", file=sys.stderr)
         return EXIT_DIVERGED
 
@@ -185,8 +191,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
-    for name in REPORT_FILES:
-        _writable(out_dir / name)
+    _check_outputs([out_dir / name for name in REPORT_FILES],
+                   inputs=(args.scenario, args.field, args.checkpoint))
     scenario, digest, field = _scenario_and_field(args)
     model = _load_checkpoint_for(args.checkpoint, scenario, digest)
 
@@ -206,7 +212,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     if "json_out" in args:
-        _writable(args.json_out)
+        _check_outputs((args.json_out,), inputs=(args.scenario, args.checkpoint))
     scenario = read_scenario(args.scenario)
     model = _load_checkpoint_for(args.checkpoint, scenario, scenario_hash(scenario))
 
@@ -228,10 +234,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_ablate(args) -> int:
     out_dir = Path(args.out_dir)
-    _writable(out_dir / SUMMARY_FILE)
-    for name in ABLATION_CONFIGS:
-        for file in (CONFIG_FILE, HISTORY_FILE, *REPORT_FILES, CURVE_FILE):
-            _writable(out_dir / name / file)
+    runs = [out_dir / name / file for name in ABLATION_CONFIGS for file in ABLATION_RUN_FILES]
+    _check_outputs([out_dir / SUMMARY_FILE, *runs], inputs=(args.scenario,))
     scenario = read_scenario(args.scenario)
     result = run_ablation(scenario, args.budget_iters, args.seed, **_given(
         args, "sigma", "lambda_full", "width", "n_blocks", "m", "activation", "batch_size",
@@ -269,7 +273,7 @@ def _network_flags(p: argparse.ArgumentParser) -> None:
                    help="number of residual blocks")
     p.add_argument("--fourier-size", dest="m", type=int, metavar="FOURIER_SIZE",
                    help="number of Fourier feature rows")
-    p.add_argument("--activation", choices=("relu", "tanh"), help="hidden activation")
+    p.add_argument("--activation", choices=ACTIVATIONS, help="hidden activation")
     p.add_argument("--batch-size", type=int, help="supervised points per iteration")
 
 
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario both inputs must match")
     p.add_argument("--out-dir", required=True,
                    help=f"directory for {REPORT_FILES[0]} and the CSV side files")
-    p.add_argument("--datum", choices=("depth", "elevation"),
+    p.add_argument("--datum", choices=DATUMS,
                    help="compare water depth or water-surface elevation")
     p.add_argument("--collocation-seed", type=int, help="seed for the physics-residual sample")
 

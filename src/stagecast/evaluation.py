@@ -35,6 +35,7 @@ __all__ = [
     "AblationRun",
     "AblationResult",
     "ABLATION_CONFIGS",
+    "DATUMS",
     "mrae",
     "error_histogram",
     "evaluate",
@@ -45,6 +46,7 @@ __all__ = [
 
 _N_COLLOCATION = 10_000  # points in the physics-residual sample
 ABLATION_CONFIGS = ("base", "fourier_only", "full")  # run_ablation's configurations, in order
+DATUMS = ("depth", "elevation")  # what evaluate measures stage error on
 # marks a report field as a wall-clock figure; report files keep these apart
 # from the figures that are a pure function of the seeds and inputs
 _WALL_CLOCK = {"wall_clock": True}
@@ -111,8 +113,8 @@ def evaluate(
     The physics residual is scored on 10,000 points drawn uniformly over
     the scenario's domain with ``collocation_seed``.
     """
-    if datum not in ("depth", "elevation"):
-        raise ValueError("datum must be 'depth' or 'elevation'")
+    if datum not in DATUMS:
+        raise ValueError(f"datum must be one of {DATUMS}, got {datum!r}")
     if collocation_seed < 0:
         raise ValueError("collocation_seed must be non-negative")
 

@@ -11,22 +11,27 @@ Text formats share one sectioned grammar::
 
 Block rows are indented by exactly two spaces and run until the first
 unindented line.  Scalar keys match the field names of the in-memory
-types.  An unknown or missing section is a hard error, and so is an
-unknown key, which is named with its line.  Floats are written with
-``repr`` so every value survives a write/read round trip bit-for-bit.
-Every number must be finite; one table reader parses every numeric
-block and names its first row with a wrong column count, a non-number or
-a non-finite cell.  Every reader raises one error type,
-:class:`FormatError`, whose message starts with the path of the file.
+types.  A scenario's keys are declared once, in ``_GEOMETRY_KEYS``,
+``_BOUNDARY_SCALARS``, ``_BOUNDARY_SERIES`` and ``_RUN_KEYS``, which the
+writer and the reader both walk; a field file's header keys are spelled
+in :func:`write_field` and :func:`read_field`, and its units in
+``_FIELD_UNITS``.  An unknown or missing section is a hard error, and so
+is an unknown key, which is named with its line.  Floats are written
+with ``repr`` so every value survives a write/read round trip
+bit-for-bit.  Every number must be finite; one table reader parses each
+numeric block in one pass and names its first row with a wrong column
+count, a non-number or a non-finite cell.  Every reader raises one
+error type, :class:`FormatError`, whose message starts with the path of
+the file.
 
 Checkpoints are binary: a magic string, a JSON header (architecture,
 normalization box, seed, scenario hash, weight manifest), then the
 Fourier matrix and the flat weight vector as little-endian float64.
 Every header key is required, with its JSON type (a bool is no integer
-and a string no number), and an unknown key is an error.  The loader
-builds the model type from them, so a checkpoint is held to the model's
-own checks, the stored manifest must be the model's, and every weight
-finite.
+and a string no number; both declared in ``_CKPT_HEADER``), and an
+unknown key is an error.  The loader builds the model type from them, so
+a checkpoint is held to the model's own checks, the stored manifest must
+be the model's, and every weight finite.
 
 Tables (loss history, per-station error, error histogram, ablation
 curve) are CSV with a header line; reports, benchmark timings and the
@@ -45,7 +50,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -69,9 +73,8 @@ __all__ = [
     "CHECKPOINT_FILE",
     "HISTORY_FILE",
     "REPORT_FILES",
-    "CONFIG_FILE",
-    "CURVE_FILE",
     "SUMMARY_FILE",
+    "ABLATION_RUN_FILES",
     "FormatError",
     "serialize_scenario",
     "parse_scenario",
@@ -178,22 +181,20 @@ class _Section:
         rows = self._pop(key)
         if not isinstance(rows, list):
             raise FormatError(f"[{self.name}] {key}: expected an indented block")
-        if all(row.count(",") == columns - 1 for row in rows):
-            cells = itertools.chain.from_iterable(row.split(",") for row in rows)
-            try:
-                table = np.fromiter(map(float, cells), np.float64, len(rows) * columns)
-            except ValueError:
-                pass
-            else:
-                if np.isfinite(table).all():
-                    return table.reshape(len(rows), columns)
-        # the block is bad: name its first bad row
+        values = []
         for i, row in enumerate(rows, 1):
-            parts = row.split(",")
-            if len(parts) != columns:
+            cells = row.split(",")
+            if len(cells) != columns:
                 raise FormatError(f"[{self.name}] {key} row {i}: expected {columns} columns, got {row!r}")
-            for cell in parts:
-                self._finite(cell, f"{key} row {i}")
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan  # not a number: named below
+                if not math.isfinite(value):
+                    self._finite(cell, f"{key} row {i}")  # raises, naming the row and why
+                values.append(value)
+        return np.array(values, dtype=np.float64).reshape(len(rows), columns)
 
     def series(self, key: str) -> TimeSeries:
         t_hours, values = self.table(key, 2).T
@@ -202,15 +203,17 @@ class _Section:
         except ValueError as err:
             raise FormatError(f"[{self.name}] {key}: {err}") from err
 
+    def floats(self, keys) -> dict:
+        """The scalar ``keys``, read in order, as floats."""
+        return {key: self.float(key) for key in keys}
+
     def build(self, cls, values: dict):
         """``cls(**values)`` from this section's ``values``; a range error of
-        ``cls``, whose message starts with the key, names section and key."""
+        ``cls``, whose message starts with the key, gets the section in front."""
         try:
             return cls(**values)
         except ValueError as err:
-            key, _, reason = str(err).partition(" ")
-            where = f"{key}: {reason}" if key in values else str(err)
-            raise FormatError(f"[{self.name}] {where}") from err
+            raise FormatError(f"[{self.name}] {err}") from err
 
     def close(self) -> None:
         """Reject any key that was not read."""
@@ -272,33 +275,32 @@ def _parse_sections(text: str, kind: str, names: tuple[str, ...]) -> list[_Secti
     return [_Section(name, sections[name]) for name in names]
 
 
-def _series_rows(series: TimeSeries) -> list[str]:
-    return [f"{t!r},{v!r}" for t, v in zip(series.t_hours.tolist(), series.values.tolist())]
-
-
 # --------------------------------------------------------------------------
 # scenario format
 # --------------------------------------------------------------------------
 
 _GEOMETRY_KEYS = tuple(f.name for f in dataclasses.fields(ChannelGeometry))
+_BOUNDARY_SCALARS = ("initial_depth_ft", "initial_velocity_fps")  # then its series blocks
+_BOUNDARY_SERIES = ("upstream_discharge_cfs", "downstream_stage_ft")
+_RUN_KEYS = ("t_total_hours", "output_dt_hours")
+
+
+def _scalar_lines(obj, keys) -> list[str]:
+    return [f"{key} = {getattr(obj, key)!r}" for key in keys]
 
 
 def serialize_scenario(scenario: RiverScenario) -> str:
-    g, b = scenario.geometry, scenario.boundaries
+    b = scenario.boundaries
     lines = ["# stagecast scenario v1", "[geometry]"]
-    lines += [f"{name} = {getattr(g, name)!r}" for name in _GEOMETRY_KEYS]
-    lines += ["", "[boundaries]"]
-    lines.append(f"initial_depth_ft = {b.initial_depth_ft!r}")
-    lines.append(f"initial_velocity_fps = {b.initial_velocity_fps!r}")
-    lines.append("upstream_discharge_cfs:")
-    lines += [f"  {row}" for row in _series_rows(b.upstream_discharge_cfs)]
-    lines.append("downstream_stage_ft:")
-    lines += [f"  {row}" for row in _series_rows(b.downstream_stage_ft)]
+    lines += _scalar_lines(scenario.geometry, _GEOMETRY_KEYS)
+    lines += ["", "[boundaries]", *_scalar_lines(b, _BOUNDARY_SCALARS)]
+    for key in _BOUNDARY_SERIES:
+        series = getattr(b, key)
+        lines.append(f"{key}:")
+        lines += [f"  {t!r},{v!r}" for t, v in zip(series.t_hours.tolist(), series.values.tolist())]
     lines += ["", "[stations]", "positions_miles:"]
     lines += [f"  {x!r}" for x in scenario.station_positions_miles]
-    lines += ["", "[run]"]
-    lines.append(f"t_total_hours = {scenario.t_total_hours!r}")
-    lines.append(f"output_dt_hours = {scenario.output_dt_hours!r}")
+    lines += ["", "[run]", *_scalar_lines(scenario, _RUN_KEYS)]
     return "\n".join(lines) + "\n"
 
 
@@ -307,34 +309,23 @@ def parse_scenario(text: str) -> RiverScenario:
         text, "scenario", ("geometry", "boundaries", "stations", "run")
     )
 
-    geometry = geo.build(ChannelGeometry, {name: geo.float(name) for name in _GEOMETRY_KEYS})
+    geometry = geo.build(ChannelGeometry, geo.floats(_GEOMETRY_KEYS))
     geo.close()
 
-    boundaries = bounds.build(
-        BoundaryConditions,
-        dict(
-            initial_depth_ft=bounds.float("initial_depth_ft"),
-            initial_velocity_fps=bounds.float("initial_velocity_fps"),
-            upstream_discharge_cfs=bounds.series("upstream_discharge_cfs"),
-            downstream_stage_ft=bounds.series("downstream_stage_ft"),
-        ),
-    )
+    values = bounds.floats(_BOUNDARY_SCALARS)
+    values.update((key, bounds.series(key)) for key in _BOUNDARY_SERIES)
+    boundaries = bounds.build(BoundaryConditions, values)
     bounds.close()
 
     positions = tuple(stations.table("positions_miles", 1)[:, 0].tolist())
     stations.close()
 
-    t_total = run.float("t_total_hours")
-    output_dt = run.float("output_dt_hours")
+    times = run.floats(_RUN_KEYS)
     run.close()
 
     try:
         return RiverScenario(
-            geometry=geometry,
-            boundaries=boundaries,
-            station_positions_miles=positions,
-            t_total_hours=t_total,
-            output_dt_hours=output_dt,
+            geometry=geometry, boundaries=boundaries, station_positions_miles=positions, **times
         )
     except ValueError as exc:
         raise FormatError(f"scenario is internally inconsistent: {exc}") from exc
@@ -367,26 +358,25 @@ def scenario_hash(scenario: RiverScenario) -> str:
 # field format
 # --------------------------------------------------------------------------
 
+_FIELD_UNITS = "x:miles,t:hours,h:ft,u:ft/s"
+
 
 def write_field(field: FlowField, scenario_digest: str, path) -> None:
     n_t, n_x = field.h.shape
     lines = ["# stagecast field v1", "[field]"]
     lines.append(f"n_stations = {n_x}")
     lines.append(f"n_times = {n_t}")
-    lines.append("units = x:miles,t:hours,h:ft,u:ft/s")
+    lines.append(f"units = {_FIELD_UNITS}")
     lines.append(f"scenario_hash = {scenario_digest}")
     lines.append(f"wall_clock_seconds = {float(field.wall_clock_seconds)!r}")
+    x_list, t_list = field.x_miles.tolist(), field.t_hours.tolist()
     lines.append("x_miles:")
-    lines += [f"  {v!r}" for v in field.x_miles.tolist()]
+    lines += [f"  {v!r}" for v in x_list]
     lines.append("t_hours:")
-    lines += [f"  {v!r}" for v in field.t_hours.tolist()]
+    lines += [f"  {v!r}" for v in t_list]
     lines += ["", "[data]", "t_x_h_u:"]
-    h, u = field.h, field.u
-    t_list, x_list = field.t_hours.tolist(), field.x_miles.tolist()
-    for j, t in enumerate(t_list):
-        hj, uj = h[j].tolist(), u[j].tolist()
-        for k, x in enumerate(x_list):
-            lines.append(f"  {t!r},{x!r},{hj[k]!r},{uj[k]!r}")
+    for t, h_row, u_row in zip(t_list, field.h.tolist(), field.u.tolist()):
+        lines += [f"  {t!r},{x!r},{h!r},{u!r}" for x, h, u in zip(x_list, h_row, u_row)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -397,7 +387,7 @@ def read_field(path) -> tuple[FlowField, str]:
         n_x = head.int("n_stations")
         n_t = head.int("n_times")
         units = head.text("units")
-        if units != "x:miles,t:hours,h:ft,u:ft/s":
+        if units != _FIELD_UNITS:
             raise FormatError(f"unsupported unit system {units!r}")
         digest = head.text("scenario_hash")
         wall = head.float("wall_clock_seconds")
@@ -614,22 +604,24 @@ def write_benchmark(result: BenchmarkReport, path) -> None:
 
 
 _ABLATION_SUMMARY_KEYS = ("overall_stage_mrae", "overall_velocity_mrae", "mean_physics_residual")
-CONFIG_FILE = "config.json"  # an ablation configuration's settings, in its directory
-CURVE_FILE = "curve.csv"  # its stage curve, in the same directory
+_CONFIG_FILE = "config.json"  # an ablation configuration's settings, in its directory
+_CURVE_FILE = "curve.csv"  # its stage curve, in the same directory
+# every file write_ablation may write into a configuration's directory
+ABLATION_RUN_FILES = (_CONFIG_FILE, HISTORY_FILE, *REPORT_FILES, _CURVE_FILE)
 SUMMARY_FILE = "summary.json"  # the ablation's summary, beside the directories
 
 
 def write_ablation(result: AblationResult, out_dir) -> None:
-    """Write the :data:`SUMMARY_FILE` and one directory per configuration:
-    the :data:`CONFIG_FILE`, the history and, unless the run diverged, the
-    report files and the :data:`CURVE_FILE` (stage at the curve station over
-    time, truth against prediction)."""
+    """Write the :data:`SUMMARY_FILE` and one directory per configuration
+    with the :data:`ABLATION_RUN_FILES`: the settings, the history and,
+    unless the run diverged, the report files and the stage curve (stage at
+    the curve station over time, truth against prediction)."""
     out = Path(out_dir)
     shared = {"seed": result.seed, "budget_iters": result.budget_iters}
     configs = {}
     for name, run in result.runs.items():
         config_dir = out / name
-        _write_json(config_dir / CONFIG_FILE, {
+        _write_json(config_dir / _CONFIG_FILE, {
             "config": name, **shared,
             "use_fourier": run.use_fourier, "lambda_physics": run.lambda_physics,
         })
@@ -639,7 +631,7 @@ def write_ablation(result: AblationResult, out_dir) -> None:
             write_report(run.report, config_dir)
             entry.update({key: getattr(run.report, key) for key in _ABLATION_SUMMARY_KEYS})
             _write_csv(
-                config_dir / CURVE_FILE,
+                config_dir / _CURVE_FILE,
                 ("t_hours", "truth_h_ft", "predicted_h_ft"),
                 zip(result.curve_t_hours, result.curve_truth_h, run.curve),
             )

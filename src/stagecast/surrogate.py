@@ -46,6 +46,7 @@ import numpy as np
 from .geometry import HOUR_S, MILE_FT, RiverScenario
 
 __all__ = [
+    "ACTIVATIONS",
     "DEPTH_FLOOR_FT",
     "Dual",
     "ExtrapolationWarning",
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 DEPTH_FLOOR_FT = 0.01  # keeps predicted depth strictly positive
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")  # the hidden activations a model may use
 
 
 class ExtrapolationWarning(UserWarning):
@@ -178,8 +179,8 @@ class SurrogateModel:
     seed: int
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.width < 1:
             raise ValueError("width must be positive")
         if self.n_blocks < 0:

@@ -3,8 +3,9 @@
 ``predict_batch`` over any number of points, in any order, must give each
 point the bits ``predict`` gives it alone and the bits of the frozen
 inference pass in ``oracles.reference_forward``.  The BLAS thread count is
-fixed when numpy is first imported, so the property is also run in child
-interpreters whose BLAS thread variables are set to 1 and to 2.
+fixed when numpy is first imported, so the property and the workload-size
+rows are also run in child interpreters whose BLAS thread variables are set
+to 1 and to 2.
 ``physics_duals`` must likewise give each point the same bits in a batch of
 any size, one included, and in any order.
 """
@@ -62,13 +63,20 @@ def test_batch_rows_equal_single_predictions_and_reference(activation, use_fouri
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_batch_invariance_at_each_blas_thread_count(threads):
-    """The property above, in a child interpreter whose BLAS pool has ``threads``."""
+    """The property above and the workload-size rows below, in a child
+    interpreter whose BLAS pool has ``threads``: only the workload sizes run
+    the width-64 network, whose blocks are large enough for a thread count to
+    change a row's bits."""
     src = Path(stagecast.__file__).resolve().parents[1]
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    node = f"{Path(__file__).resolve()}::test_batch_rows_equal_single_predictions_and_reference"
+    nodes = [
+        f"{Path(__file__).resolve()}::{name}"
+        for name in ("test_batch_rows_equal_single_predictions_and_reference",
+                     "test_rows_keep_their_bits_at_the_workload_sizes")
+    ]
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         cwd=src.parent,
         env=env,
         capture_output=True,
@@ -76,7 +84,7 @@ def test_batch_invariance_at_each_blas_thread_count(threads):
         timeout=600,
     )
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
-    assert "4 passed" in result.stdout
+    assert "8 passed" in result.stdout
 
 
 def _dual_rows(model, x, t):

@@ -186,6 +186,19 @@ UNWRITABLE = [
 ]
 
 
+def _never_work(monkeypatch, command, what):
+    """Patch every step of ``command``'s work to fail if it is reached."""
+    import stagecast.cli as cli
+    import stagecast.evaluation as ev
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} worked before checking {what}")
+
+    for module, name in [(cli, "read_scenario"), (cli, "solve"), (cli, "train"),
+                         (cli, "evaluate"), (ev, "solve"), (ev, "train"), (ev, "evaluate")]:
+        monkeypatch.setattr(module, name, never)
+
+
 @pytest.mark.parametrize(
     "command, flag, is_file, case", UNWRITABLE,
     ids=[f"{command}-{flag.lstrip('-')}-{case}" for command, flag, _, case in UNWRITABLE],
@@ -197,15 +210,7 @@ def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, 
     under its --out-dir, ends the command with one error line that names
     it, before any input is read or anything solved, trained or scored, and
     with nothing made."""
-    import stagecast.cli as cli
-    import stagecast.evaluation as ev
-
-    def never(*args, **kwargs):
-        raise AssertionError(f"{command} worked before checking {flag}")
-
-    for module, name in [(cli, "read_scenario"), (cli, "solve"), (cli, "train"),
-                         (cli, "evaluate"), (ev, "solve"), (ev, "train"), (ev, "evaluate")]:
-        monkeypatch.setattr(module, name, never)
+    _never_work(monkeypatch, command, flag)
     (tmp_path / "a_file").write_text("")
     (tmp_path / "a_directory").mkdir()
     if case == "below-a-file":
@@ -225,6 +230,52 @@ def test_an_unwritable_output_exits_one_before_any_work(workspace, monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# (command, an input flag, an output flag, the file the output writes there):
+# each output names the input's file, so the run would overwrite what it
+# reads.  The input is spelled through "a_directory/..", so the check must
+# compare resolved paths.  The last case names one file as two outputs.
+CLOBBERING = [
+    ("simulate", "--scenario", "--field-out", None),
+    ("train", "--field", "--out-dir", "history.csv"),
+    ("train", "--scenario", "--out-dir", "checkpoint.bin"),
+    ("eval", "--checkpoint", "--out-dir", "report.json"),
+    ("eval", "--field", "--out-dir", "per_station.csv"),
+    ("benchmark", "--checkpoint", "--json-out", None),
+    ("benchmark", "--scenario", "--json-out", None),
+    ("ablate", "--scenario", "--out-dir", "summary.json"),
+    ("simulate-synthetic", "--scenario", "--field-out", None),
+]
+WORKSPACE_INPUTS = {"--scenario": "scenario.txt", "--field": "field.txt",
+                    "--checkpoint": "run/checkpoint.bin"}
+
+
+@pytest.mark.parametrize(
+    "command, input_flag, flag, name", CLOBBERING,
+    ids=[f"{c}-{i.lstrip('-')}-as-{o.lstrip('-')}" for c, i, o, _ in CLOBBERING],
+)
+def test_an_output_that_names_an_input_exits_one_before_any_work(
+        workspace, monkeypatch, capsys, tmp_path, command, input_flag, flag, name):
+    """An output that is one of the command's inputs, or another of its
+    outputs, ends the command with one error line that names it, before any
+    work and with nothing written."""
+    _never_work(monkeypatch, command, flag)
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / "out"
+    bad = out / name if name else out
+    argv = _small_run(command, workspace, flag, out, tmp_path)
+    respelled = tmp_path / "a_directory" / ".." / bad.relative_to(tmp_path)
+    argv[argv.index(input_flag) + 1] = str(respelled)
+    if command != "simulate-synthetic":  # there --scenario is an output too
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes((workspace / WORKSPACE_INPUTS[input_flag]).read_bytes())
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("command, flag, is_file", OUTPUTS, ids=OUTPUT_IDS)
@@ -346,8 +397,8 @@ def test_simulate_non_finite_scenario_number_exits_one_before_writing(capsys, tm
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("width_ft = -5.0", "[geometry] width_ft: must be positive"),
-        ("initial_depth_ft = -1.0", "[boundaries] initial_depth_ft: must be positive"),
+        ("width_ft = -5.0", "[geometry] width_ft must be positive"),
+        ("initial_depth_ft = -1.0", "[boundaries] initial_depth_ft must be positive"),
     ],
     ids=["width", "depth"],
 )
@@ -474,6 +525,7 @@ def test_train_divergence_exits_four(workspace, capsys, tmp_path):
     assert rc == 4
     err = capsys.readouterr().err
     assert "diverged" in err
+    assert err.count("at iteration") == 1, err
     assert read_history(tmp_path / "boom" / "history.csv"), "partial history must be saved"
     assert not (tmp_path / "boom" / "checkpoint.bin").exists()
 

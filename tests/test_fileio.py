@@ -1,5 +1,6 @@
 """Round trips and failure modes of the on-disk formats."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -32,8 +33,14 @@ from stagecast.geometry import (
     TimeSeries,
     make_flood_wave_scenario,
 )
-from stagecast.solver import SolverConfig, solve
-from stagecast.surrogate import box_for_scenario, init_model
+from stagecast.solver import FlowField, SolverConfig, solve
+from stagecast.surrogate import (
+    FourierEncoder,
+    NormalizationBox,
+    SurrogateModel,
+    box_for_scenario,
+    init_model,
+)
 from stagecast.training import HistoryRow
 
 
@@ -184,11 +191,11 @@ def test_scenario_non_finite_number_rejected(word, old, new, where):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("width_ft = 100.3", "width_ft = -5.0", "[geometry] width_ft: must be positive"),
-        ("manning_n = 0.035", "manning_n = 0.0", "[geometry] manning_n: must be positive"),
-        ("bed_slope = 0.", "bed_slope = -0.", "[geometry] bed_slope: must be non-negative"),
+        ("width_ft = 100.3", "width_ft = -5.0", "[geometry] width_ft must be positive"),
+        ("manning_n = 0.035", "manning_n = 0.0", "[geometry] manning_n must be positive"),
+        ("bed_slope = 0.", "bed_slope = -0.", "[geometry] bed_slope must be non-negative"),
         ("initial_depth_ft = 6.000000000000001", "initial_depth_ft = -1.0",
-         "[boundaries] initial_depth_ft: must be positive"),
+         "[boundaries] initial_depth_ft must be positive"),
     ],
     ids=["width", "roughness", "slope", "depth"],
 )
@@ -217,6 +224,61 @@ def test_scenario_inconsistent_content_rejected():
     text = text.replace("  2.9", "  99.0")
     with pytest.raises(FormatError, match="inconsistent"):
         parse_scenario(text)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: a writer refactor must not change a file, or every saved
+# field and checkpoint would stop matching its scenario's hash.  The inputs
+# are literals, not a solve or an RNG draw, so the digests hold on any platform.
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _literal_field():
+    return FlowField(
+        x_miles=np.array([0.0, 1.7, 10.0 / 3.0]),
+        t_hours=np.array([0.0, 1.0 / 7.0]),
+        h=np.array([[6.000000000000001, 5.5, 0.1 + 0.2], [7.25, 6.0 + 1e-12, 4.0 / 3.0]]),
+        u=np.array([[0.0, -0.125, 1.0 / 3.0], [2.5, 1e-300, -7.0 / 11.0]]),
+        wall_clock_seconds=0.125,
+    )
+
+
+def _literal_model():
+    encoder = FourierEncoder(np.array([[0.5, -1.25], [3.0, 1.0 / 3.0]]), sigma=2.5)
+    return SurrogateModel(
+        encoder=encoder,
+        weights=np.arange(28) / 7.0 - 2.0,  # width 2, one block, a 4-wide encoding
+        width=2,
+        n_blocks=1,
+        activation="tanh",
+        norm=NormalizationBox(0.0, 10.0 / 3.0, 0.0, 5.0),
+        seed=3,
+    )
+
+
+def test_scenario_bytes_are_pinned():
+    text = serialize_scenario(_awkward_scenario())
+    assert _sha256(text.encode("utf-8")) == SCENARIO_SHA256
+
+
+def test_field_bytes_are_pinned(tmp_path):
+    path = tmp_path / "field.txt"
+    write_field(_literal_field(), scenario_hash(_awkward_scenario()), path)
+    assert _sha256(path.read_bytes()) == FIELD_SHA256
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_literal_model(), path, scenario_hash(_awkward_scenario()))
+    assert _sha256(path.read_bytes()) == CHECKPOINT_SHA256
+
+
+SCENARIO_SHA256 = "24e32cf91e98330f8c98daeaa8eefe0a99a3706bc3883481931d73602bbe92e1"
+FIELD_SHA256 = "7fbdfa80b8bc743563159114a8a9053ed04d82cfd061237de04989a0efc933b6"
+CHECKPOINT_SHA256 = "8061186c631f4801ce7e28da3dadfcc60ef4770ff92c2a0cda059639629921de"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Every import in the package is used, every exported name is defined,
 every private module-level name is referenced, a module reads another
 module's private names only where the list below allows it, the command
-line gives a flag a default only where the parameter it feeds has none, the
-package module binds only ``__version__``, only the atomic writer makes a
-directory (stdlib-only lint checks), and no module-level array can be
-written into."""
+line gives a flag a default only where the parameter it feeds has none and
+reads each flag's choices from a library name, the package module binds
+only ``__version__``, only the atomic writer makes a directory (stdlib-only
+lint checks), and no module-level array can be written into."""
 
 import ast
 import importlib
@@ -234,6 +234,34 @@ def test_the_check_finds_a_flag_default():
         'parser.add_argument("--version", action="version", version="1")\n'
     )
     assert _flag_defaults(source) == ["run --size", "stop --force"]
+
+
+def _literal_choices(source: str) -> list[str]:
+    """The first flag of each ``add_argument`` call whose ``choices=`` is
+    not a name: a vocabulary belongs to the module that checks it, which
+    exports it for the parser to read."""
+    return [
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for kw in node.keywords
+        if kw.arg == "choices" and not isinstance(kw.value, ast.Name)
+    ]
+
+
+def test_cli_choices_are_library_names():
+    assert _literal_choices((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_check_finds_a_literal_choice_list():
+    source = (
+        'p.add_argument("--mode", choices=("fast", "slow"))\n'
+        'p.add_argument("--kind", choices=["a", "b"], help="text")\n'
+        'p.add_argument("--activation", choices=ACTIVATIONS)\n'
+        'p.add_argument("--size", type=int)\n'
+    )
+    assert _literal_choices(source) == ["--mode", "--kind"]
 
 
 # The only place the package makes a directory: the atomic writer makes the

@@ -56,6 +56,8 @@ EXIT_SOLVER = 2
 EXIT_CONSISTENCY = 3
 EXIT_DIVERGED = 4
 
+_N_CELLS_HELP = "solver grid points along the reach, both ends included"
+
 
 class ConsistencyError(Exception):
     """Inputs that are individually valid but do not belong together."""
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="scenario file to read (or to write, with --synthetic-stations)")
     p.add_argument("--field-out", required=True, help="output path for the simulated field")
-    p.add_argument("--n-cells", type=int, help="interior grid resolution")
+    p.add_argument("--n-cells", type=int, help=_N_CELLS_HELP)
     p.add_argument("--cfl", type=float, help="CFL number for adaptive stepping")
     p.add_argument("--synthetic-stations", type=int, metavar="N",
                    help="generate an N-station flood-wave scenario, write it to "
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     p.add_argument("--scenario", required=True, help="scenario to solve and predict")
     p.add_argument("--repetitions", type=int, help="timing repetitions (>= 3)")
-    p.add_argument("--n-cells", type=int, help="solver grid resolution")
+    p.add_argument("--n-cells", type=int, help=_N_CELLS_HELP)
     p.add_argument("--json-out", help="optional path for the timing JSON")
 
     p = _command(sub, "ablate", _cmd_ablate, "train base / fourier_only / full and compare")
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "fourier_only and full configurations")
     p.add_argument("--lambda-full", type=float, help="physics weight for the full configuration")
     _network_flags(p)
-    p.add_argument("--n-cells", type=int, help="solver grid resolution")
+    p.add_argument("--n-cells", type=int, help=_N_CELLS_HELP)
 
     return parser
 
@@ -367,7 +369,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # ValueError covers FormatError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

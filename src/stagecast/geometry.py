@@ -261,21 +261,19 @@ def make_flood_wave_scenario(
     peak_factor: float,
     seed: int = 0,
     *,
-    baseflow_cfs: float = 20_000.0,
     pulse_center_hours: float = 12.0,
     pulse_sigma_hours: float = 2.0,
     t_total_hours: float = 48.0,
     output_dt_hours: float = 0.25,
-    width_ft: float = 300.0,
-    bed_slope: float = 2.0e-4,
-    manning_n: float = 0.03,
 ) -> RiverScenario:
     """Build a synthetic single-pulse flood scenario.
 
-    Stations sit exactly ``STATION_SPACING_MILES`` apart starting at river
-    mile 0, so the reach length is ``0.74 * (n_stations - 1)`` miles.  The
-    upstream hydrograph is baseflow plus one smooth Gaussian pulse whose
-    maximum is ``peak_factor * baseflow`` at the pulse center.  The
+    The reach is one fixed synthetic channel: 300 ft wide, bed slope
+    2e-4, Manning n 0.03, bed at 100 ft at river mile 0.  Stations sit
+    exactly ``STATION_SPACING_MILES`` apart starting at river mile 0, so
+    the reach length is ``0.74 * (n_stations - 1)`` miles.  The upstream
+    hydrograph is a baseflow of 20,000 cfs plus one smooth Gaussian pulse
+    whose maximum is ``peak_factor * baseflow`` at the pulse center.  The
     downstream stage is the normal-depth rating of the hydrograph delayed
     by the kinematic travel time of the reach, so the downstream boundary
     responds after the upstream peak the way a real gauge would.  The run
@@ -290,24 +288,22 @@ def make_flood_wave_scenario(
         raise ValueError("peak_factor must be finite and at least 1 (below 1 inverts the pulse)")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if not 0.0 < baseflow_cfs < math.inf:
-        raise ValueError("baseflow_cfs must be finite and positive")
     if not math.isfinite(pulse_center_hours):
         raise ValueError("pulse_center_hours must be finite")
     if not 0.0 < pulse_sigma_hours < math.inf:
         raise ValueError("pulse_sigma_hours must be finite and positive")
 
     rng = np.random.default_rng(seed)
-    baseflow = baseflow_cfs * rng.uniform(0.9, 1.1)
+    baseflow = 20_000.0 * rng.uniform(0.9, 1.1)
     center = pulse_center_hours * rng.uniform(0.9, 1.1)
     sigma = pulse_sigma_hours * rng.uniform(0.9, 1.1)
 
     stations = tuple(STATION_SPACING_MILES * k for k in range(n_stations))
     geometry = ChannelGeometry(
         length_miles=stations[-1],
-        width_ft=width_ft,
-        bed_slope=bed_slope,
-        manning_n=manning_n,
+        width_ft=300.0,
+        bed_slope=2.0e-4,
+        manning_n=0.03,
         bed_elevation_upstream_ft=100.0,
     )
 

@@ -19,7 +19,7 @@ and its bits are those of two separate sweeps.  A step costs about the
 same at 100 cells as at 400, so its cost is the number of numpy calls,
 not the cells: a solve prepares everything a step touches once, and a
 step pays for little but the ufuncs themselves.  The work buffers, every
-row and window view of them, and every scalar operand (g, dx, 1/2, the
+row and window view of them, and every scalar operand (g, dx, 1/4, the
 bed slope and the channel width, as read-only 0-d arrays, which a ufunc
 takes faster than a Python float) are made once per solve; dt is written
 into one 0-d buffer per step, and ufuncs take ``out`` positionally.  The
@@ -57,7 +57,7 @@ __all__ = ["SolverConfig", "FlowField", "SolverError", "solve", "check_mass_bala
 
 # a ufunc takes a read-only 0-d array operand faster than a Python float
 _G = _read_only(G_FT_S2)
-_HALF = _read_only(0.5)
+_QUARTER = _read_only(0.25)
 
 _DT_FLOOR_S = 1e-9  # a step below this is a CFL collapse
 _MAX_STEPS = 2_000_000
@@ -183,10 +183,11 @@ def _run(
     and corrects with backward ones, sweep 1 the reverse, and the step is
     the average of the two.  Everything the loop touches is made here,
     once per solve: the work buffers, every row and window view of them,
-    and the scalar operands g, dx and 1/2 as read-only 0-d arrays.  dt is
+    and the scalar operands g, dx and 1/4 as read-only 0-d arrays.  dt is
     written into one 0-d buffer per step.  Each step then only calls
     ufuncs into those buffers, in the operation order of two separate
-    sweeps, so the bits are theirs.
+    sweeps, so the bits are theirs; their two halvings and the average are
+    one exact scaling of the sum by 1/4.
     """
     n = h.size
     dt_floor_s, max_steps = _DT_FLOOR_S, _MAX_STEPS
@@ -265,8 +266,8 @@ def _run(
         bc_fn(hp0, up0, t_new)
         bc_fn(hp1, up1, t_new)
 
-        # corrector: (h + hp - dt (up dhp + hp dup)) / 2,
-        # (u + up - dt (up dup + g dhp) - dt S(hp, up)) / 2
+        # corrector, before its halving: h + hp - dt (up dhp + hp dup),
+        # u + up - dt (up dup + g dhp) - dt S(hp, up)
         _differentiate(predicted_diff_views, dx)
         np.add(state_rows, predicted, corrected)
         np.multiply(up, d_predicted, flux)
@@ -277,12 +278,11 @@ def _run(
         np.subtract(corrected, flux, corrected)
         np.multiply(dt_now, source_fn(hp, up), source)
         np.subtract(corrected_u, source, corrected_u)
-        np.multiply(_HALF, corrected, corrected)
 
-        # the step is the average of the two sweeps
+        # the step is the average of the two halved sweeps: a quarter of their sum
         successor, h_new, u_new, _, _ = following
         np.add(corrected0, corrected1, successor)
-        np.multiply(_HALF, successor, successor)
+        np.multiply(_QUARTER, successor, successor)
         bc_fn(h_new, u_new, t_new)
 
         on_interval(t, t_new, h, u, h_new, u_new)

@@ -69,12 +69,12 @@ _DIVERGENCE_FACTOR = 1e6  # a total loss this many times the first one aborts th
 
 
 class TrainingDiverged(RuntimeError):
-    """Training blew past the divergence guard; carries the partial history."""
+    """Training blew past the divergence guard; carries the partial history,
+    whose last row is the failing step."""
 
-    def __init__(self, message: str, history: list, iteration: int):
+    def __init__(self, message: str, history: list):
         super().__init__(message)
         self.history = history
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,7 @@ def train(
         row = HistoryRow(i + 1, lp.data_loss, lp.physics_loss, lp.total, lr)
         if failure:
             history.append(row)
-            raise TrainingDiverged(f"{failure} at iteration {i}", history, i)
+            raise TrainingDiverged(f"{failure} at iteration {row.iteration}", history)
 
         adam_step(current.weights, grads, state, lr)
 

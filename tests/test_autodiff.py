@@ -335,6 +335,6 @@ def test_non_finite_loss_aborts_before_backward(monkeypatch):
     ts = TrainingSet(points=points, h_ft=h, u_fps=np.full(n, 1.0), norm=BOX)
     with pytest.raises(TrainingDiverged) as info:
         train(_model(), ts, TrainConfig(lambda_physics=0.1, batch_size=16, max_iterations=3))
-    assert info.value.iteration == 0
+    assert info.value.history[-1].iteration == 1
     assert not np.isfinite(info.value.history[-1].total_loss)
     assert calls == []

@@ -2,11 +2,15 @@
 
 import json
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stagecast
 from oracles import lake_at_rest_scenario
 from stagecast.cli import main
 from stagecast.fileio import (
@@ -105,6 +109,15 @@ def test_version_exits_zero(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert "stagecast" in capsys.readouterr().out
+
+
+def test_the_module_runs_as_a_program():
+    """``python -m stagecast`` is the package's one module entry point."""
+    src = Path(stagecast.__file__).resolve().parents[1]  # -m finds the package in its cwd
+    result = subprocess.run([sys.executable, "-m", "stagecast", "--version"],
+                            cwd=src, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"stagecast {stagecast.__version__}\n"
 
 
 def test_usage_errors_exit_one():
@@ -552,8 +565,9 @@ def test_train_nan_gradient_exits_four_with_its_row_last(workspace, monkeypatch,
         *TINY_TRAIN,
     ])
     assert rc == 4
-    assert "at iteration 24" in capsys.readouterr().err
-    assert [row.iteration for row in read_history(tmp_path / "nan" / "history.csv")] == [20, 25]
+    history = read_history(tmp_path / "nan" / "history.csv")
+    assert [row.iteration for row in history] == [20, 25]
+    assert f"at iteration {history[-1].iteration}\n" in capsys.readouterr().err
     assert not (tmp_path / "nan" / "checkpoint.bin").exists()
 
 

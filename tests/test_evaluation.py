@@ -322,7 +322,7 @@ def test_diverged_ablation_writes_strict_json(monkeypatch, tmp_path):
 
     def diverge_with_physics(model, ts, config):
         if config.lambda_physics > 0.0:
-            raise TrainingDiverged("loss exploded", [], 1)
+            raise TrainingDiverged("loss exploded", [])
         return real(model, ts, config)
 
     monkeypatch.setattr(ev, "train", diverge_with_physics)

@@ -117,7 +117,6 @@ def test_too_few_stations_rejected():
 @pytest.mark.parametrize("key, value", [
     ("pulse_sigma_hours", 0.0), ("pulse_sigma_hours", -2.0), ("pulse_sigma_hours", np.inf),
     ("pulse_center_hours", np.nan), ("pulse_center_hours", -np.inf),
-    ("baseflow_cfs", np.inf), ("baseflow_cfs", 0.0), ("baseflow_cfs", np.nan),
 ])
 def test_flood_wave_rejects_a_bad_pulse_by_key(key, value):
     """Each pulse parameter is checked before it is drawn on; the message
@@ -198,8 +197,6 @@ def _boundaries_with_depth(depth):
       for value in (np.nan, np.inf, -np.inf)],
     pytest.param("initial_depth_ft", lambda: _boundaries_with_depth(np.inf),
                  id="initial_depth_ft-inf"),
-    pytest.param("bed_slope", lambda: make_flood_wave_scenario(5, 3.0, bed_slope=np.inf),
-                 id="flood-wave-bed_slope-inf"),
 ])
 def test_geometry_and_initial_state_reject_non_finite_numbers(key, build):
     """Each message starts with its key, which the scenario reader names."""

@@ -1,5 +1,6 @@
 """Every import in the package is used, every exported name is defined,
-every private module-level name is referenced, a module reads another
+every private module-level name is referenced, every attribute a class
+stores on ``self`` is read, a module reads another
 module's private names only where the list below allows it, the command
 line gives a flag a default only where the parameter it feeds has none and
 reads each flag's choices from a library name, the package module binds
@@ -119,6 +120,53 @@ def test_the_check_finds_an_unreferenced_private_name():
         "b.py": "from a import _helper\nvalue = _helper()\n",
     }
     assert _unreferenced_privates(sources) == ["a.py: _UNUSED", "a.py: _leftover"]
+
+
+def _write_only_attributes(sources: dict) -> list[str]:
+    """``module: Class.name`` for each attribute that a class of ``sources``
+    (name -> text) stores on ``self`` and no module of ``sources`` loads.
+    Names declared in the class body are exempt: they are dataclass and
+    NamedTuple fields, which ``fileio`` reads through ``dataclasses.fields``
+    and ``_fields``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+            found |= {
+                f"{module}: {cls.name}.{node.attr}"
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and node.attr not in fields | loaded
+            }
+    return sorted(found)
+
+
+def test_every_stored_attribute_is_read():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _write_only_attributes(sources) == []
+
+
+def test_the_check_finds_a_write_only_attribute():
+    sources = {
+        "a.py": (
+            "class Box:\n    def __init__(self, w, h):\n        self.w, self.h = w, h\n"
+            "        self.area = w * h\n"
+            "@dataclass\nclass Row:\n    n: int\n    def __post_init__(self):\n"
+            "        self.n = 0\n        self.cache = None\n"
+        ),
+        "b.py": "def width(box):\n    return box.w\n",
+    }
+    assert _write_only_attributes(sources) == ["a.py: Box.area", "a.py: Box.h", "a.py: Row.cache"]
 
 
 def _package_bindings(source: str) -> list[str]:

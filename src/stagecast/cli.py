@@ -366,6 +366,6 @@ def main(argv=None) -> int:
     except ConsistencyError as err:
         print(f"consistency error: {err}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (OSError, ValueError) as err:  # ValueError covers FormatError
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as err:  # ValueError covers FormatError
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_FORMAT

@@ -13,25 +13,28 @@ Block rows are indented by exactly two spaces and run until the first
 unindented line.  Scalar keys match the field names of the in-memory
 types.  A scenario's keys are declared once, in ``_GEOMETRY_KEYS``,
 ``_BOUNDARY_SCALARS``, ``_BOUNDARY_SERIES`` and ``_RUN_KEYS``, which the
-writer and the reader both walk; a field file's header keys are spelled
-in :func:`write_field` and :func:`read_field`, and its units in
-``_FIELD_UNITS``.  An unknown or missing section is a hard error, and so
-is an unknown key, which is named with its line.  Floats are written
-with ``repr`` so every value survives a write/read round trip
-bit-for-bit.  Every number must be finite; one table reader parses each
-numeric block in one pass and names its first row with a wrong column
-count, a non-number or a non-finite cell.  Every reader raises one
-error type, :class:`FormatError`, whose message starts with the path of
-the file.
+writer and the reader both walk.  A field file's keys are spelled once,
+in its writer ``_field_text``: :func:`read_field` parses the grid and
+the data, then refuses any text but the writer's for the field it read,
+naming the first line that differs.  An unknown or missing section is a
+hard error, and so is an unknown key, which is named with its line.
+Every number read as a float is written as one, with ``repr``, so every
+value survives a write/read round trip bit-for-bit and a file read back
+is written again to the byte.  Every number must be finite; one table
+reader parses each numeric block in one pass and names its first row
+with a wrong column count, a non-number or a non-finite cell.  Every
+reader raises one error type, :class:`FormatError`, whose message starts
+with the path of the file.
 
 Checkpoints are binary: a magic string, a JSON header (architecture,
 normalization box, seed, scenario hash, weight manifest), then the
 Fourier matrix and the flat weight vector as little-endian float64.
-Every header key is required, with its JSON type (a bool is no integer
-and a string no number; both declared in ``_CKPT_HEADER``), and an
-unknown key is an error.  The loader builds the model type from them, so
-a checkpoint is held to the model's own checks, the stored manifest must
-be the model's, and every weight finite.
+:func:`save_checkpoint` spells the header keys, and ``_CKPT_HEADER``
+declares each one required with its JSON type (a bool is no integer and
+a string no number); an unknown key is an error.  The loader builds the
+model type from them, so a checkpoint is held to the model's own checks
+(its weight count among them), the stored manifest must be the one the
+writer derives from the model, and every weight finite.
 
 Tables (loss history, per-station error, error histogram, ablation
 curve) are CSV with a header line; reports, benchmark timings and the
@@ -50,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -168,13 +172,6 @@ class _Section:
     def float(self, key: str) -> float:
         return self._finite(self.text(key), key)
 
-    def int(self, key: str) -> int:
-        value = self.text(key)
-        try:
-            return int(value)
-        except ValueError as err:
-            raise FormatError(f"[{self.name}] {key}: not an integer: {value!r}") from err
-
     def table(self, key: str, columns: int) -> np.ndarray:
         """An indented block of ``columns`` comma-separated numbers per row,
         as a (rows, columns) array; every number must be finite."""
@@ -286,7 +283,8 @@ _RUN_KEYS = ("t_total_hours", "output_dt_hours")
 
 
 def _scalar_lines(obj, keys) -> list[str]:
-    return [f"{key} = {getattr(obj, key)!r}" for key in keys]
+    """``key = value`` lines, each value written as the float the reader makes of it."""
+    return [f"{key} = {float(getattr(obj, key))!r}" for key in keys]
 
 
 def serialize_scenario(scenario: RiverScenario) -> str:
@@ -361,7 +359,7 @@ def scenario_hash(scenario: RiverScenario) -> str:
 _FIELD_UNITS = "x:miles,t:hours,h:ft,u:ft/s"
 
 
-def write_field(field: FlowField, scenario_digest: str, path) -> None:
+def _field_text(field: FlowField, scenario_digest: str) -> str:
     n_t, n_x = field.h.shape
     lines = ["# stagecast field v1", "[field]"]
     lines.append(f"n_stations = {n_x}")
@@ -377,45 +375,40 @@ def write_field(field: FlowField, scenario_digest: str, path) -> None:
     lines += ["", "[data]", "t_x_h_u:"]
     for t, h_row, u_row in zip(t_list, field.h.tolist(), field.u.tolist()):
         lines += [f"  {t!r},{x!r},{h!r},{u!r}" for x, h, u in zip(x_list, h_row, u_row)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_field(field: FlowField, scenario_digest: str, path) -> None:
+    atomic_write_text(path, _field_text(field, scenario_digest))
 
 
 def read_field(path) -> tuple[FlowField, str]:
+    """The field and scenario digest in ``path``, which must hold the very
+    text :func:`write_field` writes for them; the error names the first
+    line that differs, with its line ending (a missing line is ``None``)."""
     with _in_file(path):
-        head, data = _parse_sections(Path(path).read_text(), "field", ("field", "data"))
-
-        n_x = head.int("n_stations")
-        n_t = head.int("n_times")
-        units = head.text("units")
-        if units != _FIELD_UNITS:
-            raise FormatError(f"unsupported unit system {units!r}")
+        text = Path(path).read_text()
+        head, data = _parse_sections(text, "field", ("field", "data"))
         digest = head.text("scenario_hash")
         wall = head.float("wall_clock_seconds")
         x = head.table("x_miles", 1)[:, 0]
         t = head.table("t_hours", 1)[:, 0]
-        head.close()
-        if x.size != n_x:
-            raise FormatError(f"x_miles has {x.size} rows, header says {n_x}")
-        if t.size != n_t:
-            raise FormatError(f"t_hours has {t.size} rows, header says {n_t}")
-
         table = data.table("t_x_h_u", 4)
-        data.close()
+        n_t, n_x = t.size, x.size
         if len(table) != n_t * n_x:
-            raise FormatError(f"[data] has {len(table)} rows, expected n_times*n_stations = {n_t * n_x}")
-        tt = table[:, 0].reshape(n_t, n_x)
-        xx = table[:, 1].reshape(n_t, n_x)
-        if not np.array_equal(tt, np.broadcast_to(t[:, None], (n_t, n_x))):
-            raise FormatError("[data] time column disagrees with the t_hours grid")
-        if not np.array_equal(xx, np.broadcast_to(x[None, :], (n_t, n_x))):
-            raise FormatError("[data] station column disagrees with the x_miles grid")
-    field = FlowField(
-        x_miles=x,
-        t_hours=t,
-        h=table[:, 2].reshape(n_t, n_x),
-        u=table[:, 3].reshape(n_t, n_x),
-        wall_clock_seconds=wall,
-    )
+            raise FormatError(f"[data] has {len(table)} rows, not {n_t} times x {n_x} stations")
+        field = FlowField(
+            x_miles=x,
+            t_hours=t,
+            h=table[:, 2].reshape(n_t, n_x),
+            u=table[:, 3].reshape(n_t, n_x),
+            wall_clock_seconds=wall,
+        )
+        written = _field_text(field, digest)
+        if text != written:
+            pairs = itertools.zip_longest(text.splitlines(True), written.splitlines(True))
+            lineno, (found, expected) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+            raise FormatError(f"line {lineno}: expected {expected!r}, found {found!r}")
     return field, digest
 
 
@@ -437,19 +430,23 @@ _CKPT_HEADER = {
 CHECKPOINT_FILE = "checkpoint.bin"  # the checkpoint's name in a training run's directory
 
 
+def _manifest_json(model: SurrogateModel) -> list:
+    return [[name, list(shape)] for name, shape in model.manifest]
+
+
 def save_checkpoint(model: SurrogateModel, path, scenario_digest: str) -> None:
     header = {
         "format_version": 1,
         "use_fourier": model.uses_fourier,
         "m": model.encoder.m if model.uses_fourier else None,
-        "sigma": model.encoder.sigma if model.uses_fourier else None,
+        "sigma": float(model.encoder.sigma) if model.uses_fourier else None,
         "width": model.width,
         "n_blocks": model.n_blocks,
         "activation": model.activation,
         "seed": model.seed,
-        "norm": list(dataclasses.astuple(model.norm)),
+        "norm": [float(v) for v in dataclasses.astuple(model.norm)],
         "scenario_hash": scenario_digest,
-        "manifest": [[name, list(shape)] for name, shape in model.manifest],
+        "manifest": _manifest_json(model),
         "n_weights": int(model.weights.size),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -490,20 +487,13 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str]:
         raise FormatError(f"{path}: invalid header field: {what}")
     if len(norm) != 4 or not all(type(v) in (int, float) for v in norm):
         raise FormatError(f"{path}: invalid header field: 'norm' is {norm!r}")
-    try:
-        manifest = tuple((name, tuple(shape)) for name, shape in header["manifest"])
-        expected = sum(math.prod(shape) for _, shape in manifest)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid header field: 'manifest': {exc}") from exc
     n_weights = header["n_weights"]
     m = m or 0  # a model without an encoder stores no Fourier rows
-    if n_weights != expected:
-        raise FormatError(f"{path}: weight count {n_weights} != manifest total {expected}")
 
     body = raw[offset:]
     need = 8 * (2 * m + n_weights)  # the Fourier matrix, then the weights
     if len(body) != need:
-        raise FormatError(f"{path}: payload is {len(body)} bytes, expected {need}")
+        raise FormatError(f"{path}: payload is {len(body)} bytes, 'm' and 'n_weights' say {need}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:  # the encoder checks its matrix, and the model its weights
         model = SurrogateModel(
@@ -519,7 +509,7 @@ def load_checkpoint(path) -> tuple[SurrogateModel, str]:
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if model.manifest != manifest:
+    if json.dumps(header["manifest"]) != json.dumps(_manifest_json(model)):  # 8.0 is no 8
         raise FormatError(f"{path}: manifest disagrees with declared architecture")
     return model, header["scenario_hash"]
 

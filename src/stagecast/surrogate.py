@@ -163,7 +163,8 @@ class SurrogateModel:
     ``weights`` is one flat float64 vector; ``manifest`` records the layer
     name and shape of each contiguous segment, in storage order, and
     ``views`` a view of each; the model is frozen, so they cannot go stale.
-    A model refuses a non-finite weight, naming the first.
+    A model checks its weight count in closed form, without a manifest,
+    and refuses a non-finite weight, naming the first.
     Residual blocks hold two affine layers with the activation between
     them and an identity skip; each block's second layer starts at zero,
     so a freshly initialized network is near-identity around its input
@@ -185,9 +186,10 @@ class SurrogateModel:
             raise ValueError("width must be positive")
         if self.n_blocks < 0:
             raise ValueError("n_blocks must be non-negative")
-        expected = _size(self.manifest)
-        if self.weights.shape != (expected,):
-            raise ValueError(f"weights have shape {self.weights.shape}, the manifest ({expected},)")
+        in_dim = self.encoder.output_dim if self.uses_fourier else 2
+        expected = (_weight_count(in_dim, self.width, self.n_blocks),)
+        if self.weights.shape != expected:
+            raise ValueError(f"weights have shape {self.weights.shape}, the layers {expected}")
         bad = ~np.isfinite(self.weights)
         if bad.any():
             raise ValueError(f"weight {int(np.argmax(bad))} is not finite")
@@ -211,7 +213,11 @@ class SurrogateModel:
         return _views(self.manifest, self.weights)
 
 
-@functools.cache
+def _weight_count(in_dim: int, width: int, n_blocks: int) -> int:
+    """The weight count of :func:`_manifest`: input projection, blocks, head."""
+    return (in_dim + 1) * width + n_blocks * 2 * width * (width + 1) + 2 * (width + 1)
+
+
 def _manifest(in_dim: int, width: int, n_blocks: int):
     entries = [("proj.W", (in_dim, width)), ("proj.b", (width,))]
     for k in range(n_blocks):
@@ -222,10 +228,6 @@ def _manifest(in_dim: int, width: int, n_blocks: int):
     entries.append(("head.W", (width, 2)))
     entries.append(("head.b", (2,)))
     return tuple(entries)
-
-
-def _size(manifest) -> int:
-    return sum(math.prod(shape) for _, shape in manifest)
 
 
 def _views(manifest, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -268,7 +270,7 @@ def init_model(
         in_dim = encoder.output_dim
     model = SurrogateModel(
         encoder=encoder,
-        weights=np.zeros(max(_size(_manifest(in_dim, width, n_blocks)), 0)),
+        weights=np.zeros(max(_weight_count(in_dim, width, n_blocks), 0)),
         width=width,
         n_blocks=n_blocks,
         activation=activation,

@@ -631,10 +631,32 @@ def test_train_non_integer_field_count_exits_one_before_writing(
         *TINY_TRAIN,
     ])
     assert rc == 1
+    lineno = text.splitlines().index(line) + 1
+    expected, found = line + "\n", f"{key} = {value}\n"
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {field}: [field] {key}: not an integer: {value!r}"
+        f"error: {field}: line {lineno}: expected {expected!r}, found {found!r}"
     ]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 358. GiB for an array with shape (48000000001,) and data type float64",
+    "",
+], ids=["numpy", "bare"])
+def test_a_refused_allocation_exits_one(workspace, message, capsys, tmp_path, monkeypatch):
+    """A valid scenario can ask for more memory than the host gives (an
+    ``output_dt_hours`` of 1e-9); whether the allocation is refused depends
+    on the host, so the solve is patched to refuse it."""
+    import stagecast.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve", refuse)
+    rc = main(["simulate", "--scenario", str(workspace / "scenario.txt"),
+               "--field-out", str(tmp_path / "field.txt"), "--n-cells", "40"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message or 'MemoryError'}"]
 
 
 def test_train_non_finite_field_cell_exits_one_before_writing(workspace, capsys, tmp_path):
@@ -786,12 +808,15 @@ def _with(**changes):
         (_with(norm=[0.0, 8.0, 0.0, float("inf")]), "normalization box is not finite in t"),
         (_with(use_fourier=False), "invalid header field: 'm' and 'sigma'"),
         (_with(comment="hand-edited"), "invalid header field: 'comment' is unknown"),
+        (lambda header: {**header, "manifest": [[name, [float(n) for n in shape]]
+                                                for name, shape in header["manifest"]]},
+         "manifest disagrees with declared architecture"),
     ],
     ids=[
         "unknown-activation", "missing-sigma", "not-an-object", "integer-hash", "null-hash",
         "float-seed", "string-seed", "bool-seed", "float-width", "bool-version",
         "string-use-fourier", "string-sigma", "nan-sigma", "string-in-norm", "short-norm",
-        "infinite-norm", "sizes-without-encoder", "unknown-key",
+        "infinite-norm", "sizes-without-encoder", "unknown-key", "float-shapes",
     ],
 )
 def test_eval_checkpoint_header_the_model_refuses_exits_one(

@@ -1,12 +1,16 @@
 """Round trips and failure modes of the on-disk formats."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagecast.fileio import (
     FormatError,
@@ -331,10 +335,27 @@ def test_field_grid_mismatch_is_checked(tmp_path, solved):
     write_field(field, "0" * 64, path)
     lines = path.read_text().splitlines()
     # corrupt the station column of the last data row
-    t, x, h, u = lines[-1].split(",")
+    written = lines[-1]
+    t, x, h, u = written.split(",")
     lines[-1] = ",".join([t, "123.456", h, u])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="station column"):
+    expected, found = written + "\n", lines[-1] + "\n"
+    message = f"line {len(lines)}: expected {expected!r}, found {found!r}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_field(path)
+
+
+def test_field_missing_its_final_newline_is_refused(tmp_path, solved):
+    """Its lines split as the writer's do, so only the ending names the line."""
+    _, field = solved
+    path = tmp_path / "field.txt"
+    write_field(field, "0" * 64, path)
+    text = path.read_text()
+    path.write_text(text[:-1])
+    lines = text.splitlines()
+    expected = lines[-1] + "\n"
+    message = f"line {len(lines)}: expected {expected!r}, found {lines[-1]!r}"
+    with pytest.raises(FormatError, match=re.escape(message) + "$"):
         read_field(path)
 
 
@@ -501,8 +522,124 @@ def test_checkpoint_weight_count_must_match_manifest(tmp_path, solved):
     # pad to the declared length so the framing still parses
     body = tampered.encode().ljust(header_len, b" ")
     path.write_bytes(raw[:18] + body + raw[18 + header_len :])
-    with pytest.raises(FormatError, match="manifest"):
+    with pytest.raises(FormatError, match="'m' and 'n_weights' say"):
         load_checkpoint(path)
+
+
+def _edit_header(path, **changes):
+    """Rewrite the checkpoint at ``path`` with ``changes`` made to its JSON header."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[14:18], "little")
+    header = {**json.loads(raw[18 : 18 + length]), **changes}
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:14] + len(blob).to_bytes(4, "little") + blob + raw[18 + length :])
+
+
+def test_checkpoint_with_a_billion_blocks_is_refused_without_a_manifest(
+    tmp_path, solved, monkeypatch
+):
+    """The model checks its weight count in closed form; a manifest of the
+    header's block count would walk a billion blocks before the refusal."""
+    import stagecast.surrogate as surrogate
+
+    real = surrogate._manifest
+
+    def spy(in_dim, width, n_blocks):
+        assert n_blocks <= 10**4, f"built a manifest of {n_blocks} blocks"
+        return real(in_dim, width, n_blocks)
+
+    monkeypatch.setattr(surrogate, "_manifest", spy)
+    scenario, _ = solved
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_model(scenario), path, scenario_hash(scenario))
+    _edit_header(path, n_blocks=10**9)
+    with pytest.raises(FormatError, match=r"weights have shape \(\d+,\), the layers \(\d+,\)"):
+        load_checkpoint(path)
+
+
+def test_a_number_given_as_an_int_is_written_as_the_float_read_back(tmp_path):
+    """A scenario hashes as its own file does, and a checkpoint of an int
+    box saved again keeps its bytes."""
+    scenario = make_flood_wave_scenario(5, 3.0, t_total_hours=6)
+    path = tmp_path / "scenario.txt"
+    write_scenario(scenario, path)
+    assert read_scenario(path) == scenario
+    assert scenario_hash(read_scenario(path)) == scenario_hash(scenario)
+
+    model = init_model(box_for_scenario(scenario), n_blocks=1, width=4, m=2)
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(model, first, scenario_hash(scenario))
+    save_checkpoint(load_checkpoint(first)[0], second, scenario_hash(scenario))
+    assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every file a writer writes reads back, and is written again to the byte
+
+AWKWARD = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
+FINITE = st.one_of(AWKWARD, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _array(draw, *shape):
+    size = math.prod(shape)
+    values = draw(st.lists(FINITE, min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def _fields(draw):
+    n_t, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return FlowField(
+        x_miles=_array(draw, n_x),
+        t_hours=_array(draw, n_t),
+        h=_array(draw, n_t, n_x),
+        u=_array(draw, n_t, n_x),
+        wall_clock_seconds=draw(FINITE),
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(field=_fields(), digest=st.text("0123456789abcdef", min_size=64, max_size=64))
+def test_field_write_read_write_keeps_its_bytes(tmp_path_factory, field, digest):
+    path = tmp_path_factory.getbasetemp() / "round_trip_field.txt"
+    write_field(field, digest, path)
+    written = path.read_bytes()
+    loaded, loaded_digest = read_field(path)
+    assert loaded == field and loaded_digest == digest
+    write_field(loaded, loaded_digest, path)
+    assert path.read_bytes() == written
+
+
+@st.composite
+def _models(draw):
+    number = st.one_of(st.integers(-10**6, 10**6), FINITE)  # an int as a caller may pass one
+    x_lo, x_hi = sorted(draw(st.lists(number, min_size=2, max_size=2, unique=True)))
+    t_lo, t_hi = sorted(draw(st.lists(number, min_size=2, max_size=2, unique=True)))
+    use_fourier = draw(st.booleans())
+    model = init_model(
+        NormalizationBox(x_lo, x_hi, t_lo, t_hi),
+        n_blocks=draw(st.integers(0, 2)),
+        width=draw(st.integers(1, 3)),
+        m=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+        seed=draw(st.integers(0, 2**31)),
+        use_fourier=use_fourier,
+    )
+    encoder = None
+    if use_fourier:
+        encoder = FourierEncoder(_array(draw, model.encoder.m, 2), draw(number))
+    return dataclasses.replace(model, encoder=encoder, weights=_array(draw, model.n_weights))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(model=_models())
+def test_checkpoint_save_load_save_keeps_its_bytes(tmp_path_factory, model):
+    path = tmp_path_factory.getbasetemp() / "round_trip_model.ckpt"
+    save_checkpoint(model, path, "0" * 64)
+    written = path.read_bytes()
+    loaded, digest = load_checkpoint(path)
+    save_checkpoint(loaded, path, digest)
+    assert path.read_bytes() == written
 
 
 # ---------------------------------------------------------------------------

@@ -397,13 +397,16 @@ def read_field(path) -> tuple[FlowField, str]:
         n_t, n_x = t.size, x.size
         if len(table) != n_t * n_x:
             raise FormatError(f"[data] has {len(table)} rows, not {n_t} times x {n_x} stations")
-        field = FlowField(
-            x_miles=x,
-            t_hours=t,
-            h=table[:, 2].reshape(n_t, n_x),
-            u=table[:, 3].reshape(n_t, n_x),
-            wall_clock_seconds=wall,
-        )
+        try:
+            field = FlowField(
+                x_miles=x,
+                t_hours=t,
+                h=table[:, 2].reshape(n_t, n_x),
+                u=table[:, 3].reshape(n_t, n_x),
+                wall_clock_seconds=wall,
+            )
+        except ValueError as err:  # the field refuses its grid
+            raise FormatError(str(err)) from err
         written = _field_text(field, digest)
         if text != written:
             pairs = itertools.zip_longest(text.splitlines(True), written.splitlines(True))

@@ -95,6 +95,7 @@ class FlowField:
     ``h`` and ``u`` have shape (n_times, n_stations); ``h`` is depth above
     the bed in feet, ``u`` velocity in ft/s.  Fields are equal when their
     grids and data are, bit for bit, whatever their ``wall_clock_seconds``.
+    A field has at least two stations and two times.
     """
 
     x_miles: np.ndarray
@@ -102,6 +103,11 @@ class FlowField:
     h: np.ndarray
     u: np.ndarray
     wall_clock_seconds: float
+
+    def __post_init__(self):
+        n_x, n_t = len(self.x_miles), len(self.t_hours)
+        if n_x < 2 or n_t < 2:
+            raise ValueError(f"a field needs at least 2 stations and 2 times, not {n_x} and {n_t}")
 
     @property
     def points(self) -> np.ndarray:

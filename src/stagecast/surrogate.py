@@ -11,22 +11,23 @@ One forward pass serves inference, input derivatives and training.  It
 runs value rows, and the tangent rows of the last ``c`` of them: their
 derivatives along x (per foot) and t (per second), built from the
 normalization box (forward mode).  All rows are stacked, so each linear
-layer is one gemm; biases, activations and the softplus act on the value
-rows, and the tangent rows are scaled by the activation slope at their
-value rows.  The pass starts from the Fourier features, so training
-encodes its fixed samples once per run.  It writes every layer's rows
-into a workspace made once for its model and shape: once per training
-run, and once per inference call (a block holds at most 64 rows).  A
-pass holds its model, so it cannot run one model's weights with
-another's encoder or box.  Its ufuncs take ``out`` positionally, which
-numpy parses in about half the time of the keyword, a saving a 4-row
-``predict`` can measure.  The backward pass is written out by hand for
-this one chain: two gemms per layer plus the slope terms the forward
-pass stored, and, for the tangent rows, the second derivatives of the
-activations (forward-over-reverse); it writes into the same workspace
-and its one gradient vector.  Inference runs the same pass on the query
-rows, zero-padded to whole 4-row tiles, in blocks of at most 64 rows;
-``physics_duals`` runs on the same blocks, with every row's tangents.
+layer is one gemm, or in inference a few of at most 128 rows; biases,
+activations and the softplus act on the value rows, and the tangent rows
+are scaled by the activation slope at their value rows.  The pass starts
+from the Fourier features, so training encodes its fixed samples once per
+run.  It writes every layer's rows into a workspace made once for its
+model and shape: once per training run, and once per inference call and
+thread (a span holds at most 512 stacked rows).  A pass holds its model,
+so it cannot run one model's weights with another's encoder or box.  Its
+ufuncs take ``out`` positionally, which numpy parses in about half the
+time of the keyword, a saving a 4-row ``predict`` can measure.  The
+backward pass is written out by hand for this one chain: two gemms per
+layer plus the slope terms the forward pass stored, and, for the tangent
+rows, the second derivatives of the activations (forward-over-reverse);
+it writes into the same workspace and its one gradient vector.  Inference runs the same pass on the query
+rows, zero-padded to whole 4-row tiles, in spans of at most 512 stacked
+rows, one thread per usable core; ``physics_duals`` runs the same way,
+with every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -35,8 +36,11 @@ rejects a non-finite coordinate and clamps a point outside the box.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,7 +151,7 @@ def encode(encoder: FourierEncoder, v, out=None):
 
     The cosine block comes first, then the sine block.
     """
-    arg = v @ encoder.b_matrix.T
+    arg = np.matmul(v, encoder.b_matrix.T)  # a call, not ``@``, so a test can count its rows
     arg *= 2.0 * np.pi
     if out is None:
         out = np.empty((*arg.shape[:-1], encoder.output_dim))
@@ -302,11 +306,15 @@ class _Workspace:
     value rows; ``z`` holds the rows at each block boundary, ``out`` the
     head's.  ``grad`` adds the rows of :func:`_backward` and the flat
     weight gradient with its views.  ``model`` is the model it was made for.
+    :func:`_forward` cuts each layer's gemm into gemms of at most
+    ``gemm_rows`` rows; by default it runs one.
     """
 
-    def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False):
+    def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False,
+                 gemm_rows: int | None = None):
         width, blocks, rows = model.width, model.n_blocks, n + 2 * c
         self.model, self.n, self.c = model, n, c
+        self.gemm_rows = gemm_rows or rows
         self.x = np.empty((rows, model.views["proj.W"].shape[0]))
         layers = list(np.empty((3 * blocks + 1, rows, width)))
         self.p, self.a, self.z = layers[:blocks], layers[blocks : 2 * blocks], layers[2 * blocks :]
@@ -338,9 +346,14 @@ class _Workspace:
             self.grads = _views(model.manifest, self.grad)
 
 
-def _affine(x, w, b, n, out):
-    """x @ w into ``out``, plus the bias on the first ``n`` (value) rows."""
-    np.matmul(x, w, out)
+def _affine(x, w, b, n, out, gemm_rows):
+    """x @ w into ``out``, in gemms of at most ``gemm_rows`` rows, plus the
+    bias on the first ``n`` (value) rows."""
+    if len(x) <= gemm_rows:
+        np.matmul(x, w, out)
+    else:
+        for r in range(0, len(x), gemm_rows):
+            np.matmul(x[r : r + gemm_rows], w, out[r : r + gemm_rows])
     out[:n] += b
     return out
 
@@ -380,7 +393,7 @@ def _forward(ws: _Workspace) -> None:
     are ``ws.h`` and ``ws.u`` and, with tangent rows, ``ws.h_tan`` and
     ``ws.u_tan``.
     """
-    model, n, c, x = ws.model, ws.n, ws.c, ws.x
+    model, n, c, x, rows = ws.model, ws.n, ws.c, ws.x, ws.gemm_rows
     views = model.views
     if c and model.uses_fourier:
         m = model.encoder.m
@@ -389,10 +402,10 @@ def _forward(ws: _Workspace) -> None:
         np.multiply(x[n - c : n, m:], negative, x_tan[..., :m])
         np.multiply(x[n - c : n, :m], positive, x_tan[..., m:])
 
-    z = _affine(x, views["proj.W"], views["proj.b"], n, ws.z[0])
+    z = _affine(x, views["proj.W"], views["proj.b"], n, ws.z[0], rows)
     for b in range(model.n_blocks):
         p, a = ws.p[b], ws.a[b]
-        _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n, p)
+        _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n, p, rows)
         if model.activation == "relu":
             np.maximum(p[:n], 0.0, out=a[:n])  # a positional out is deprecated here
         else:
@@ -402,10 +415,10 @@ def _forward(ws: _Workspace) -> None:
             _slope(model.activation, a[:n], slope)
             if c:
                 np.multiply(p[n:].reshape(2, c, -1), slope[n - c :], a[n:].reshape(2, c, -1))
-        z_next = _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n, ws.z[b + 1])
+        z_next = _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n, ws.z[b + 1], rows)
         z_next += z  # the identity skip
         z = z_next
-    out = _affine(z, views["head.W"], views["head.b"], n, ws.out)
+    out = _affine(z, views["head.W"], views["head.b"], n, ws.out, rows)
     np.logaddexp(0.0, out[:n, 0], ws.h)
     ws.h += DEPTH_FLOOR_FT
     if c:
@@ -489,42 +502,107 @@ def _normalize(model: SurrogateModel, points, clamp: bool) -> np.ndarray:
     return (points - lo) / (hi - lo)
 
 
-_TILE = 4
-_BLOCK = 64
+_TILE = 4  # every gemm's row count is a multiple of this
+_GEMM_ROWS = 128  # and at most this, below the size at which OpenBLAS starts its threads
+_SPAN = 512  # stacked rows per span: the unit of work one thread takes at a time
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_spans(model: SurrogateModel, padded, span: int, duals: bool, starts, out) -> None:
+    """The network on the ``span`` rows of ``padded`` from each of ``starts``,
+    one span after another through one workspace, into the columns of ``out``."""
+    ws = None
+    for start in starts:
+        rows = padded[start : start + span]
+        k = len(rows)
+        if ws is None or ws.n != k:  # the last span may be shorter
+            ws = _Workspace(model, k, k if duals else 0, gemm_rows=_GEMM_ROWS)
+        x = ws.x[:k]  # the value rows; _forward writes the tangent rows
+        if k <= _GEMM_ROWS:  # every predict: one projection, without the loop's cost
+            _features(model, rows, x)
+        else:
+            for r in range(0, k, _GEMM_ROWS):
+                _features(model, rows[r : r + _GEMM_ROWS], x[r : r + _GEMM_ROWS])
+        _forward(ws)
+        out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
 
 
 def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -> np.ndarray:
-    """The network on normalized rows ``v``, block by block.
+    """The network on normalized rows ``v``, span by span.
 
     The result holds the rows (h, u), or with ``duals`` every row's
     tangents too: (h, h_x, h_t, u, u_x, u_t).
     """
     # A point must get the same bits alone as in any batch.  Measured on
-    # OpenBLAS 0.3.31 with its Haswell dgemm kernel, at 1 and 2 threads: a
-    # row's bits stop depending on the row count once the count is a
-    # multiple of 4, while one row goes to gemv and 2 or 3 rows round the
-    # 2-column head differently.  That holds only up to a size: gemms of
-    # 7,680 rows kept every row's bits, and of 8,192 rows or more did not
-    # (physics_duals in 4,096-point blocks, 12,288 stacked rows, changed
-    # 57-91 % of each output against 64-point blocks).  So the rows are
-    # zero-padded to whole _TILE-row tiles, and run in blocks of at most
-    # _BLOCK rows, which bound the memory of a large batch and keep every
-    # gemm far below that size.  Another dgemm kernel may need 8 or 16 rows;
-    # the child interpreters of tests/test_batch_invariance.py, at 1 and 2
-    # BLAS threads, guard the assumption.
+    # OpenBLAS 0.3.31 with its SkylakeX dgemm kernel (the one
+    # scipy_openblas_get_corename64_ names; numpy's "Haswell" is its build
+    # target), at 1 and 2 BLAS threads: a row's bits stop depending on the
+    # row count once the count is a multiple of 4, while one row goes to
+    # gemv and 2 or 3 rows round the 2-column head differently.  That holds
+    # only up to a size: gemms of 7,680 rows kept every row's bits, and of
+    # 8,192 rows or more did not.  So the rows are zero-padded to whole
+    # _TILE-row tiles and every gemm of a pass, the encoder's projection
+    # included, takes at most _GEMM_ROWS rows.  That cap also keeps each
+    # gemm on one BLAS thread: a 64-wide gemm timed the same at 1 and 2 BLAS
+    # threads up to 192 rows, and OpenBLAS's own threads, which start at 256
+    # rows, made two Python threads slower than one.  A batch runs in spans
+    # of at most _SPAN stacked rows, which bound its memory; the spans go to
+    # one thread per usable core, each with its own workspace, and numpy
+    # releases the interpreter lock inside each gemm and ufunc.  A batch of
+    # one span, every predict among them, runs on the calling thread alone.
+    # Another dgemm kernel may need 8 or 16 rows; the child interpreters of
+    # tests/test_batch_invariance.py, at 1 and 2 BLAS threads and under a
+    # second kernel, guard the assumption.
     n = v.shape[0]
     padded = np.zeros((-(-n // _TILE) * _TILE, 2))
     padded[:n] = v
     out = np.empty((6 if duals else 2, padded.shape[0]))
-    ws = None
-    for start in range(0, n, _BLOCK):
-        rows = padded[start : start + _BLOCK]
-        k = len(rows)
-        if ws is None or ws.n != k:  # the last block may be shorter
-            ws = _Workspace(model, k, k if duals else 0)
-        _features(model, rows, ws.x[:k])
-        _forward(ws)
-        out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
+    span = _SPAN // 3 // _TILE * _TILE if duals else _SPAN  # points per span
+    spans = range(0, padded.shape[0], span)
+    threads = min(len(spans), _usable_cores()) if len(spans) > 1 else 1
+    if threads == 1:
+        _run_spans(model, padded, span, duals, spans, out)
+        return out[:, :n]
+
+    # each span goes to the first free thread, so a thread that another
+    # process slows does not hold the call up; popleft is atomic
+    queue = collections.deque(spans)
+    failures = []
+
+    def take():
+        """Spans from the queue until it is empty or a thread has failed."""
+        while not failures:
+            try:
+                start = queue.popleft()
+            except IndexError:  # every span is taken
+                return
+            yield start
+
+    def guarded():
+        try:
+            _run_spans(model, padded, span, duals, take(), out)
+        except BaseException as exc:  # raised on the calling thread once every thread is done
+            failures.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=guarded)
+            thread.start()
+            helpers.append(thread)
+        guarded()
+    finally:  # no thread outlives the call, even one whose sibling failed to start
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
     return out[:, :n]
 
 
@@ -556,7 +634,7 @@ def physics_duals(model: SurrogateModel, x_miles, t_hours) -> tuple[Dual, Dual]:
     derivatives with respect to feet and ``dt`` with respect to seconds --
     the units the governing equations are written in.  ``x_miles`` and
     ``t_hours`` pair up by numpy broadcasting, and the result is flat.  The
-    points run in the blocks of inference, so that a point's duals are the
+    points run in the spans of inference, so that a point's duals are the
     same bits in a batch of any size or order.
     """
     x, t = np.broadcast_arrays(np.asarray(x_miles, np.float64), np.asarray(t_hours, np.float64))

@@ -25,3 +25,24 @@ def flood_training_set(flood_field, flood_scenario):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def empty_field(tmp_path):
+    """A hand-written field file of zero stations and zero times."""
+    path = tmp_path / "empty_field.txt"
+    path.write_text(
+        "# stagecast field v1\n"
+        "[field]\n"
+        "n_stations = 0\n"
+        "n_times = 0\n"
+        "units = x:miles,t:hours,h:ft,u:ft/s\n"
+        f"scenario_hash = {'0' * 64}\n"
+        "wall_clock_seconds = 0.0\n"
+        "x_miles:\n"
+        "t_hours:\n"
+        "\n"
+        "[data]\n"
+        "t_x_h_u:\n"
+    )
+    return path

@@ -680,6 +680,29 @@ def test_train_non_finite_field_cell_exits_one_before_writing(workspace, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_field_exits_one_naming_the_file(workspace, command, empty_field, capsys,
+                                                  tmp_path):
+    """A field of no stations and no times is refused as it is read, with
+    one line that names the file, before anything is written."""
+    inputs = {
+        "train": ["--field", str(empty_field), *TINY_TRAIN],
+        "eval": ["--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                 "--field", str(empty_field)],
+    }[command]
+    rc = main([
+        command,
+        "--scenario", str(workspace / "scenario.txt"),
+        "--out-dir", str(tmp_path / "out"),
+        *inputs,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {empty_field}: a field needs at least 2 stations and 2 times, not 0 and 0"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_bad_scenario_line_names_the_file(workspace, capsys, tmp_path):
     lines = (workspace / "scenario.txt").read_text().splitlines()
     lines.insert(5, "frobnicate")

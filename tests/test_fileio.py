@@ -401,6 +401,22 @@ def test_field_non_finite_cell_rejected(tmp_path, solved, word, column):
         read_field(path)
 
 
+@pytest.mark.parametrize("n_x, n_t", [(0, 0), (1, 2), (2, 1)])
+def test_a_field_needs_two_stations_and_two_times(n_x, n_t):
+    with pytest.raises(ValueError, match=rf"^a field needs at least 2 stations and 2 times, "
+                                         rf"not {n_x} and {n_t}$"):
+        FlowField(np.arange(float(n_x)), np.arange(float(n_t)), np.ones((n_t, n_x)),
+                  np.zeros((n_t, n_x)), 0.0)
+
+
+def test_an_empty_field_file_is_refused_naming_its_path(empty_field):
+    """A field of no stations and no times parses, but is no field: the
+    reader refuses it as a format error that starts with the file's path."""
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(empty_field))}: a field needs at "
+                                          r"least 2 stations and 2 times, not 0 and 0$"):
+        read_field(empty_field)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -588,7 +604,7 @@ def _array(draw, *shape):
 
 @st.composite
 def _fields(draw):
-    n_t, n_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_t, n_x = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     return FlowField(
         x_miles=_array(draw, n_x),
         t_hours=_array(draw, n_t),

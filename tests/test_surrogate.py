@@ -1,6 +1,8 @@
 """Fourier encoder and residual network behavior."""
 
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -165,30 +167,120 @@ def test_predict_batch_equals_reference_forward_bitwise(activation, use_fourier,
     assert np.array_equal(u, u_ref)
 
 
-def test_inference_passes_whole_tiles_of_at_most_one_block(monkeypatch):
-    """Every query reaches the network as a multiple of 4 value rows, at
-    most 64: a gemm's rows keep their bits at any such row count."""
-    seen = []
-    forward = surrogate._forward
+def _points(rng, n):
+    return np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 48, n)])
 
-    def counted(net):
-        seen.append(net.n)
-        return forward(net)
 
-    monkeypatch.setattr(surrogate, "_forward", counted)
+def test_inference_gemms_take_whole_tiles_of_at_most_128_rows(monkeypatch):
+    """Every gemm of an inference pass, the encoder's projection included,
+    takes a multiple of 4 rows and at most 128: a gemm's rows keep their
+    bits at any such row count, and OpenBLAS runs it on one thread."""
+    rows = []
+    matmul = np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        rows.append(a.shape[0])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
     model = _small_model()
     rng = np.random.default_rng(0)
-
-    def points(n):
-        return np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 48, n)])
-
     predict(model, 2.0, 3.0)
-    for n in [*range(1, 10), *range(63, 68), 130]:
-        predict_batch(model, points(n))
-    for n in [*range(1, 6), 70]:
-        physics_duals(model, *points(n).T)
-    assert seen and all(rows % 4 == 0 and 0 < rows <= 64 for rows in seen)
-    assert seen[0] == 4 and 64 in seen
+    assert rows and set(rows) == {4}
+    for n in [*range(1, 10), *range(125, 131), 513, 1300]:
+        predict_batch(model, _points(rng, n))
+    for n in [*range(1, 6), 43, 170, 400]:
+        physics_duals(model, *_points(rng, n).T)
+    assert all(k % 4 == 0 and 0 < k <= 128 for k in rows)
+    assert 128 in rows
+
+
+def _thread_starts(monkeypatch):
+    """The threads started from now on, counted as they start."""
+    started = []
+    start = surrogate.threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(surrogate.threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cores, n_points, helpers", [
+    (1, 2600, 0), (2, 2600, 1), (8, 1100, 2), (8, 512, 0), (8, 513, 1),
+])
+def test_one_thread_per_usable_core_up_to_one_per_span(monkeypatch, cores, n_points, helpers):
+    """A batch of one span (512 points), or a process with one usable core,
+    starts no thread; otherwise each usable core beyond the caller's gets
+    one, while there are spans for it.  The bits do not move."""
+    model = _small_model()
+    points = _points(np.random.default_rng(n_points), n_points)
+    expected = predict_batch(model, points)
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    started = _thread_starts(monkeypatch)
+    h, u = predict_batch(model, points)
+    assert len(started) == helpers
+    assert np.array_equal(h, expected[0]) and np.array_equal(u, expected[1])
+
+
+def test_more_threads_than_cores_switching_often_fill_every_row(monkeypatch):
+    """Eight threads on the host's cores, switching as often as the
+    interpreter allows: each span is taken once and written, so every row
+    equals the one-thread result, call after call."""
+    model = _small_model()
+    points = _points(np.random.default_rng(3), 5_000)
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0})
+    h_one, u_one = predict_batch(model, points)
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            h, u = predict_batch(model, points)
+            assert np.array_equal(h, h_one) and np.array_equal(u, u_one)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_without_cpu_affinity_the_core_count_decides(monkeypatch):
+    """Where ``os.sched_getaffinity`` is missing, ``os.cpu_count()`` counts
+    the usable cores; one that is unknown counts as one."""
+    model = _small_model()
+    points = _points(np.random.default_rng(1), 2600)
+    monkeypatch.delattr(surrogate.os, "sched_getaffinity")
+    started = _thread_starts(monkeypatch)
+    for cores, helpers in ((None, 0), (1, 0), (3, 2)):
+        monkeypatch.setattr(surrogate.os, "cpu_count", lambda: cores)
+        started.clear()
+        predict_batch(model, points)
+        assert len(started) == helpers
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_failure_in_a_span_reaches_the_caller_with_no_thread_left(monkeypatch, failing):
+    """An exception raised in a span, on the helper thread or on the
+    calling one, is raised by the call once every thread has stopped."""
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0, 1})
+    forward = surrogate._forward
+    failed = threading.Event()
+
+    def fail_on_one_thread(ws):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            failed.set()
+            raise RuntimeError(f"span failed on the {failing}")
+        failed.wait(timeout=30)  # the other thread fails before this one goes on
+        forward(ws)
+
+    monkeypatch.setattr(surrogate, "_forward", fail_on_one_thread)
+    started = _thread_starts(monkeypatch)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"^span failed on the {failing}$"):
+        predict_batch(_small_model(), _points(np.random.default_rng(2), 2600))
+    assert len(started) == 1 and not started[0].is_alive()
+    assert set(threading.enumerate()) == before
 
 
 def test_predict_batch_builds_weight_views_once(monkeypatch):

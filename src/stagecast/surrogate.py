@@ -24,10 +24,10 @@ time of the keyword, a saving a 4-row ``predict`` can measure.  The
 backward pass is written out by hand for this one chain: two gemms per
 layer plus the slope terms the forward pass stored, and, for the tangent
 rows, the second derivatives of the activations (forward-over-reverse);
-it writes into the same workspace and its one gradient vector.  Inference runs the same pass on the query
-rows, zero-padded to whole 4-row tiles, in spans of at most 512 stacked
-rows, one thread per usable core; ``physics_duals`` runs the same way,
-with every row's tangents.
+it writes into the same workspace and its one gradient vector.
+Inference runs the same pass on the query rows, zero-padded to whole
+4-row tiles, in spans of at most 512 stacked rows on at most two
+threads; ``physics_duals`` runs the same way, with every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -151,7 +151,7 @@ def encode(encoder: FourierEncoder, v, out=None):
 
     The cosine block comes first, then the sine block.
     """
-    arg = np.matmul(v, encoder.b_matrix.T)  # a call, not ``@``, so a test can count its rows
+    arg = v @ encoder.b_matrix.T
     arg *= 2.0 * np.pi
     if out is None:
         out = np.empty((*arg.shape[:-1], encoder.output_dim))
@@ -306,15 +306,15 @@ class _Workspace:
     value rows; ``z`` holds the rows at each block boundary, ``out`` the
     head's.  ``grad`` adds the rows of :func:`_backward` and the flat
     weight gradient with its views.  ``model`` is the model it was made for.
-    :func:`_forward` cuts each layer's gemm into gemms of at most
-    ``gemm_rows`` rows; by default it runs one.
+    :func:`_forward` cuts each layer's gemm into the row ``chunks`` of at
+    most ``gemm_rows`` rows; by default it runs one.
     """
 
     def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False,
                  gemm_rows: int | None = None):
         width, blocks, rows = model.width, model.n_blocks, n + 2 * c
         self.model, self.n, self.c = model, n, c
-        self.gemm_rows = gemm_rows or rows
+        self.chunks = _chunks(rows, gemm_rows or rows)
         self.x = np.empty((rows, model.views["proj.W"].shape[0]))
         layers = list(np.empty((3 * blocks + 1, rows, width)))
         self.p, self.a, self.z = layers[:blocks], layers[blocks : 2 * blocks], layers[2 * blocks :]
@@ -346,14 +346,22 @@ class _Workspace:
             self.grads = _views(model.manifest, self.grad)
 
 
-def _affine(x, w, b, n, out, gemm_rows):
-    """x @ w into ``out``, in gemms of at most ``gemm_rows`` rows, plus the
-    bias on the first ``n`` (value) rows."""
-    if len(x) <= gemm_rows:
+_ALL = (slice(None),)
+
+
+def _chunks(n: int, rows: int):
+    """Slices that cut ``n`` rows into runs of at most ``rows``."""
+    return _ALL if n <= rows else [slice(r, r + rows) for r in range(0, n, rows)]
+
+
+def _affine(x, w, b, n, out, chunks):
+    """x @ w into ``out``, one gemm per row chunk, plus the bias on the
+    first ``n`` (value) rows."""
+    if chunks is _ALL:  # one gemm, without the slicing a 4-row predict can measure
         np.matmul(x, w, out)
     else:
-        for r in range(0, len(x), gemm_rows):
-            np.matmul(x[r : r + gemm_rows], w, out[r : r + gemm_rows])
+        for r in chunks:
+            np.matmul(x[r], w, out[r])
     out[:n] += b
     return out
 
@@ -393,7 +401,7 @@ def _forward(ws: _Workspace) -> None:
     are ``ws.h`` and ``ws.u`` and, with tangent rows, ``ws.h_tan`` and
     ``ws.u_tan``.
     """
-    model, n, c, x, rows = ws.model, ws.n, ws.c, ws.x, ws.gemm_rows
+    model, n, c, x, rows = ws.model, ws.n, ws.c, ws.x, ws.chunks
     views = model.views
     if c and model.uses_fourier:
         m = model.encoder.m
@@ -525,11 +533,8 @@ def _run_spans(model: SurrogateModel, padded, span: int, duals: bool, starts, ou
         if ws is None or ws.n != k:  # the last span may be shorter
             ws = _Workspace(model, k, k if duals else 0, gemm_rows=_GEMM_ROWS)
         x = ws.x[:k]  # the value rows; _forward writes the tangent rows
-        if k <= _GEMM_ROWS:  # every predict: one projection, without the loop's cost
-            _features(model, rows, x)
-        else:
-            for r in range(0, k, _GEMM_ROWS):
-                _features(model, rows[r : r + _GEMM_ROWS], x[r : r + _GEMM_ROWS])
+        for r in _chunks(k, _GEMM_ROWS):
+            _features(model, rows[r], x[r])
         _forward(ws)
         out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
 
@@ -553,11 +558,13 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     # gemm on one BLAS thread: a 64-wide gemm timed the same at 1 and 2 BLAS
     # threads up to 192 rows, and OpenBLAS's own threads, which start at 256
     # rows, made two Python threads slower than one.  A batch runs in spans
-    # of at most _SPAN stacked rows, which bound its memory; the spans go to
-    # one thread per usable core, each with its own workspace, and numpy
-    # releases the interpreter lock inside each gemm and ufunc.  A batch of
-    # one span, every predict among them, runs on the calling thread alone.
-    # Another dgemm kernel may need 8 or 16 rows; the child interpreters of
+    # of at most _SPAN stacked rows, which bound its memory.  With more than
+    # one span and more than one usable core, a second thread takes spans
+    # too, each thread through its own workspace; numpy releases the
+    # interpreter lock inside each gemm and ufunc.  Only two threads: no host
+    # of more cores has been measured.  A batch of one span, every predict
+    # among them, runs on the calling thread alone.  Another dgemm kernel
+    # may need 8 or 16 rows; the child interpreters of
     # tests/test_batch_invariance.py, at 1 and 2 BLAS threads and under a
     # second kernel, guard the assumption.
     n = v.shape[0]
@@ -566,8 +573,7 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     out = np.empty((6 if duals else 2, padded.shape[0]))
     span = _SPAN // 3 // _TILE * _TILE if duals else _SPAN  # points per span
     spans = range(0, padded.shape[0], span)
-    threads = min(len(spans), _usable_cores()) if len(spans) > 1 else 1
-    if threads == 1:
+    if len(spans) == 1 or _usable_cores() < 2:
         _run_spans(model, padded, span, duals, spans, out)
         return out[:, :n]
 
@@ -577,30 +583,26 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     failures = []
 
     def take():
-        """Spans from the queue until it is empty or a thread has failed."""
-        while not failures:
+        """Spans from the queue until it is empty."""
+        while True:
             try:
                 start = queue.popleft()
-            except IndexError:  # every span is taken
+            except IndexError:
                 return
             yield start
 
-    def guarded():
+    def run():
         try:
             _run_spans(model, padded, span, duals, take(), out)
-        except BaseException as exc:  # raised on the calling thread once every thread is done
+        except BaseException as exc:  # raised on the calling thread once both are done
+            queue.clear()  # so the other thread stops after its span
             failures.append(exc)
 
-    helpers = []
-    try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=guarded)
-            thread.start()
-            helpers.append(thread)
-        guarded()
-    finally:  # no thread outlives the call, even one whose sibling failed to start
-        for thread in helpers:
-            thread.join()
+    model.views  # made here, before a second thread can race to make them too
+    helper = threading.Thread(target=run)
+    helper.start()
+    run()
+    helper.join()
     if failures:
         raise failures[0]
     return out[:, :n]

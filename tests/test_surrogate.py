@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -176,13 +177,18 @@ def test_inference_gemms_take_whole_tiles_of_at_most_128_rows(monkeypatch):
     takes a multiple of 4 rows and at most 128: a gemm's rows keep their
     bits at any such row count, and OpenBLAS runs it on one thread."""
     rows = []
-    matmul = np.matmul
+    matmul, encode = np.matmul, surrogate.encode
 
-    def recorded(a, b, *args, **kwargs):
+    def recorded_matmul(a, b, *args, **kwargs):
         rows.append(a.shape[0])
         return matmul(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", recorded)
+    def recorded_encode(encoder, v, out=None):
+        rows.append(v.shape[0])
+        return encode(encoder, v, out)
+
+    monkeypatch.setattr(np, "matmul", recorded_matmul)
+    monkeypatch.setattr(surrogate, "encode", recorded_encode)
     model = _small_model()
     rng = np.random.default_rng(0)
     predict(model, 2.0, 3.0)
@@ -209,12 +215,12 @@ def _thread_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("cores, n_points, helpers", [
-    (1, 2600, 0), (2, 2600, 1), (8, 1100, 2), (8, 512, 0), (8, 513, 1),
+    (1, 2600, 0), (2, 2600, 1), (8, 1100, 1), (8, 512, 0), (8, 513, 1),
 ])
-def test_one_thread_per_usable_core_up_to_one_per_span(monkeypatch, cores, n_points, helpers):
+def test_a_second_thread_only_for_two_spans_and_two_cores(monkeypatch, cores, n_points, helpers):
     """A batch of one span (512 points), or a process with one usable core,
-    starts no thread; otherwise each usable core beyond the caller's gets
-    one, while there are spans for it.  The bits do not move."""
+    starts no thread; otherwise one thread joins the caller's, however many
+    cores there are.  The bits do not move."""
     model = _small_model()
     points = _points(np.random.default_rng(n_points), n_points)
     expected = predict_batch(model, points)
@@ -225,15 +231,15 @@ def test_one_thread_per_usable_core_up_to_one_per_span(monkeypatch, cores, n_poi
     assert np.array_equal(h, expected[0]) and np.array_equal(u, expected[1])
 
 
-def test_more_threads_than_cores_switching_often_fill_every_row(monkeypatch):
-    """Eight threads on the host's cores, switching as often as the
-    interpreter allows: each span is taken once and written, so every row
-    equals the one-thread result, call after call."""
+def test_two_threads_switching_often_fill_every_row(monkeypatch):
+    """Two threads switching as often as the interpreter allows: each span
+    is taken once and written, so every row equals the one-thread result,
+    call after call."""
     model = _small_model()
     points = _points(np.random.default_rng(3), 5_000)
     monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0})
     h_one, u_one = predict_batch(model, points)
-    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0, 1})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -251,7 +257,7 @@ def test_without_cpu_affinity_the_core_count_decides(monkeypatch):
     points = _points(np.random.default_rng(1), 2600)
     monkeypatch.delattr(surrogate.os, "sched_getaffinity")
     started = _thread_starts(monkeypatch)
-    for cores, helpers in ((None, 0), (1, 0), (3, 2)):
+    for cores, helpers in ((None, 0), (1, 0), (3, 1)):
         monkeypatch.setattr(surrogate.os, "cpu_count", lambda: cores)
         started.clear()
         predict_batch(model, points)
@@ -299,6 +305,29 @@ def test_predict_batch_builds_weight_views_once(monkeypatch):
     predict_batch(model, points)
     predict_batch(model, points)
     assert len(calls) == 1
+
+
+def test_a_fresh_model_makes_its_views_once_on_two_threads(monkeypatch):
+    """A batch of several spans on a model that has not made its views yet
+    makes them once, before a second thread could race to make them too
+    (``functools.cached_property`` holds no lock from Python 3.12)."""
+    calls = []
+    make_views = surrogate._views
+
+    def slow(manifest, flat):
+        calls.append(threading.current_thread())
+        time.sleep(0.05)  # long enough for a second thread to arrive
+        return make_views(manifest, flat)
+
+    model = _small_model()
+    fresh = dataclasses.replace(model, weights=model.weights.copy())
+    monkeypatch.setattr(surrogate, "_views", slow)
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0, 1})
+    started = _thread_starts(monkeypatch)
+    h, u = predict_batch(fresh, _points(np.random.default_rng(4), 2600))
+    assert len(started) == 1 and calls == [threading.main_thread()]
+    h_ref, u_ref = predict_batch(model, _points(np.random.default_rng(4), 2600))
+    assert np.array_equal(h, h_ref) and np.array_equal(u, u_ref)
 
 
 def test_weights_cannot_be_swapped_under_the_views():

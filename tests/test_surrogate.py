@@ -330,6 +330,31 @@ def test_a_fresh_model_makes_its_views_once_on_two_threads(monkeypatch):
     assert np.array_equal(h, h_ref) and np.array_equal(u, u_ref)
 
 
+@pytest.mark.parametrize("n, c, grad", [(64, 0, False), (256, 0, True), (256, 128, True), (504, 504, False)])
+def test_a_workspace_of_64_rows_or_more_starts_every_buffer_on_a_cache_line(n, c, grad):
+    """Training's and a span's buffers start on 64-byte boundaries, whatever
+    the heap held before, so a run's speed does not rest on where they fall."""
+    model = _small_model()
+    ws = surrogate._Workspace(model, n, c, grad=grad)
+    buffers = [ws.x, *ws.p, *ws.a, *ws.z, ws.out, ws.h]
+    buffers += [*ws.slope, ws.h_tan] if c else []
+    buffers += [ws.g, ws.g_z, ws.g_a, ws.g_p, ws.scratch, ws.grad] if grad else []
+    assert all(b.ctypes.data % 64 == 0 for b in buffers if b.size)  # an empty one has no data
+    assert ws.x.shape == (n + 2 * c, 2 * model.encoder.m)
+
+
+@pytest.mark.parametrize("shape", [5, (3, 7), (2, 4, 6)])
+def test_aligned_buffers_at_every_heap_offset(shape):
+    """Wherever the heap puts the allocation, the buffer starts on a line
+    and has the shape asked for."""
+    held = []
+    for _ in range(16):
+        held.append(np.empty(1))  # moves the heap along
+        buf = surrogate._aligned_empty(shape)
+        assert buf.ctypes.data % 64 == 0
+        assert buf.shape == np.empty(shape).shape and buf.dtype == np.float64
+
+
 def test_weights_cannot_be_swapped_under_the_views():
     """The model is frozen, so its cached views always see its weights;
     a new weight vector makes a new model."""

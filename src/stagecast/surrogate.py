@@ -327,7 +327,8 @@ class _Workspace:
     head's.  ``grad`` adds the rows of :func:`_backward` and the flat
     weight gradient with its views.  ``model`` is the model it was made for.
     :func:`_forward` cuts each layer's gemm into the row ``chunks`` of at
-    most ``gemm_rows`` rows; by default it runs one.
+    most ``gemm_rows`` rows; by default it runs one.  A workspace of
+    _ALIGNED_ROWS rows or more starts each buffer on a cache line.
     """
 
     def __init__(self, model: SurrogateModel, n: int, c: int = 0, grad: bool = False,
@@ -406,13 +407,17 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _features(model: SurrogateModel, v, out) -> None:
+def _features(model: SurrogateModel, v, out, chunks=_ALL) -> None:
     """Write the input-layer rows of normalized coordinates ``v`` into
-    ``out``: their Fourier features, or ``v`` itself without an encoder."""
-    if model.uses_fourier:
+    ``out``: their Fourier features, one projection per row chunk, or ``v``
+    itself without an encoder."""
+    if not model.uses_fourier:
+        out[...] = v
+    elif chunks is _ALL:
         encode(model.encoder, v, out)
     else:
-        out[...] = v
+        for r in chunks:
+            encode(model.encoder, v[r], out[r])
 
 
 def _forward(ws: _Workspace) -> None:
@@ -422,7 +427,7 @@ def _forward(ws: _Workspace) -> None:
     are ``ws.h`` and ``ws.u`` and, with tangent rows, ``ws.h_tan`` and
     ``ws.u_tan``.
     """
-    model, n, c, x, rows = ws.model, ws.n, ws.c, ws.x, ws.chunks
+    model, n, c, x, chunks = ws.model, ws.n, ws.c, ws.x, ws.chunks
     views = model.views
     if c and model.uses_fourier:
         m = model.encoder.m
@@ -431,10 +436,10 @@ def _forward(ws: _Workspace) -> None:
         np.multiply(x[n - c : n, m:], negative, x_tan[..., :m])
         np.multiply(x[n - c : n, :m], positive, x_tan[..., m:])
 
-    z = _affine(x, views["proj.W"], views["proj.b"], n, ws.z[0], rows)
+    z = _affine(x, views["proj.W"], views["proj.b"], n, ws.z[0], chunks)
     for b in range(model.n_blocks):
         p, a = ws.p[b], ws.a[b]
-        _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n, p, rows)
+        _affine(z, views[f"block{b}.W1"], views[f"block{b}.b1"], n, p, chunks)
         if model.activation == "relu":
             np.maximum(p[:n], 0.0, out=a[:n])  # a positional out is deprecated here
         else:
@@ -444,10 +449,10 @@ def _forward(ws: _Workspace) -> None:
             _slope(model.activation, a[:n], slope)
             if c:
                 np.multiply(p[n:].reshape(2, c, -1), slope[n - c :], a[n:].reshape(2, c, -1))
-        z_next = _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n, ws.z[b + 1], rows)
+        z_next = _affine(a, views[f"block{b}.W2"], views[f"block{b}.b2"], n, ws.z[b + 1], chunks)
         z_next += z  # the identity skip
         z = z_next
-    out = _affine(z, views["head.W"], views["head.b"], n, ws.out, rows)
+    out = _affine(z, views["head.W"], views["head.b"], n, ws.out, chunks)
     np.logaddexp(0.0, out[:n, 0], ws.h)
     ws.h += DEPTH_FLOOR_FT
     if c:
@@ -553,9 +558,8 @@ def _run_spans(model: SurrogateModel, padded, span: int, duals: bool, starts, ou
         k = len(rows)
         if ws is None or ws.n != k:  # the last span may be shorter
             ws = _Workspace(model, k, k if duals else 0, gemm_rows=_GEMM_ROWS)
-        x = ws.x[:k]  # the value rows; _forward writes the tangent rows
-        for r in _chunks(k, _GEMM_ROWS):
-            _features(model, rows[r], x[r])
+        # the value rows; _forward writes the tangent rows
+        _features(model, rows, ws.x[:k], _chunks(k, _GEMM_ROWS))
         _forward(ws)
         out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
 

@@ -21,6 +21,7 @@ bad command lines), 2 solver failures, 3 cross-input consistency errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -103,11 +104,20 @@ def _check_hash(expected: str, actual: str, what: str) -> None:
 
 
 def _scenario_and_field(args):
-    """The ``--scenario``, its hash, and the ``--field`` solved from it."""
+    """The ``--scenario``, its hash, and the ``--field`` solved from it, on its grid."""
     scenario = read_scenario(args.scenario)
     digest = scenario_hash(scenario)
     field, field_digest = read_field(args.field)
     _check_hash(digest, field_digest, "field file")
+    for what, found, expected in (
+        ("station", field.x_miles.tolist(), scenario.station_positions_miles),
+        ("output time", field.t_hours.tolist(), scenario.output_times_hours().tolist()),
+    ):
+        # equal reprs are equal bits, -0.0 and 0.0 apart
+        pairs = itertools.zip_longest(map(repr, found), map(repr, expected), fillvalue="missing")
+        for i, (a, b) in enumerate(pairs):
+            if a != b:
+                raise ConsistencyError(f"field file: {what} {i} is {a}, the scenario's is {b}")
     return scenario, digest, field
 
 

@@ -184,6 +184,11 @@ class RiverScenario:
             if series.t_hours[0] > 0.0 or series.t_hours[-1] < self.t_total_hours:
                 raise ValueError(f"{name} must cover [0, t_total_hours]")
 
+    def output_times_hours(self) -> np.ndarray:
+        """The output times of a solve: every ``output_dt_hours``, ending at the run length."""
+        n_t = math.ceil(self.t_total_hours / self.output_dt_hours - 1e-9) + 1
+        return np.minimum(self.output_dt_hours * np.arange(n_t), self.t_total_hours)
+
 
 def bed_elevation_at(geometry: ChannelGeometry, x_miles):
     """Bed elevation (ft) at river mile ``x_miles``; slope drops downstream."""

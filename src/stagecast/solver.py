@@ -339,11 +339,8 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     dx = length_ft / (config.n_cells - 1)
     stations_ft = np.asarray(scenario.station_positions_miles) * MILE_FT
 
-    # the last output step may be partial: the grid ends at the run length
-    n_t = math.ceil(scenario.t_total_hours / scenario.output_dt_hours - 1e-9) + 1
-    t_out_h = scenario.output_dt_hours * np.arange(n_t)
-    t_out_h[-1] = min(float(t_out_h[-1]), scenario.t_total_hours)
-    t_out_s = t_out_h * HOUR_S
+    t_out_h = scenario.output_times_hours()
+    n_t = t_out_h.size
 
     # the reach's operands of the source, made once per solve
     width_ft = geom.width_ft
@@ -398,7 +395,7 @@ def solve(scenario: RiverScenario, config: SolverConfig = SolverConfig()) -> Flo
     u_out = np.empty((n_t, stations_ft.size))
     h_out[0] = np.interp(stations_ft, x_ft, h)
     u_out[0] = np.interp(stations_ft, x_ft, u)
-    t_out = t_out_s.tolist()
+    t_out = (t_out_h * HOUR_S).tolist()
     cursor = 1
 
     def on_interval(t0, t1, h0, u0, h1, u1):

@@ -26,8 +26,9 @@ layer plus the slope terms the forward pass stored, and, for the tangent
 rows, the second derivatives of the activations (forward-over-reverse);
 it writes into the same workspace and its one gradient vector.
 Inference runs the same pass on the query rows, zero-padded to whole
-4-row tiles, in spans of at most 512 stacked rows on at most two
-threads; ``physics_duals`` runs the same way, with every row's tangents.
+4-row tiles and cut once, into spans of at most 512 stacked rows on at
+most two threads: a span's Fourier projection is one gemm, and its layer
+gemms take at most 128 rows; ``physics_duals`` adds every row's tangents.
 
 A model makes its weight views once, and every pass reads them.  Every
 query, one point or a batch, is normalized by one function, which
@@ -327,7 +328,8 @@ class _Workspace:
     head's.  ``grad`` adds the rows of :func:`_backward` and the flat
     weight gradient with its views.  ``model`` is the model it was made for.
     :func:`_forward` cuts each layer's gemm into the row ``chunks`` of at
-    most ``gemm_rows`` rows; by default it runs one.  A workspace of
+    most ``gemm_rows`` rows, or runs one (``chunks`` None) by default; the
+    Fourier projection that fills ``x`` stays one gemm.  A workspace of
     _ALIGNED_ROWS rows or more starts each buffer on a cache line.
     """
 
@@ -336,7 +338,8 @@ class _Workspace:
         width, blocks, rows = model.width, model.n_blocks, n + 2 * c
         self.model, self.n, self.c = model, n, c
         empty = _aligned_empty if rows >= _ALIGNED_ROWS else np.empty
-        self.chunks = _chunks(rows, gemm_rows or rows)
+        step = gemm_rows or rows
+        self.chunks = None if rows <= step else [slice(r, r + step) for r in range(0, rows, step)]
         self.x = empty((rows, model.views["proj.W"].shape[0]))
         layers = list(empty((3 * blocks + 1, rows, width)))
         self.p, self.a, self.z = layers[:blocks], layers[blocks : 2 * blocks], layers[2 * blocks :]
@@ -368,18 +371,10 @@ class _Workspace:
             self.grads = _views(model.manifest, self.grad)
 
 
-_ALL = (slice(None),)
-
-
-def _chunks(n: int, rows: int):
-    """Slices that cut ``n`` rows into runs of at most ``rows``."""
-    return _ALL if n <= rows else [slice(r, r + rows) for r in range(0, n, rows)]
-
-
 def _affine(x, w, b, n, out, chunks):
     """x @ w into ``out``, one gemm per row chunk, plus the bias on the
     first ``n`` (value) rows."""
-    if chunks is _ALL:  # one gemm, without the slicing a 4-row predict can measure
+    if chunks is None:  # one gemm, without the slicing a 4-row predict can measure
         np.matmul(x, w, out)
     else:
         for r in chunks:
@@ -407,17 +402,14 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _features(model: SurrogateModel, v, out, chunks=_ALL) -> None:
+def _features(model: SurrogateModel, v, out) -> None:
     """Write the input-layer rows of normalized coordinates ``v`` into
-    ``out``: their Fourier features, one projection per row chunk, or ``v``
+    ``out``: their Fourier features, by one projection gemm, or ``v``
     itself without an encoder."""
-    if not model.uses_fourier:
-        out[...] = v
-    elif chunks is _ALL:
+    if model.uses_fourier:
         encode(model.encoder, v, out)
     else:
-        for r in chunks:
-            encode(model.encoder, v[r], out[r])
+        out[...] = v
 
 
 def _forward(ws: _Workspace) -> None:
@@ -537,7 +529,7 @@ def _normalize(model: SurrogateModel, points, clamp: bool) -> np.ndarray:
 
 
 _TILE = 4  # every gemm's row count is a multiple of this
-_GEMM_ROWS = 128  # and at most this, below the size at which OpenBLAS starts its threads
+_GEMM_ROWS = 128  # and a layer gemm's at most this, below where OpenBLAS starts its threads
 _SPAN = 512  # stacked rows per span: the unit of work one thread takes at a time
 
 
@@ -550,16 +542,20 @@ def _usable_cores() -> int:
 
 
 def _run_spans(model: SurrogateModel, padded, span: int, duals: bool, starts, out) -> None:
-    """The network on the ``span`` rows of ``padded`` from each of ``starts``,
-    one span after another through one workspace, into the columns of ``out``."""
+    """The network on the ``span`` rows of ``padded`` from each start row
+    it takes off the deque ``starts``, one span after another through one
+    workspace, into the columns of ``out``; threads may share ``starts``."""
     ws = None
-    for start in starts:
+    while starts:
+        try:
+            start = starts.popleft()  # atomic, so no two threads take one span
+        except IndexError:  # the other thread took the last one
+            return
         rows = padded[start : start + span]
         k = len(rows)
         if ws is None or ws.n != k:  # the last span may be shorter
             ws = _Workspace(model, k, k if duals else 0, gemm_rows=_GEMM_ROWS)
-        # the value rows; _forward writes the tangent rows
-        _features(model, rows, ws.x[:k], _chunks(k, _GEMM_ROWS))
+        _features(model, rows, ws.x[:k])  # the value rows; _forward writes the tangent rows
         _forward(ws)
         out[:, start : start + k] = (ws.h, *ws.h_tan, ws.u, *ws.u_tan) if duals else (ws.h, ws.u)
 
@@ -578,18 +574,18 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     # gemv and 2 or 3 rows round the 2-column head differently.  That holds
     # only up to a size: gemms of 7,680 rows kept every row's bits, and of
     # 8,192 rows or more did not.  So the rows are zero-padded to whole
-    # _TILE-row tiles and every gemm of a pass, the encoder's projection
-    # included, takes at most _GEMM_ROWS rows.  That cap also keeps each
-    # gemm on one BLAS thread: a 64-wide gemm timed the same at 1 and 2 BLAS
-    # threads up to 192 rows, and OpenBLAS's own threads, which start at 256
-    # rows, made two Python threads slower than one.  A batch runs in spans
-    # of at most _SPAN stacked rows, which bound its memory.  With more than
-    # one span and more than one usable core, a second thread takes spans
-    # too, each thread through its own workspace; numpy releases the
-    # interpreter lock inside each gemm and ufunc.  Only two threads: no host
-    # of more cores has been measured.  A batch of one span, every predict
-    # among them, runs on the calling thread alone.  Another dgemm kernel
-    # may need 8 or 16 rows; the child interpreters of
+    # _TILE-row tiles and cut once, into spans of at most _SPAN stacked
+    # rows, which bound a batch's memory.  A span's Fourier projection is
+    # one gemm: with two columns it is less work than one layer gemm, and
+    # OpenBLAS runs it on one thread.  Each layer gemm takes at most
+    # _GEMM_ROWS rows, which keeps it on one BLAS thread: a 64-wide gemm
+    # timed the same at 1 and 2 BLAS threads up to 192 rows, and OpenBLAS's
+    # own threads, which start at 256 rows, made two Python threads slower
+    # than one.  With two spans or more and two usable cores or more, a
+    # second thread takes spans too, each through its own workspace; numpy
+    # releases the interpreter lock inside each gemm and ufunc.  Only two
+    # threads: no host of more cores has been measured.  Another dgemm
+    # kernel may need 8 or 16 rows; the child interpreters of
     # tests/test_batch_invariance.py, at 1 and 2 BLAS threads and under a
     # second kernel, guard the assumption.
     n = v.shape[0]
@@ -597,28 +593,18 @@ def _forward_blocks(model: SurrogateModel, v: np.ndarray, duals: bool = False) -
     padded[:n] = v
     out = np.empty((6 if duals else 2, padded.shape[0]))
     span = _SPAN // 3 // _TILE * _TILE if duals else _SPAN  # points per span
-    spans = range(0, padded.shape[0], span)
-    if len(spans) == 1 or _usable_cores() < 2:
-        _run_spans(model, padded, span, duals, spans, out)
+    # each span goes to the first free thread, so a thread that another
+    # process slows does not hold the call up
+    queue = collections.deque(range(0, padded.shape[0], span))
+    if len(queue) < 2 or _usable_cores() < 2:
+        _run_spans(model, padded, span, duals, queue, out)
         return out[:, :n]
 
-    # each span goes to the first free thread, so a thread that another
-    # process slows does not hold the call up; popleft is atomic
-    queue = collections.deque(spans)
     failures = []
-
-    def take():
-        """Spans from the queue until it is empty."""
-        while True:
-            try:
-                start = queue.popleft()
-            except IndexError:
-                return
-            yield start
 
     def run():
         try:
-            _run_spans(model, padded, span, duals, take(), out)
+            _run_spans(model, padded, span, duals, queue, out)
         except BaseException as exc:  # raised on the calling thread once both are done
             queue.clear()  # so the other thread stops after its span
             failures.append(exc)

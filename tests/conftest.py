@@ -1,9 +1,22 @@
+import threading
+
 import numpy as np
 import pytest
 
 from stagecast.geometry import make_flood_wave_scenario
 from stagecast.solver import SolverConfig, solve
 from stagecast.training import build_training_set
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that ends with a Python thread alive that was not alive
+    when it started: every thread a call starts is joined before it returns."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, exit codes, printed output."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -20,6 +21,7 @@ from stagecast.fileio import (
     read_scenario,
     save_checkpoint,
     scenario_hash,
+    write_field,
     write_scenario,
 )
 from stagecast.geometry import (
@@ -523,6 +525,33 @@ def test_train_hash_mismatch_exits_three(workspace, capsys, tmp_path):
     ])
     assert rc == 3
     assert "hash mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("axis, value, message", [
+    ("x", 50.0, "station 3 is 50.0, the scenario's is"),
+    ("t", 500.0, "output time 192 is 500.0, the scenario's is 48.0"),
+    ("x", None, "station 3 is missing, the scenario's is"),
+], ids=["station-moved", "time-moved", "station-dropped"])
+def test_a_field_off_its_scenarios_grid_exits_three_before_writing(
+        workspace, command, axis, value, message, capsys, tmp_path):
+    """A field written under its scenario's hash, but with a station or an
+    output time moved or dropped, is refused, naming the first one."""
+    field, digest = read_field(workspace / "field.txt")
+    if value is None:  # the last station dropped
+        field = dataclasses.replace(field, x_miles=field.x_miles[:-1],
+                                    h=field.h[:, :-1], u=field.u[:, :-1])
+    else:
+        grid = (field.x_miles if axis == "x" else field.t_hours).copy()
+        grid[-1] = value
+        field = dataclasses.replace(field, **{"x_miles" if axis == "x" else "t_hours": grid})
+    write_field(field, digest, tmp_path / "field.txt")
+    out_dir = tmp_path / "out"
+    argv = _small_run(command, workspace, "--out-dir", out_dir, tmp_path)
+    argv[argv.index("--field") + 1] = str(tmp_path / "field.txt")
+    assert main(argv) == 3
+    assert f"consistency error: field file: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_train_divergence_exits_four(workspace, capsys, tmp_path):

@@ -172,19 +172,21 @@ def _points(rng, n):
     return np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 48, n)])
 
 
-def test_inference_gemms_take_whole_tiles_of_at_most_128_rows(monkeypatch):
-    """Every gemm of an inference pass, the encoder's projection included,
-    takes a multiple of 4 rows and at most 128: a gemm's rows keep their
-    bits at any such row count, and OpenBLAS runs it on one thread."""
-    rows = []
+def test_layer_gemms_take_at_most_128_rows_and_the_projection_one_per_span(monkeypatch):
+    """Every layer gemm of an inference pass takes a multiple of 4 rows and
+    at most 128, and the encoder's projection runs once per span, on a
+    multiple of 4 rows and at most a span's points (512, or 168 with
+    duals): a gemm's rows keep their bits at any such row count, and
+    OpenBLAS runs each on one thread."""
+    gemms, projections = [], []
     matmul, encode = np.matmul, surrogate.encode
 
     def recorded_matmul(a, b, *args, **kwargs):
-        rows.append(a.shape[0])
+        gemms.append(a.shape[0])
         return matmul(a, b, *args, **kwargs)
 
     def recorded_encode(encoder, v, out=None):
-        rows.append(v.shape[0])
+        projections.append(v.shape[0])
         return encode(encoder, v, out)
 
     monkeypatch.setattr(np, "matmul", recorded_matmul)
@@ -192,13 +194,20 @@ def test_inference_gemms_take_whole_tiles_of_at_most_128_rows(monkeypatch):
     model = _small_model()
     rng = np.random.default_rng(0)
     predict(model, 2.0, 3.0)
-    assert rows and set(rows) == {4}
-    for n in [*range(1, 10), *range(125, 131), 513, 1300]:
-        predict_batch(model, _points(rng, n))
-    for n in [*range(1, 6), 43, 170, 400]:
-        physics_duals(model, *_points(rng, n).T)
-    assert all(k % 4 == 0 and 0 < k <= 128 for k in rows)
-    assert 128 in rows
+    assert set(gemms) == {4} and projections == [4]
+    cases = [(n, False) for n in [*range(1, 10), *range(125, 131), 512, 513, 1300]]
+    cases += [(n, True) for n in [*range(1, 6), 43, 168, 169, 170, 400]]
+    for n, duals in cases:
+        projections.clear()
+        points = _points(rng, n)
+        if duals:
+            physics_duals(model, *points.T)
+        else:
+            predict_batch(model, points)
+        rows, span = -(-n // 4) * 4, 168 if duals else 512
+        assert sorted(projections) == sorted(min(span, rows - s) for s in range(0, rows, span))
+    assert all(k % 4 == 0 and 0 < k <= 128 for k in gemms)
+    assert 128 in gemms
 
 
 def _thread_starts(monkeypatch):
@@ -215,12 +224,12 @@ def _thread_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("cores, n_points, helpers", [
-    (1, 2600, 0), (2, 2600, 1), (8, 1100, 1), (8, 512, 0), (8, 513, 1),
+    (1, 2600, 0), (2, 2600, 1), (8, 1100, 1), (8, 512, 0), (8, 513, 1), (8, 0, 0),
 ])
 def test_a_second_thread_only_for_two_spans_and_two_cores(monkeypatch, cores, n_points, helpers):
-    """A batch of one span (512 points), or a process with one usable core,
-    starts no thread; otherwise one thread joins the caller's, however many
-    cores there are.  The bits do not move."""
+    """A batch of at most one span (512 points; an empty batch has none), or
+    a process with one usable core, starts no thread; otherwise one thread
+    joins the caller's, however many cores there are.  The bits do not move."""
     model = _small_model()
     points = _points(np.random.default_rng(n_points), n_points)
     expected = predict_batch(model, points)
@@ -229,6 +238,15 @@ def test_a_second_thread_only_for_two_spans_and_two_cores(monkeypatch, cores, n_
     h, u = predict_batch(model, points)
     assert len(started) == helpers
     assert np.array_equal(h, expected[0]) and np.array_equal(u, expected[1])
+
+
+def test_empty_duals_start_no_thread(monkeypatch):
+    """No points make no span, so ``physics_duals`` starts no thread either."""
+    monkeypatch.setattr(surrogate.os, "sched_getaffinity", lambda pid: {0, 1})
+    started = _thread_starts(monkeypatch)
+    h, u = physics_duals(_small_model(), [], [])
+    assert not started
+    assert all(part.shape == (0,) for part in (*h, *u))
 
 
 def test_two_threads_switching_often_fill_every_row(monkeypatch):
